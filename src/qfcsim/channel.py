@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import check_drive, coherence_matrix
-from .errors import ZeroConversionProbability
+from .errors import OutOfRange, ZeroConversionProbability
 from .linalg import dagger, kron, svd
 from .states import I2, assert_density_matrix, bell_state, concurrence, partial_trace
 
@@ -44,7 +44,7 @@ class ChannelSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", check_drive(self.a))
         if not np.isfinite(self.kt) or self.kt < 0:
-            raise ValueError(f"kt must be finite and >= 0, got {self.kt}")
+            raise OutOfRange(f"kt must be finite and >= 0, got {self.kt}")
 
 
 @dataclass(frozen=True)

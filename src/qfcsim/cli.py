@@ -14,12 +14,13 @@ import csv
 import hashlib
 import json
 import sys
-from importlib import metadata, resources
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
+from . import __version__
 from . import bell as bell_mod
 from . import channel as channel_mod
 from . import drive as drive_mod
@@ -27,13 +28,6 @@ from . import spectral as spectral_mod
 from . import states as states_mod
 from . import tomography as tomo_mod
 from .errors import ConfigError, QfcError
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("qfcsim")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _summary_schema() -> dict:
@@ -161,7 +155,7 @@ def _write_summary(out_dir: Path, command: str, config_sha: str | None,
                    seed: int | None, results: dict, outputs: dict) -> Path:
     summary = {
         "command": command,
-        "package_version": _package_version(),
+        "package_version": __version__,
         "config_sha256": config_sha,
         "seed": seed,
         "results": results,
@@ -225,7 +219,7 @@ def _cmd_sweep_theta(cfg: dict, config_sha: str, seed_override, out_dir: Path) -
             mean_pairs = _as_number(cfg, "mean_pairs", "config")
             settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
             records = tomo_mod.simulate_counts(rho_out, settings, mean_pairs,
-                                               seed=int(seed) + i)
+                                               seed=[int(seed), i])
             rho_out = tomo_mod.mle_reconstruct(records)
         rows.append((theta_deg, states_mod.concurrence(rho_out),
                      states_mod.chsh_max(rho_out), bound))

@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                      NotNormalized, ShapeMismatch)
-from .linalg import dagger, kron
+from .linalg import kron
 from .states import assert_density_matrix
 
 STATE_VECTORS = {
@@ -110,23 +109,21 @@ def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
 # maximum likelihood
 # ---------------------------------------------------------------------------
 
-# lower-triangle layout of the Cholesky-like factor: 4 real diagonal entries,
+# T = sum_j t_j E_j for 16 real parameters t: the 4 real diagonal entries,
 # then (re, im) pairs for the off-diagonal positions below the diagonal
 _LOWER = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+_BASIS = np.zeros((16, 4, 4), dtype=complex)
+_BASIS[range(4), range(4), range(4)] = 1.0
+for _i, (_r, _c) in enumerate(_LOWER):
+    _BASIS[4 + 2 * _i, _r, _c] = 1.0
+    _BASIS[5 + 2 * _i, _r, _c] = 1.0j
 
-
-def _t_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = t[:4]
-    for i, (r, c) in enumerate(_LOWER):
-        m[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
-    return m
-
-
-def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    m = _t_from_params(t)
-    rho = dagger(m) @ m
-    return rho / np.trace(rho).real
+# Newton steps allowed and squared Newton decrement per count at which a fit
+# stops; Armijo sufficient-decrease constant and step halvings tried
+_MAX_ITER = 1000
+_TOL = 1e-12
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
 def _check_informationally_complete(kets: np.ndarray) -> None:
@@ -139,52 +136,113 @@ def _check_informationally_complete(kets: np.ndarray) -> None:
             f"projector set spans only {rank}/16 operator dimensions")
 
 
-def mle_reconstruct(records, max_iter: int = 5000, tol: float = 1e-10) -> np.ndarray:
-    """Density matrix maximizing the Poisson likelihood of the records.
-
-    The predicted mean for record k is s * <proj_k| rho |proj_k> with the
-    overall rate s profiled out analytically; rho is parameterized as
-    T^dag T / Tr(T^dag T) to stay physical.  With the profiled scale the
-    objective reduces to f = -sum n_k log q_k + N log(sum q_k) with
-    q_k = |T psi_k|^2, which is scale invariant in T.
-    """
+def _kets(records) -> np.ndarray:
     if not records:
         raise NotInformationallyComplete("empty record list")
-    kets = np.array([rec.setting.ket for rec in records])
-    counts = np.array([rec.counts for rec in records], dtype=float)
+    return np.array([rec.setting.ket for rec in records])
+
+
+def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
+               tol: float) -> np.ndarray:
+    """Maximum-likelihood density matrices for a (B, K) stack of count rows.
+
+    Row b holds the counts n_k of the K settings with projector kets
+    ``kets``.  rho = T^dag T / Tr(T^dag T) with T lower triangular and a real
+    diagonal (James, Kwiat, Munro & White, PRA 64, 052312, 2001), and the
+    16 real parameters t of T minimize the Poisson deviance with a free rate,
+    f(t) = sum_k q_k - n_k - n_k log(q_k / n_k), q_k = |T psi_k|^2 = t^T A_k t.
+    Its minimum gives the same rho as the likelihood with the rate profiled
+    out, and it sits where sum_k q_k = N.
+
+    Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
+    with its eigenvalues replaced by their absolute values, so that steps
+    leave saddle points instead of converging to them, and Armijo
+    backtracking on the step length.  A row stops once its squared Newton
+    decrement g^T |H|^-1 g is at most ``tol`` * N and leaves the stack, so
+    slow rows do not keep the others iterating.  A row still running after
+    ``max_iter`` steps, or one whose line search finds no decrease, raises
+    NoConvergence.
+    """
     _check_informationally_complete(kets)
-    n_tot = counts.sum()
-    if n_tot <= 0:
+    counts = np.asarray(counts, dtype=float)
+    n_tot = counts.sum(axis=1)
+    if np.any(n_tot <= 0):
         raise NoConvergence("all counts are zero; likelihood is flat")
+    n_rows, n_set = counts.shape
+    m = np.einsum("jrc,kc->krj", _BASIS, kets)              # T psi_k = M_k t
+    a = np.einsum("krj,krl->kjl", m.conj(), m).real         # (K, 16, 16)
+    a_rows = a.reshape(n_set * 16, 16)
+    a_flat = a.reshape(n_set, 256)
+    n_safe = np.maximum(counts, 1.0)  # n log(q/n) is 0 where n = 0
 
-    def objective(t):
-        m = _t_from_params(t)
-        amps = kets @ m.T                    # row k: T psi_k
-        q = np.sum(np.abs(amps) ** 2, axis=1)
-        q = np.maximum(q, 1e-300)
-        f = -float(counts @ np.log(q)) + n_tot * np.log(q.sum())
-        # gradient: df/dT* = T B, B = sum_k c_k psi_k psi_k^dag
-        c = n_tot / q.sum() - counts / q
-        b = np.einsum("k,ki,kj->ij", c, kets, kets.conj())
-        g_mat = m @ b
-        grad = np.empty(16)
-        grad[:4] = 2 * np.real(np.diag(g_mat))
-        for i, (r, ccol) in enumerate(_LOWER):
-            grad[4 + 2 * i] = 2 * np.real(g_mat[r, ccol])
-            grad[5 + 2 * i] = 2 * np.imag(g_mat[r, ccol])
-        return f, grad
+    def evaluate(t, n, ns):
+        at = (t @ a_rows.T).reshape(len(t), n_set, 16)      # rows A_k t
+        q = np.einsum("bki,bi->bk", at, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.sum(q - n - n * np.log(q / ns), axis=1)
+        return f, at, q
 
-    t0 = np.zeros(16)
-    t0[:4] = 0.5  # maximally mixed start
-    res = minimize(objective, t0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-12})
-    if not res.success:
-        grad_norm = float(np.linalg.norm(res.jac))
-        if res.nit >= max_iter or grad_norm > 1e-4 * max(n_tot, 1.0):
-            raise NoConvergence(f"MLE did not converge: {res.message}")
-    rho = _rho_from_params(res.x)
-    rho = (rho + dagger(rho)) / 2
-    return assert_density_matrix(rho / np.trace(rho).real, dim=4)
+    # maximally mixed start on the rate scale sum_k q_k = N
+    t = np.zeros((n_rows, 16))
+    t[:, :4] = np.sqrt(n_tot / n_set)[:, None]
+    active = np.arange(n_rows)
+    f, at, q = evaluate(t, counts, n_safe)
+    for step_no in range(max_iter + 1):
+        n, ns, ta = counts[active], n_safe[active], t[active]
+        w = 1.0 - n / q
+        grad = 2 * np.einsum("bk,bki->bi", w, at)
+        hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
+                + 4 * np.swapaxes(at * (n / q ** 2)[:, :, None], 1, 2) @ at)
+        lam, vec = np.linalg.eigh(hess)
+        # |eigenvalues|, floored where a rank-deficient T leaves flat directions
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-14 * lam[:, -1:])
+        g_eig = np.einsum("bij,bi->bj", vec, grad)
+        decrement = np.sum(g_eig ** 2 / lam, axis=1)
+        done = decrement <= tol * n_tot[active]
+        if np.all(done):
+            break
+        if step_no == max_iter:
+            raise NoConvergence(f"MLE did not converge in {max_iter} Newton steps")
+        keep = ~done
+        active, n, ns, ta = active[keep], n[keep], ns[keep], ta[keep]
+        f, at, q = f[keep], at[keep], q[keep]
+        step = -np.einsum("bij,bj->bi", vec[keep], g_eig[keep] / lam[keep])
+        slope = -decrement[keep]
+        alpha = np.ones(len(active))
+        todo = np.arange(len(active))
+        for _ in range(_MAX_HALVINGS):
+            t_try = ta[todo] + alpha[todo, None] * step[todo]
+            f_try, at_try, q_try = evaluate(t_try, n[todo], ns[todo])
+            ok = f_try <= f[todo] + _ARMIJO * alpha[todo] * slope[todo]
+            hit = todo[ok]
+            ta[hit], f[hit], at[hit], q[hit] = t_try[ok], f_try[ok], at_try[ok], q_try[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                break
+            alpha[todo] /= 2
+        else:
+            raise NoConvergence("MLE line search found no decrease")
+        t[active] = ta
+    mats = np.einsum("bj,jrc->brc", t, _BASIS)
+    rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
+    rhos = (rhos + np.swapaxes(rhos.conj(), 1, 2)) / 2
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    return np.array([assert_density_matrix(rho, dim=4) for rho in rhos])
+
+
+def mle_reconstruct(records, max_iter: int = _MAX_ITER, tol: float = _TOL) -> np.ndarray:
+    """Density matrix maximizing the Poisson likelihood of the records.
+
+    The predicted mean for record k is s * <proj_k| rho |proj_k> with a free
+    overall rate s, and rho = T^dag T / Tr(T^dag T) stays physical; see
+    ``_mle_stack`` for the solver.  ``max_iter`` caps the Newton steps and
+    ``tol`` is the squared Newton decrement, relative to the total count, at
+    which the fit stops.
+    """
+    kets = _kets(records)
+    counts = np.array([[rec.counts for rec in records]], dtype=float)
+    return _mle_stack(kets, counts, max_iter, tol)[0]
 
 
 def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWithError:
@@ -193,22 +251,16 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     Each sample redraws every record's counts as Poisson(observed counts),
     re-runs the MLE, and evaluates ``metric`` on the result.  Sample i uses
     an independent generator derived from (seed, i), so evaluation order
-    does not matter.
+    does not matter; all samples are solved as one stack.
     """
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
-    values = np.empty(n_samples)
+    kets = _kets(records)
     observed = np.array([rec.counts for rec in records], dtype=float)
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        resampled = rng.poisson(observed)
-        new_records = [
-            CountRecord(setting=rec.setting, counts=int(n),
-                        integration_time_s=rec.integration_time_s,
-                        rate_scale_hz=rec.rate_scale_hz)
-            for rec, n in zip(records, resampled)
-        ]
-        values[i] = metric(mle_reconstruct(new_records))
+    resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
+                          for i in range(n_samples)], dtype=float)
+    rhos = _mle_stack(kets, resampled, _MAX_ITER, _TOL)
+    values = np.array([metric(rho) for rho in rhos])
     return MetricWithError(value=float(values.mean()),
                            std=float(values.std(ddof=1)),
                            n_samples=n_samples)

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qfcsim import tomography as tomo_mod
 from qfcsim.cli import main, _summary_schema
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,6 +66,33 @@ class TestSweepTheta:
         _, rows = read_csv(tmp_path / "sweep_theta.csv")
         for row in rows:
             assert abs(float(row[1]) - float(row[3])) < 0.05
+
+    def test_adjacent_seeds_share_no_count_vector(self, tmp_path, monkeypatch):
+        # each point's count stream, drawn on one fixed state so that equal
+        # streams give equal count vectors
+        vectors = []
+        simulate = tomo_mod.simulate_counts
+
+        def spy(rho, settings, mean_pairs, seed):
+            fixed = simulate(np.eye(4) / 4, settings, mean_pairs, seed)
+            vectors.append(tuple(rec.counts for rec in fixed))
+            return simulate(rho, settings, mean_pairs, seed)
+
+        monkeypatch.setattr(tomo_mod, "simulate_counts", spy)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "theta_deg": {"start": 0.0, "stop": 20.0, "step": 5.0},
+            "input_state": {"kind": "bell", "label": "phi+"},
+            "kt": 0.5,
+            "mode": "sampled",
+            "mean_pairs": 1e3,
+            "settings": 16,
+        }))
+        for seed in ("7", "8"):
+            assert main(["--out", str(tmp_path / seed), "--seed", seed,
+                         "sweep-theta", "--config", str(cfg)]) == 0
+        assert len(vectors) == 10
+        assert not set(vectors[:5]) & set(vectors[5:])
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = CONFIGS / "fig_4_theta_sweep.json"
@@ -249,6 +277,15 @@ class TestConfigValidation:
             "mode": "exact",
         }))
         assert main(["--out", str(tmp_path), "sweep-theta", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("kt", [float("nan"), -0.1])
+    def test_bad_kt_is_a_one_line_error(self, tmp_path, capsys, kt):
+        cfg = tmp_path / "choi.json"
+        cfg.write_text(json.dumps({"drive": {"theta_deg": 0.0}, "kt_list": [kt]}))
+        assert main(["--out", str(tmp_path), "choi", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kt must be finite and >= 0")
+        assert len(err.splitlines()) == 1
 
     def test_bundled_configs_all_load(self, tmp_path):
         # every shipped config parses and passes strict validation

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from qfcsim.errors import (InvalidState, NotInformationallyComplete, ShapeMismatch)
+from qfcsim.channel import ChannelSpec, one_sided_apply
+from qfcsim.drive import drive_from_theta
+from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
+                           ShapeMismatch)
 from qfcsim.states import bell_state, concurrence, fidelity, werner_state
-from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS,
-                               expected_probability, mle_reconstruct,
+from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _kets,
+                               _mle_stack, expected_probability, mle_reconstruct,
                                monte_carlo_metric, projector_set, records_from_csv,
                                records_to_csv, simulate_counts)
 
@@ -85,8 +88,6 @@ class TestMle:
         assert fidelity(rec, rho) > 0.995
 
     def test_all_zero_counts_raise(self):
-        from qfcsim.errors import NoConvergence
-
         records = [CountRecord(setting=s, counts=0) for s in projector_set(36)]
         with pytest.raises(NoConvergence):
             mle_reconstruct(records)
@@ -116,6 +117,11 @@ class TestMle:
         rec2 = mle_reconstruct(shuffled)
         assert np.linalg.norm(rec1 - rec2) < 1e-6
 
+    def test_step_cap_raises(self):
+        records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
+        with pytest.raises(NoConvergence):
+            mle_reconstruct(records, max_iter=2)
+
     def test_fidelity_monotone_in_mean_pairs(self):
         rho = werner_state(0.9)
         settings = projector_set(36)
@@ -127,6 +133,66 @@ class TestMle:
                 fids.append(fidelity(mle_reconstruct(records), rho))
             means.append(np.mean(fids))
         assert np.all(np.diff(means) > -1e-4)
+
+
+def kkt_residuals(records, rho):
+    """Optimality of rho for the rate-profiled Poisson likelihood, per count.
+
+    With Pi_k the projectors, p_k = Tr(Pi_k rho) and F = sum_k Pi_k, a
+    maximum over density matrices has R rho = 0 and R <= 0 for
+    R = sum_k (n_k / p_k) Pi_k - (N / Tr F rho) F.  Returns ||R rho|| / N
+    and lambda_max(R) / N.
+    """
+    kets = np.array([rec.setting.ket for rec in records])
+    n = np.array([rec.counts for rec in records], dtype=float)
+    projs = np.einsum("ki,kj->kij", kets, kets.conj())
+    p = np.einsum("kij,ji->k", projs, rho).real
+    f_op = projs.sum(axis=0)
+    n_tot = n.sum()
+    ratio = np.divide(n, p, out=np.zeros_like(n), where=n > 0)
+    r = (np.einsum("k,kij->ij", ratio, projs)
+         - n_tot / np.trace(f_op @ rho).real * f_op)
+    return (np.linalg.norm(r @ rho) / n_tot,
+            np.linalg.eigvalsh(r).max() / n_tot)
+
+
+def _converted_state():
+    rho0 = werner_state((2 * 0.92 + 1) / 3)
+    spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
+    return one_sided_apply(rho0, spec)[0]
+
+
+class TestOptimality:
+    @pytest.mark.parametrize("rho,n_settings,mean_pairs", [
+        (werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5),
+        (_converted_state(), 36, 1e4),
+        (bell_state("phi+"), 16, 2e3),     # some counts are zero
+        (werner_state(0.9), 16, 1e4),      # rank-deficient optima
+    ], ids=["werner36", "converted36", "phi_plus16", "werner_p0.9_16"])
+    def test_kkt_conditions_hold(self, rho, n_settings, mean_pairs):
+        for seed in range(30):
+            records = simulate_counts(rho, projector_set(n_settings), mean_pairs, seed)
+            stationarity, top = kkt_residuals(records, mle_reconstruct(records))
+            assert stationarity <= 1e-5
+            assert top <= 1e-5
+
+
+class TestStack:
+    def test_stack_equals_rows_alone(self):
+        records = simulate_counts(_converted_state(), projector_set(36), 1e4, seed=8)
+        kets = _kets(records)
+        observed = np.array([rec.counts for rec in records])
+        stack = np.array([np.random.default_rng([4, i]).poisson(observed)
+                          for i in range(12)], dtype=float)
+        together = _mle_stack(kets, stack, 1000, 1e-12)
+        alone = np.array([_mle_stack(kets, row[None], 1000, 1e-12)[0] for row in stack])
+        assert np.max(np.abs(together - alone)) <= 1e-10
+
+    def test_zero_count_resample_raises(self):
+        settings = projector_set(16)
+        records = [CountRecord(setting=s, counts=int(k == 0)) for k, s in enumerate(settings)]
+        with pytest.raises(NoConvergence):
+            monte_carlo_metric(records, concurrence, n_samples=20, seed=1)
 
 
 class TestMonteCarlo:
