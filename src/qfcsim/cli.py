@@ -277,7 +277,6 @@ def _cmd_jsa(cfg: dict, config_sha: str, out_dir: Path) -> None:
     rho_i = spectral_mod.reduced_density(jsa, "idler")
     results = {
         "heralded_purity": purity,
-        "reduced_purity": spectral_mod.spectral_purity(rho_i),
         "schmidt_probabilities": [float(p) for p in decomp.probabilities[:16]],
         "pump_overlap": spectral_mod.pump_overlap(rho_i, pump),
     }

@@ -19,11 +19,11 @@ Conventions:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy.special import eval_hermite, gammaln
 
 from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
                      ShapeMismatch)
@@ -205,9 +205,27 @@ class JSAGrid:
 
 @dataclass
 class SchmidtDecomposition:
+    """Schmidt weights of a JSA; the modes are computed on first access."""
+
     probabilities: np.ndarray       # descending, sums to 1
-    signal_modes: np.ndarray        # columns, orthonormal on the grid
-    idler_modes: np.ndarray
+    amp: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _vectors(self):
+        try:
+            u, _, vh = np.linalg.svd(self.amp)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+        return u, vh.conj().T
+
+    @property
+    def signal_modes(self) -> np.ndarray:
+        """Columns, orthonormal on the grid."""
+        return self._vectors[0]
+
+    @property
+    def idler_modes(self) -> np.ndarray:
+        return self._vectors[1]
 
 
 @dataclass
@@ -281,11 +299,13 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     filt = (np.exp(-2 * log2 * ((lam_s_nm - center_nm) / filter_fwhm_nm) ** 2)
             * np.exp(-2 * log2 * ((lam_i_nm - center_nm) / filter_fwhm_nm) ** 2))
 
+    # every factor is real: a transform-limited pump, sinc phase matching
+    # and real filters give a real JSA
     amp = envelope * pm * filt
     norm = np.linalg.norm(amp)
     if norm == 0:
         raise OutOfRange("JSA vanished on the grid; check phase matching")
-    return JSAGrid(signal_axis=w_ax, idler_axis=w_ax.copy(), amp=(amp / norm).astype(complex))
+    return JSAGrid(signal_axis=w_ax, idler_axis=w_ax.copy(), amp=amp / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +313,14 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
 # ---------------------------------------------------------------------------
 
 def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
-    """Schmidt decomposition: SVD of the JSA."""
+    """Schmidt decomposition: SVD of the JSA (singular values now, vectors on demand)."""
     try:
-        u, s, vh = np.linalg.svd(grid.amp)
+        s = np.linalg.svd(grid.amp, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     p = s ** 2
     p = p / p.sum()
-    return SchmidtDecomposition(probabilities=p, signal_modes=u, idler_modes=vh.conj().T)
+    return SchmidtDecomposition(probabilities=p, amp=grid.amp)
 
 
 def heralded_purity(decomp: SchmidtDecomposition) -> float:
@@ -324,7 +344,8 @@ def reduced_density(grid: JSAGrid, which: str = "idler") -> SpectralDensity:
 
 
 def spectral_purity(rho: SpectralDensity) -> float:
-    return float(np.trace(rho.mat @ rho.mat).real)
+    """Tr rho^2, which for Hermitian rho is the sum of |rho_jl|^2."""
+    return float(np.vdot(rho.mat, rho.mat).real)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +357,23 @@ def _central_frequency(rho: SpectralDensity) -> float:
     return float(np.sum(rho.axis * weights) / np.sum(weights))
 
 
-def _hg_mode(axis: np.ndarray, n: int, tau_s: float, omega0: float) -> np.ndarray:
-    """Discretized Hermite-Gauss spectral amplitude, unit norm on the grid."""
+def _hg_modes(axis: np.ndarray, n_modes: int, tau_s: float, omega0: float) -> np.ndarray:
+    """Discretized Hermite-Gauss spectral amplitudes 0..n_modes-1 as rows,
+    each of unit norm on the grid.
+
+    Uses the three-term recurrence of the normalized Hermite functions,
+    psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}, which stays
+    finite where H_k(x) and exp(-x^2/2) alone would overflow or underflow.
+    """
     dw = axis[1] - axis[0]
     x = tau_s * (axis - omega0)
-    log_norm = 0.5 * (np.log(tau_s) - (n * np.log(2) + gammaln(n + 1) + 0.5 * np.log(np.pi)))
-    psi = np.exp(log_norm) * eval_hermite(n, x) * np.exp(-0.5 * x ** 2)
-    return psi * np.sqrt(dw)
+    modes = np.empty((n_modes, len(axis)))
+    modes[0] = np.sqrt(tau_s * dw) * np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
+    prev = np.zeros_like(x)
+    for k in range(n_modes - 1):
+        modes[k + 1] = np.sqrt(2 / (k + 1)) * x * modes[k] - np.sqrt(k / (k + 1)) * prev
+        prev = modes[k]
+    return modes
 
 
 def _check_mode_resolution(rho: SpectralDensity, tau_s: float, n_modes: int) -> None:
@@ -368,12 +399,8 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
         raise OutOfRange("mode duration must be positive and n_modes >= 1")
     tau_s = mode_duration_fs * 1e-15 / np.sqrt(2)
     _check_mode_resolution(rho, tau_s, n_modes)
-    omega0 = _central_frequency(rho)
-    probs = np.empty(n_modes)
-    for n in range(n_modes):
-        v = _hg_mode(rho.axis, n, tau_s, omega0)
-        probs[n] = max(float(np.real(v @ rho.mat @ v)), 0.0)
-    return probs
+    modes = _hg_modes(rho.axis, n_modes, tau_s, _central_frequency(rho))
+    return np.maximum(np.sum((modes @ rho.mat) * modes, axis=1).real, 0.0)
 
 
 def pump_overlap(rho: SpectralDensity, pump: PumpSpec) -> float:
@@ -404,19 +431,57 @@ def _fwhm(x: np.ndarray, y: np.ndarray) -> float:
     return float(right - left)
 
 
+def _uniform_step(x: np.ndarray, what: str) -> float:
+    """Step of a uniform 1-D grid; OutOfRange when the spacing varies by more
+    than 1e-9 of the step."""
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    if not np.all(np.abs(np.diff(x) - step) <= 1e-9 * np.abs(step)):
+        raise OutOfRange(f"{what} must be uniformly spaced (relative tolerance 1e-9)")
+    return float(step)
+
+
+def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """sum_k x[k] exp(-i theta k j) for j = 0..m-1: the chirp-z transform on
+    the unit circle, as one FFT convolution (Bluestein's algorithm, with
+    kj = (k^2 + j^2 - (j - k)^2) / 2)."""
+    n = len(x)
+    size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around
+    k = np.arange(max(n, m))
+    chirp = np.exp(-0.5j * theta * k * k)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kernel))
+    return chirp[:m] * conv[:m]
+
+
 def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
-    """Photon temporal intensity I(t), the time-domain diagonal of rho."""
-    w, v = np.linalg.eigh(rho.mat)
-    keep = w > 1e-9
-    w = w[keep]
-    modes = v[:, keep]
-    # psi_k(t) = sum_j modes[j,k] exp(-i w_j t); overall dw/2pi factor dropped
-    out = np.empty(len(t_s))
-    for lo in range(0, len(t_s), 2048):  # chunked to bound the phase matrix
-        chunk = t_s[lo:lo + 2048]
-        psi_t = np.exp(-1j * np.outer(chunk, rho.axis)) @ modes
-        out[lo:lo + 2048] = np.einsum("k,tk->t", w, np.abs(psi_t) ** 2)
-    return out
+    """Photon temporal intensity I(t), the time-domain diagonal of rho.
+
+    On the uniform frequency grid w_j = w_0 + j dw,
+    I(t) = sum_jl rho_jl exp(-i (w_j - w_l) t) = sum_d c_d exp(-i d dw t),
+    where c_d sums the d-th diagonal of rho (d = j - l); the overall
+    dw / 2 pi factor is dropped. On the uniform time grid the sum over d is a
+    chirp-z transform. Raises OutOfRange for a non-uniform frequency axis
+    or fewer than two or non-uniform time points.
+    """
+    t = np.asarray(t_s, dtype=float)
+    if t.ndim != 1 or len(t) < 2:
+        raise OutOfRange("temporal_intensity needs at least 2 time points in a 1-D array")
+    n = len(rho.axis)
+    dw = _uniform_step(rho.axis, "frequency axis") if n > 1 else 0.0
+    dt = _uniform_step(t, "time points")
+    j = np.arange(n)
+    lag = (j[:, None] - j[None, :] + n - 1).ravel()
+    flat = rho.mat.ravel()
+    c = (np.bincount(lag, flat.real, 2 * n - 1)
+         + 1j * np.bincount(lag, flat.imag, 2 * n - 1))
+    # with t_m = t_0 + m dt and k = d + n - 1 indexing c:
+    # exp(-i d dw t_m) = exp(-i d dw t_0) exp(-i k dw dt m) exp(i (n - 1) dw dt m)
+    d = np.arange(1 - n, n)
+    coeffs = c * np.exp(-1j * d * dw * t[0])
+    shift = np.exp(1j * (n - 1) * dw * dt * np.arange(len(t)))
+    return (shift * _chirp_z(coeffs, dw * dt, len(t))).real
 
 
 def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -150,6 +153,8 @@ class TestJsa:
         assert abs(res["hg_mode_probabilities"][0] - 0.894) < 0.05
         assert abs(res["pump_overlap"] - 0.921) < 0.05
         assert 350 <= res["delay_fwhm_fs"] <= 650
+        # Tr rho^2 of the reduced density is heralded_purity; it is reported once
+        assert "reduced_purity" not in res
         assert (tmp_path / summary["outputs"]["jsa_binary"]).exists()
         assert (tmp_path / summary["outputs"]["schmidt_csv"]).exists()
         assert (tmp_path / summary["outputs"]["hg_modes_csv"]).exists()
@@ -291,6 +296,18 @@ class TestConfigValidation:
         # every shipped config parses and passes strict validation
         for cfg in sorted(CONFIGS.glob("*.json")):
             json.loads(cfg.read_text())
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, qfcsim.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestBundles:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.special import eval_hermite, gammaln
 
 from qfcsim.errors import DivisionByZero, GridTooCoarse, OutOfRange
 from qfcsim.spectral import (C_M_S, CrystalSpec, GridSpec, JSAGrid, PumpSpec,
-                             builtin_lithium_niobate, coincidence_delay_width,
-                             compute_jsa, estimate_efficiency, heralded_purity,
-                             hg_mode_probabilities, jsa_from_binary, jsa_to_binary,
-                             jsa_to_csv, load_dispersion_models, phase_mismatch,
-                             pump_overlap, reduced_density, refractive_index,
-                             schmidt, spectral_purity)
+                             SpectralDensity, _hg_modes, builtin_lithium_niobate,
+                             coincidence_delay_width, compute_jsa, estimate_efficiency,
+                             heralded_purity, hg_mode_probabilities, jsa_from_binary,
+                             jsa_to_binary, jsa_to_csv, load_dispersion_models,
+                             phase_mismatch, pump_overlap, reduced_density,
+                             refractive_index, schmidt, spectral_purity,
+                             temporal_intensity)
 
 PUMP = PumpSpec(center_wavelength_nm=780.0, duration_fs=220.0)
 TYPE1 = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
@@ -33,6 +35,11 @@ def jsa_type1():
 @pytest.fixture(scope="module")
 def jsa_type0():
     return compute_jsa(PUMP, TYPE0, 12.0, GridSpec(512, 80.0))
+
+
+def complex_copy(grid):
+    return JSAGrid(signal_axis=grid.signal_axis, idler_axis=grid.idler_axis,
+                   amp=grid.amp.astype(complex))
 
 
 def gaussian_mode_grid(duration_fs=220.0, points=512, span_nm=80.0, center_nm=1560.0):
@@ -111,6 +118,10 @@ class TestComputeJsa:
     def test_normalized(self, jsa_type1):
         assert abs(np.linalg.norm(jsa_type1.amp) - 1.0) < 1e-12
 
+    def test_amplitude_is_real(self, jsa_type1, jsa_type0):
+        for grid in (jsa_type1, jsa_type0):
+            assert grid.amp.dtype == np.float64
+
     def test_uniform_axis(self, jsa_type1):
         steps = np.diff(jsa_type1.signal_axis)
         assert np.allclose(steps, steps[0], rtol=1e-9)
@@ -175,6 +186,13 @@ class TestSchmidt:
         decomp = schmidt(jsa_type1)
         assert abs(decomp.probabilities.sum() - 1.0) < 1e-10
         assert np.all(np.diff(decomp.probabilities) <= 1e-15)
+
+    def test_probabilities_are_normalized_squared_singular_values(self, jsa_type1,
+                                                                  jsa_type0):
+        for grid in (jsa_type1, jsa_type0, complex_copy(jsa_type0)):
+            s = np.linalg.svd(grid.amp)[1]
+            expected = s ** 2 / np.sum(s ** 2)
+            assert np.max(np.abs(schmidt(grid).probabilities - expected)) < 1e-12
 
     def test_modes_orthonormal(self, jsa_type1):
         decomp = schmidt(jsa_type1)
@@ -246,6 +264,19 @@ class TestHgModes:
         with pytest.raises(GridTooCoarse):
             hg_mode_probabilities(rho, 5000.0, 10)  # modes unresolvable on grid
 
+    def test_modes_match_scipy_hermite_oracle(self):
+        axis = GridSpec(512, 80.0).axis(1560.0)
+        tau = 220e-15 / np.sqrt(2)
+        omega0 = axis[200]  # off-center, so that the modes are not symmetric on the grid
+        dw = axis[1] - axis[0]
+        x = tau * (axis - omega0)
+        modes = _hg_modes(axis, 41, tau, omega0)
+        for n in range(41):
+            log_norm = 0.5 * (np.log(tau) - (n * np.log(2) + gammaln(n + 1)
+                                             + 0.5 * np.log(np.pi)))
+            oracle = np.exp(log_norm) * eval_hermite(n, x) * np.exp(-0.5 * x ** 2) * np.sqrt(dw)
+            assert np.max(np.abs(modes[n] - oracle)) < 1e-12
+
 
 class TestPumpOverlap:
     def test_matched_gaussian_is_one(self):
@@ -290,6 +321,56 @@ class TestDelayWidth:
         assert np.all(np.diff(widths) > 0)
 
 
+def direct_intensity(rho, t):
+    """I(t) = sum_jl rho_jl exp(-i (w_j - w_l) t), summed directly."""
+    phase = np.exp(-1j * np.outer(t, rho.axis - rho.axis[0]))
+    return np.einsum("tj,jl,tl->t", phase, rho.mat, phase.conj()).real
+
+
+class TestTemporalIntensity:
+    T_S = np.arange(-200, 201) * 20e-15
+
+    def assert_matches_direct_sum(self, rho):
+        got = temporal_intensity(rho, self.T_S)
+        expected = direct_intensity(rho, self.T_S)
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+    def test_type1_equals_direct_double_sum(self, jsa_type1):
+        self.assert_matches_direct_sum(reduced_density(jsa_type1, "idler"))
+
+    def test_type0_equals_direct_double_sum(self, jsa_type0):
+        self.assert_matches_direct_sum(reduced_density(jsa_type0, "idler"))
+
+    def test_complex_hermitian_equals_direct_double_sum(self, jsa_type1):
+        rng = np.random.default_rng(3)
+        n = 96
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = g @ g.conj().T
+        axis = jsa_type1.idler_axis[::4][:n]
+        rho = SpectralDensity(axis=axis, mat=mat / np.trace(mat).real)
+        self.assert_matches_direct_sum(rho)
+
+    def test_non_uniform_frequency_axis_raises(self, jsa_type1):
+        rho = reduced_density(jsa_type1, "idler")
+        axis = rho.axis.copy()
+        axis[100] += 1e-3 * (axis[1] - axis[0])
+        with pytest.raises(OutOfRange, match="frequency axis"):
+            temporal_intensity(SpectralDensity(axis=axis, mat=rho.mat), self.T_S)
+
+    @pytest.mark.parametrize("t_s", [np.array([]), np.array([1e-13])])
+    def test_fewer_than_two_time_points_raise(self, jsa_type1, t_s):
+        rho = reduced_density(jsa_type1, "idler")
+        with pytest.raises(OutOfRange, match="at least 2 time points"):
+            temporal_intensity(rho, t_s)
+
+    def test_non_uniform_time_points_raise(self, jsa_type1):
+        rho = reduced_density(jsa_type1, "idler")
+        t_s = self.T_S.copy()
+        t_s[7] += 1e-6 * (t_s[1] - t_s[0])
+        with pytest.raises(OutOfRange, match="time points"):
+            temporal_intensity(rho, t_s)
+
+
 class TestEfficiency:
     def test_reported_singles_rates(self):
         eta = estimate_efficiency(100.0, 60e3, 0.8, 0.6)
@@ -321,6 +402,11 @@ class TestExport:
         assert np.array_equal(back.signal_axis, jsa_type0.signal_axis)
         assert np.array_equal(back.idler_axis, jsa_type0.idler_axis)
         assert np.array_equal(back.amp, jsa_type0.amp)
+
+    def test_binary_bytes_unchanged_for_complex_copy(self, tmp_path, jsa_type0):
+        jsa_to_binary(jsa_type0, tmp_path / "real.bin")
+        jsa_to_binary(complex_copy(jsa_type0), tmp_path / "complex.bin")
+        assert (tmp_path / "real.bin").read_bytes() == (tmp_path / "complex.bin").read_bytes()
 
     def test_csv_header_and_shape(self, tmp_path):
         grid = gaussian_mode_grid(points=64)
