@@ -13,14 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroTotalCounts
-from .linalg import kron
-from .states import SY, assert_density_matrix
-
-I2 = np.eye(2, dtype=complex)
+from .states import I2, SY, assert_density_matrix, born_probabilities, check_mean_pairs
 
 
-def rotation_r(phi: float) -> np.ndarray:
-    """exp(i phi Y) in closed form: cos(phi) I + i sin(phi) Y."""
+def rotation_r(phi) -> np.ndarray:
+    """exp(i phi Y) in closed form: cos(phi) I + i sin(phi) Y.
+
+    An array of angles gives a stack of rotations with shape (..., 2, 2).
+    """
+    phi = np.asarray(phi, dtype=float)[..., None, None]
     return np.cos(phi) * I2 + 1j * np.sin(phi) * SY
 
 
@@ -46,28 +47,36 @@ def standard_chsh_bases(phi: float) -> ChshBases:
     )
 
 
+def _correlations(n: np.ndarray) -> np.ndarray:
+    """(N00 + N11 - N01 - N10) / total over the last two axes of ``n``."""
+    total = n.sum(axis=(-2, -1))
+    if np.any(total <= 0):
+        raise ZeroTotalCounts("no coincidences recorded for this basis pair")
+    return (n[..., 0, 0] + n[..., 1, 1] - n[..., 0, 1] - n[..., 1, 0]) / total
+
+
 def correlation_e(counts) -> float:
     """Correlation estimator (N00 + N11 - N01 - N10) / total."""
-    n = np.asarray(counts, dtype=float)
-    total = n.sum()
-    if total <= 0:
-        raise ZeroTotalCounts("no coincidences recorded for this basis pair")
-    return float((n[0, 0] + n[1, 1] - n[0, 1] - n[1, 0]) / total)
+    return float(_correlations(np.asarray(counts, dtype=float)))
 
 
-def chsh_polynomial(e_ab: float, e_abp: float, e_apb: float, e_apbp: float) -> float:
-    """|E(a,b) - E(a,b') + E(a',b) + E(a',b')|."""
-    return float(abs(e_ab - e_abp + e_apb + e_apbp))
+def chsh_polynomial(e_ab, e_abp, e_apb, e_apbp):
+    """|E(a,b) - E(a,b') + E(a',b) + E(a',b')|, elementwise for arrays."""
+    return abs(e_ab - e_abp + e_apb + e_apbp)
 
 
-def _pair_probabilities(rho: np.ndarray, basis_1: np.ndarray, basis_2: np.ndarray) -> np.ndarray:
-    """2x2 matrix of joint projection probabilities in the given bases."""
-    p = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            ket = kron(basis_1[:, i].reshape(2, 1), basis_2[:, j].reshape(2, 1)).reshape(4)
-            p[i, j] = max(float(np.real(ket.conj() @ rho @ ket)), 0.0)
-    return p
+def _pair_kets(phis: np.ndarray) -> np.ndarray:
+    """Product kets of the four basis pairs (a,b), (a,b'), (a',b), (a',b').
+
+    Element [n, pair, i, j] is column i of the qubit-1 basis times column j
+    of the qubit-2 basis at phis[n], flattened to 4 entries as 2*q1 + q2.
+    """
+    a_prime = rotation_r(np.pi / 4)
+    basis_1 = np.array([I2, I2, a_prime, a_prime])
+    b, b_prime = rotation_r(phis), rotation_r(phis + np.pi / 4)
+    basis_2 = np.stack([b, b_prime, b, b_prime], axis=1)
+    kets = np.einsum("pki,nplj->npijkl", basis_1, basis_2)
+    return kets.reshape(len(phis), 4, 2, 2, 4)
 
 
 def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None = None):
@@ -81,34 +90,24 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     Poisson-propagated standard deviation.
     """
     rho = assert_density_matrix(rho, dim=4)
-    if mean_pairs is not None and mean_pairs <= 0:
-        raise ZeroTotalCounts(f"mean_pairs must be positive, got {mean_pairs}")
-    if mean_pairs is not None and seed is None:
+    if mean_pairs is not None:
+        mean_pairs = check_mean_pairs(mean_pairs)
+    phis = np.asarray(phi_list, dtype=float).reshape(-1)
+    probs = born_probabilities(rho, _pair_kets(phis))         # (n_phi, 4, 2, 2)
+    if mean_pairs is None:
+        b_vals = chsh_polynomial(*np.moveaxis(_correlations(probs), -1, 0))
+        return [(float(phi), float(b)) for phi, b in zip(phis, b_vals)]
+    if seed is None:
         seed = 0
-    out = []
-    for i_phi, phi in enumerate(phi_list):
-        bases = standard_chsh_bases(phi)
-        pairs = [
-            (bases.basis_a, bases.basis_b),
-            (bases.basis_a, bases.basis_b_prime),
-            (bases.basis_a_prime, bases.basis_b),
-            (bases.basis_a_prime, bases.basis_b_prime),
-        ]
-        es = []
-        variances = []
-        for i_pair, (b1, b2) in enumerate(pairs):
-            p = _pair_probabilities(rho, b1, b2)
-            if mean_pairs is None:
-                es.append(correlation_e(p))
-            else:
-                rng = np.random.default_rng([seed, i_phi, i_pair])
-                counts = rng.poisson(mean_pairs * p)
-                e = correlation_e(counts)
-                es.append(e)
-                variances.append(max(1.0 - e ** 2, 1.0 / counts.sum()) / counts.sum())
-        b_val = chsh_polynomial(es[0], es[1], es[2], es[3])
-        if mean_pairs is None:
-            out.append((float(phi), b_val))
-        else:
-            out.append((float(phi), b_val, float(np.sqrt(sum(variances)))))
-    return out
+    counts = np.array([[np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
+                        for i_pair, p in enumerate(pair_probs)]
+                       for i_phi, pair_probs in enumerate(probs)],
+                      dtype=float).reshape(probs.shape)
+    es = _correlations(counts)
+    totals = counts.sum(axis=(-2, -1))
+    # float_power rounds as Python's float ** 2 does (libm pow, not x * x),
+    # so B_std keeps the digits of the per-pair scalar formula
+    variances = np.maximum(1.0 - np.float_power(es, 2), 1.0 / totals) / totals
+    b_vals = chsh_polynomial(*np.moveaxis(es, -1, 0))
+    b_std = np.sqrt(variances.sum(axis=-1))
+    return [(float(phi), float(b), float(s)) for phi, b, s in zip(phis, b_vals, b_std)]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .drive import check_drive, coherence_matrix
 from .errors import OutOfRange, ZeroConversionProbability
-from .linalg import dagger, kron, svd
+from .linalg import dagger, svd
 from .states import I2, assert_density_matrix, bell_state, concurrence, partial_trace
 
 # success probabilities at or below this are treated as zero conversion
@@ -117,7 +117,8 @@ def one_sided_apply(rho0, spec: ChannelSpec):
     Qubit 1 is the untouched (heralding) qubit.
     """
     rho0 = assert_density_matrix(rho0, dim=4)
-    op = kron(I2, _conversion_operator(spec))
+    op = np.zeros((4, 4), dtype=complex)          # I x M, block diagonal
+    op[:2, :2] = op[2:, 2:] = _conversion_operator(spec)
     out = op @ rho0 @ dagger(op)
     p = float(np.trace(out).real)
     if p <= PROB_FLOOR:

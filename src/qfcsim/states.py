@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidState, ShapeMismatch, UnknownLabel
+from .errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
 from .linalg import as_complex, dagger, func_psd, kron, partial_trace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -17,6 +17,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 _SYSY = kron(SY, SY)
+# sigma_i x sigma_j for i, j in (x, y, z)
+_PAULI_PAIRS = np.array([[kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+
+# Largest expected pair count per measurement; numpy's Poisson sampler
+# rejects means above ~9.2e18, so the cap stays well below that.
+MAX_MEAN_PAIRS = 1e15
 
 _BELL_KETS = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
@@ -33,6 +39,8 @@ def assert_density_matrix(rho, dim: int | None = None, tol: float = 1e-10) -> np
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[0]}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidState("density matrix has non-finite entries")
     if np.max(np.abs(rho - dagger(rho))) > tol:
         raise InvalidState("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
@@ -41,6 +49,36 @@ def assert_density_matrix(rho, dim: int | None = None, tol: float = 1e-10) -> np
     if w[0] < -tol:
         raise InvalidState(f"density matrix has eigenvalue {w[0]} < -{tol}")
     return rho
+
+
+def born_probabilities(rho, kets) -> np.ndarray:
+    """Born probabilities max(Re <psi|rho|psi>, 0) for a (..., d) stack of kets.
+
+    ``rho`` is not validated here; callers check it once.  Both products are
+    matmuls, so every probability rounds exactly as the per-ket
+    ``ket.conj() @ rho @ ket`` does.  Poisson streams drawn from them then do
+    not depend on the batching: a zero that rounded to 1e-18 instead would
+    make the sampler consume one more random number.
+    """
+    kets = np.asarray(kets)
+    bra_rho = np.conj(kets) @ rho
+    p = (bra_rho[..., None, :] @ kets[..., :, None])[..., 0, 0].real
+    return np.maximum(p, 0.0)
+
+
+def check_mean_pairs(mean_pairs) -> float:
+    """Validate an expected pair count for Poisson sampling; return it as float.
+
+    It must be positive (InvalidState otherwise), finite and at most
+    MAX_MEAN_PAIRS (OutOfRange otherwise).
+    """
+    mean_pairs = float(mean_pairs)
+    if not np.isfinite(mean_pairs) or mean_pairs > MAX_MEAN_PAIRS:
+        raise OutOfRange(f"mean_pairs must be finite and at most {MAX_MEAN_PAIRS:g}, "
+                         f"got {mean_pairs}")
+    if mean_pairs <= 0:
+        raise InvalidState(f"mean_pairs must be positive, got {mean_pairs}")
+    return mean_pairs
 
 
 def bell_state(label: str) -> np.ndarray:
@@ -99,12 +137,7 @@ def fidelity(rho, sigma, squared: bool = True) -> float:
 def pauli_correlations(rho) -> np.ndarray:
     """3x3 matrix T_ij = Tr[rho (sigma_i x sigma_j)]."""
     rho = assert_density_matrix(rho, dim=4)
-    paulis = (SX, SY, SZ)
-    t = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = np.trace(rho @ kron(si, sj)).real
-    return t
+    return np.trace(rho @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
 def chsh_max(rho) -> float:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                      NotNormalized, ShapeMismatch)
-from .linalg import kron
-from .states import assert_density_matrix
+from .states import assert_density_matrix, born_probabilities, check_mean_pairs
 
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -37,22 +36,20 @@ def _check_unit(v, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """Projector states for qubit 1 and qubit 2."""
+    """Projector states for qubit 1 and qubit 2, and their product ket."""
 
     proj_a: np.ndarray
     proj_b: np.ndarray
+    ket: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "proj_a", _check_unit(self.proj_a, "proj_a"))
         object.__setattr__(self, "proj_b", _check_unit(self.proj_b, "proj_b"))
+        object.__setattr__(self, "ket", np.outer(self.proj_a, self.proj_b).reshape(4))
 
     @classmethod
     def from_names(cls, name_a: str, name_b: str) -> "MeasurementSetting":
         return cls(STATE_VECTORS[name_a], STATE_VECTORS[name_b])
-
-    @property
-    def ket(self) -> np.ndarray:
-        return kron(self.proj_a.reshape(2, 1), self.proj_b.reshape(2, 1)).reshape(4)
 
 
 @dataclass(frozen=True)
@@ -87,22 +84,19 @@ def projector_set(kind: int) -> list:
 
 
 def expected_probability(rho, setting: MeasurementSetting) -> float:
-    ket = setting.ket
-    return max(float(np.real(ket.conj() @ np.asarray(rho) @ ket)), 0.0)
+    return float(born_probabilities(rho, setting.ket))
 
 
 def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     """Poisson coincidence counts for each setting, deterministic per seed."""
     rho = assert_density_matrix(rho, dim=4)
-    if mean_pairs <= 0:
-        raise InvalidState(f"mean_pairs must be positive, got {mean_pairs}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in settings:
-        mu = mean_pairs * expected_probability(rho, setting)
-        records.append(CountRecord(setting=setting, counts=int(rng.poisson(mu)),
-                                   integration_time_s=1.0, rate_scale_hz=mean_pairs))
-    return records
+    mean_pairs = check_mean_pairs(mean_pairs)
+    settings = list(settings)
+    probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
+    counts = np.random.default_rng(seed).poisson(mean_pairs * probs)
+    return [CountRecord(setting=setting, counts=int(n), integration_time_s=1.0,
+                        rate_scale_hz=mean_pairs)
+            for setting, n in zip(settings, counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from qfcsim.bell import (chsh_polynomial, chsh_sweep, correlation_e, rotation_r,
                          standard_chsh_bases)
-from qfcsim.errors import ZeroTotalCounts
+from qfcsim.errors import InvalidState, OutOfRange, ZeroTotalCounts
 from qfcsim.states import bell_state, chsh_max, werner_state
 
 from helpers import random_density_matrix
@@ -115,6 +115,68 @@ class TestSweep:
         above = max(row[1] for row in chsh_sweep(werner_state(0.75), phis))
         assert below < 2.0
         assert above > 2.0
+
+
+def reference_pair_probabilities(rho, phi):
+    """4 basis pairs x 2 x 2 probabilities from explicit np.kron product kets."""
+    bases = standard_chsh_bases(phi)
+    pairs = [(bases.basis_a, bases.basis_b), (bases.basis_a, bases.basis_b_prime),
+             (bases.basis_a_prime, bases.basis_b), (bases.basis_a_prime, bases.basis_b_prime)]
+    out = np.empty((4, 2, 2))
+    for k, (b1, b2) in enumerate(pairs):
+        for i in range(2):
+            for j in range(2):
+                ket = np.kron(b1[:, i], b2[:, j])
+                out[k, i, j] = max(float(np.real(ket.conj() @ rho @ ket)), 0.0)
+    return out
+
+
+class TestBatchedSweep:
+    def test_exact_matches_kron_reference(self):
+        rng = np.random.default_rng(17)
+        phis = rng.uniform(0.0, 2 * np.pi, 50)
+        for _ in range(5):
+            rho = random_density_matrix(rng, 4)
+            sweep = chsh_sweep(rho, phis)
+            for (phi_out, b), phi in zip(sweep, phis):
+                e = [correlation_e(p) for p in reference_pair_probabilities(rho, phi)]
+                assert phi_out == phi
+                assert abs(b - chsh_polynomial(*e)) <= 1e-12
+
+    def test_sampled_matches_per_pair_draws(self):
+        # one generator per (seed, phi index, pair index), drawn pair by pair;
+        # checked on the last 40 points, where point 698 has an e with
+        # e ** 2 != e * e in the last bit
+        rho = werner_state(0.9)
+        phis = np.deg2rad(np.arange(0.0, 180.0, 0.25))
+        seed, mean_pairs, first = 7, 300.0, 680
+        expected = []
+        for i_phi, phi in enumerate(phis[first:], start=first):
+            es, var = [], 0.0
+            for i_pair, p in enumerate(reference_pair_probabilities(rho, phi)):
+                counts = np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
+                e = correlation_e(counts)
+                es.append(e)
+                var += max(1.0 - e ** 2, 1.0 / counts.sum()) / counts.sum()
+            expected.append((float(phi), chsh_polynomial(*es), float(np.sqrt(var))))
+        assert chsh_sweep(rho, phis, mean_pairs=mean_pairs, seed=seed)[first:] == expected
+
+    def test_scalar_phi_list(self):
+        assert chsh_sweep(bell_state("phi+"), [np.pi / 8]) == \
+            chsh_sweep(bell_state("phi+"), np.array([np.pi / 8]))
+
+    def test_empty_phi_list(self):
+        assert chsh_sweep(bell_state("phi+"), []) == []
+        assert chsh_sweep(bell_state("phi+"), [], mean_pairs=10.0, seed=1) == []
+
+    @pytest.mark.parametrize("mean_pairs", [1e30, float("nan"), float("inf")])
+    def test_mean_pairs_out_of_range(self, mean_pairs):
+        with pytest.raises(OutOfRange):
+            chsh_sweep(bell_state("phi+"), [0.0], mean_pairs=mean_pairs, seed=1)
+
+    def test_mean_pairs_not_positive(self):
+        with pytest.raises(InvalidState):
+            chsh_sweep(bell_state("phi+"), [0.0], mean_pairs=0.0, seed=1)
 
 
 class TestSampledSweep:

@@ -292,6 +292,21 @@ class TestConfigValidation:
         assert err.startswith("error: kt must be finite and >= 0")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mean_pairs", [1e30, float("nan")])
+    @pytest.mark.parametrize("command,cfg", [
+        ("tomo", {"state": {"kind": "bell", "label": "phi+"}, "settings": 16, "seed": 1}),
+        ("bell", {"state": {"kind": "bell", "label": "phi+"}, "mode": "sampled", "seed": 1,
+                  "phi_deg": {"start": 0.0, "stop": 45.0, "step": 22.5}}),
+    ])
+    def test_bad_mean_pairs_is_a_one_line_error(self, tmp_path, capsys, command, cfg,
+                                                mean_pairs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "mean_pairs": mean_pairs}))
+        assert main(["--out", str(tmp_path), command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mean_pairs must be finite and at most 1e+15")
+        assert len(err.splitlines()) == 1
+
     def test_bundled_configs_all_load(self, tmp_path):
         # every shipped config parses and passes strict validation
         for cfg in sorted(CONFIGS.glob("*.json")):

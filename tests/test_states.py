@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qfcsim.errors import InvalidState, ShapeMismatch, UnknownLabel
+import qfcsim.linalg
+from qfcsim.bell import chsh_sweep
+from qfcsim.channel import ChannelSpec, one_sided_apply
+from qfcsim.drive import drive_from_theta
+from qfcsim.errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
 from qfcsim.linalg import kron, partial_trace
-from qfcsim.states import (assert_density_matrix, bell_state, chsh_max, concurrence,
+from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, assert_density_matrix, bell_state,
+                           born_probabilities, check_mean_pairs, chsh_max, concurrence,
                            fidelity, pauli_correlations, purity,
                            pure_state_concurrence_from_marginal, werner_state)
+from qfcsim.tomography import mle_reconstruct, projector_set, simulate_counts
 
 from helpers import (random_density_matrix, random_pure_state, random_unitary)
 
@@ -182,6 +188,61 @@ class TestPurityAndCorrelations:
         t = pauli_correlations(random_density_matrix(rng, 4))
         assert np.all(np.abs(t) <= 1 + 1e-10)
 
+    def test_tmatrix_matches_explicit_trace_loop(self):
+        rng = np.random.default_rng(43)
+        paulis = (SX, SY, SZ)
+        for rank in (1, 2, 4):
+            rho = random_density_matrix(rng, 4, rank=rank)
+            ref = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in paulis]
+                            for si in paulis])
+            assert np.max(np.abs(pauli_correlations(rho) - ref)) <= 1e-14
+
+
+class TestBornProbabilities:
+    def test_matches_per_ket_expectation(self):
+        rng = np.random.default_rng(47)
+        rho = random_density_matrix(rng, 4)
+        kets = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+        p = born_probabilities(rho, kets)
+        assert p.shape == (3, 5)
+        ref = np.array([[np.real(k.conj() @ rho @ k) for k in row] for row in kets])
+        assert np.max(np.abs(p - ref)) <= 1e-14
+
+    def test_negative_expectation_is_clipped(self):
+        # rho is not validated by the kernel; a negative diagonal gives 0
+        rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        p = born_probabilities(rho, np.eye(4, dtype=complex))
+        assert p.tolist() == [1.5, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("mean_pairs", [1e30, np.inf, np.nan, 2 * MAX_MEAN_PAIRS])
+    def test_mean_pairs_out_of_range(self, mean_pairs):
+        with pytest.raises(OutOfRange):
+            check_mean_pairs(mean_pairs)
+
+    def test_mean_pairs_cap_is_accepted(self):
+        assert check_mean_pairs(MAX_MEAN_PAIRS) == MAX_MEAN_PAIRS
+
+
+class TestNoKronOnHotPath:
+    def test_kernels_run_without_kron(self, monkeypatch):
+        # module constants are built at import; no call may build a ket or
+        # an operator with kron
+        rho = werner_state(0.9)
+        spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("kron called on a per-call path")
+
+        monkeypatch.setattr(qfcsim.linalg, "kron", no_kron)
+        monkeypatch.setattr(np, "kron", no_kron)
+        phis = np.deg2rad([0.0, 22.5, 45.0])
+        chsh_sweep(rho, phis)
+        chsh_sweep(rho, phis, mean_pairs=1e3, seed=1)
+        records = simulate_counts(rho, projector_set(36), 1e4, seed=2)
+        mle_reconstruct(records)
+        one_sided_apply(rho, spec)
+        chsh_max(rho)
+
 
 class TestValidation:
     def test_non_hermitian(self):
@@ -192,3 +253,14 @@ class TestValidation:
     def test_wrong_dim(self):
         with pytest.raises(InvalidState):
             assert_density_matrix(np.eye(2) / 2, dim=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, bad):
+        rho = bell_state("phi+")
+        rho[0, 3] = rho[3, 0] = bad
+        with pytest.raises(InvalidState, match="non-finite"):
+            assert_density_matrix(rho)
+        with pytest.raises(InvalidState, match="non-finite"):
+            concurrence(rho)
+        with pytest.raises(InvalidState, match="non-finite"):
+            chsh_sweep(rho, [0.0])

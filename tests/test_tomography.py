@@ -4,7 +4,7 @@ import pytest
 from qfcsim.channel import ChannelSpec, one_sided_apply
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
-                           ShapeMismatch)
+                           OutOfRange, ShapeMismatch)
 from qfcsim.states import bell_state, concurrence, fidelity, werner_state
 from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _kets,
                                _mle_stack, expected_probability, mle_reconstruct,
@@ -45,6 +45,13 @@ class TestProjectorSet:
         with pytest.raises(ShapeMismatch):
             projector_set(25)
 
+    def test_ket_is_kron_of_projectors(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        custom = MeasurementSetting(v[0] / np.linalg.norm(v[0]), v[1] / np.linalg.norm(v[1]))
+        for s in projector_set(36) + [custom]:
+            assert np.array_equal(s.ket, np.kron(s.proj_a, s.proj_b))
+
 
 class TestSimulateCounts:
     def test_orthogonal_projector_gives_zero(self):
@@ -71,6 +78,31 @@ class TestSimulateCounts:
     def test_bad_mean_pairs(self):
         with pytest.raises(InvalidState):
             simulate_counts(bell_state("phi+"), projector_set(16), 0.0, seed=1)
+
+    @pytest.mark.parametrize("mean_pairs", [1e30, float("nan"), float("inf")])
+    def test_mean_pairs_out_of_range(self, mean_pairs):
+        with pytest.raises(OutOfRange):
+            simulate_counts(bell_state("phi+"), projector_set(16), mean_pairs, seed=1)
+
+    def test_matches_scalar_loop(self):
+        # one generator drawn setting by setting, from per-setting kron kets;
+        # the converted state at 45 deg has an exactly-zero probability, where
+        # a rounding difference would shift every later draw
+        spec = ChannelSpec(a=drive_from_theta(np.deg2rad(45.0)), kt=0.3)
+        converted, _ = one_sided_apply(werner_state(0.946), spec)
+        rng = np.random.default_rng(19)
+        states = [converted, bell_state("psi-"), random_density_matrix(rng, 4)]
+        for rho in states:
+            for n_settings, mean_pairs, seed in ((36, 1e4, 4), (16, 2e3, [7, 2])):
+                settings = projector_set(n_settings)
+                gen = np.random.default_rng(seed)
+                ref = []
+                for s in settings:
+                    ket = np.kron(s.proj_a, s.proj_b)
+                    p = max(float(np.real(ket.conj() @ rho @ ket)), 0.0)
+                    ref.append(int(gen.poisson(mean_pairs * p)))
+                got = simulate_counts(rho, settings, mean_pairs, seed)
+                assert [r.counts for r in got] == ref
 
 
 class TestMle:
