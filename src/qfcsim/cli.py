@@ -72,6 +72,8 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
 
 
 def _as_number(obj, key: str, where: str) -> float:
+    if key not in obj:
+        raise ConfigError(f"missing key(s) {[key]} in {where}")
     val = obj[key]
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(f"{where}.{key} must be a number")
@@ -208,16 +210,17 @@ def _cmd_sweep_theta(cfg: dict, config_sha: str, seed_override, out_dir: Path) -
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     seed = seed_override if seed_override is not None else cfg.get("seed")
+    if mode == "sampled":
+        if seed is None:
+            raise ConfigError("sampled mode needs a seed")
+        mean_pairs = _as_number(cfg, "mean_pairs", "config")
+        settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
     rows = []
     for i, theta_deg in enumerate(thetas):
         spec = channel_mod.ChannelSpec(a=drive_mod.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
         rho_out, _ = channel_mod.one_sided_apply(rho0, spec)
         bound = channel_mod.choi_concurrence_closed(spec) * states_mod.concurrence(rho0)
         if mode == "sampled":
-            if seed is None:
-                raise ConfigError("sampled mode needs a seed")
-            mean_pairs = _as_number(cfg, "mean_pairs", "config")
-            settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
             records = tomo_mod.simulate_counts(rho_out, settings, mean_pairs,
                                                seed=[int(seed), i])
             rho_out = tomo_mod.mle_reconstruct(records)
@@ -325,9 +328,12 @@ def _cmd_tomo(cfg: dict, config_sha: str, seed_override, out_dir: Path) -> None:
     }
     n_mc = int(cfg.get("mc_samples", 0))
     if n_mc >= 2:
+        # one resampled stack serves both metrics, as two
+        # monte_carlo_metric calls with the same seed would solve it twice
+        rhos = tomo_mod._resampled_mle(records, n_mc, seed)
         for name, metric in (("concurrence", states_mod.concurrence),
                              ("purity", states_mod.purity)):
-            est = tomo_mod.monte_carlo_metric(records, metric, n_mc, seed)
+            est = tomo_mod._metric_with_error(rhos, metric)
             results[f"{name}_mc"] = {"value": est.value, "std": est.std,
                                      "n_samples": est.n_samples}
     counts_path = out_dir / "counts.csv"

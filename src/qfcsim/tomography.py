@@ -111,6 +111,9 @@ _BASIS[range(4), range(4), range(4)] = 1.0
 for _i, (_r, _c) in enumerate(_LOWER):
     _BASIS[4 + 2 * _i, _r, _c] = 1.0
     _BASIS[5 + 2 * _i, _r, _c] = 1.0j
+# Hermitian basis B_j = E_j + E_j^dag over the same 16 parameters
+_HERM = _BASIS + np.swapaxes(_BASIS.conj(), 1, 2)
+_ROWS, _COLS = zip(*_LOWER)
 
 # Newton steps allowed and squared Newton decrement per count at which a fit
 # stops; Armijo sufficient-decrease constant and step halvings tried
@@ -118,22 +121,61 @@ _MAX_ITER = 1000
 _TOL = 1e-12
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-
-
-def _check_informationally_complete(kets: np.ndarray) -> None:
-    # rank of the projector set as vectors in Hermitian-operator space
-    projs = np.einsum("ki,kj->kij", kets, kets.conj()).reshape(len(kets), 16)
-    design = np.hstack([projs.real, projs.imag])
-    rank = np.linalg.matrix_rank(design, tol=1e-10)
-    if rank < 16:
-        raise NotInformationallyComplete(
-            f"projector set spans only {rank}/16 operator dimensions")
+# weight of I/4 mixed into the clipped linear-inversion start, which keeps
+# the start full rank so that its Cholesky factor exists
+_START_MIX = 1e-3
 
 
 def _kets(records) -> np.ndarray:
     if not records:
         raise NotInformationallyComplete("empty record list")
     return np.array([rec.setting.ket for rec in records])
+
+
+def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Starting parameters t of ``_mle_stack`` for a (B, K) count stack.
+
+    X = pinv(D) n is the least-squares linear inversion of a row's counts,
+    with design D_kj = <psi_k|B_j|psi_k>.  X's negative eigenvalues are
+    clipped, the rest renormalised and mixed with a weight ``_START_MIX`` of
+    I/4, and that M is scaled so that sum_k q_k = N, as at the optimum; the
+    clipped estimate is the physical projection of Smolin, Gambetta & Smith
+    (PRL 108, 070502, 2012).  T = (J chol(J M J) J)^dag is lower triangular
+    with a positive real diagonal, and T^dag T = M.
+
+    Raises NotInformationallyComplete if D has rank < 16 and NoConvergence
+    for a row without counts.
+    """
+    design = np.einsum("ki,jil,kl->kj", kets.conj(), _HERM, kets).real
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(s > 1e-10))
+    if rank < 16:
+        raise NotInformationallyComplete(
+            f"projector set spans only {rank}/16 operator dimensions")
+    n_tot = counts.sum(axis=1)
+    if np.any(n_tot <= 0):
+        raise NoConvergence("all counts are zero; likelihood is flat")
+    # I lies in the span of the B_j and <psi_k|I|psi_k> = 1 for every k, so
+    # the all-ones vector lies in the column space of D and the
+    # least-squares residual is orthogonal to it: the fitted counts
+    # Tr(Pi_k X) sum to N > 0.  sum_k Pi_k is positive semidefinite, so X
+    # has a positive eigenvalue and the clipped spectrum never sums to zero;
+    # no fallback start is needed.
+    x = counts @ (u / s) @ vt
+    lam, vec = np.linalg.eigh(np.einsum("bj,jrc->brc", x, _HERM))
+    lam = np.maximum(lam, 0.0)
+    lam = (1 - _START_MIX) * lam / lam.sum(axis=1, keepdims=True) + _START_MIX / 4
+    m = (vec * lam[:, None, :]) @ np.swapaxes(vec.conj(), 1, 2)
+    rate = np.einsum("ki,bij,kj->b", kets.conj(), m, kets).real
+    m *= (n_tot / rate)[:, None, None]
+    # J A J reverses the rows and columns of A, and J L^dag J = (J L J)^dag
+    chol = np.linalg.cholesky(m[:, ::-1, ::-1])
+    tri = np.swapaxes(chol.conj(), 1, 2)[:, ::-1, ::-1]
+    off = tri[:, _ROWS, _COLS]
+    t = np.empty((len(counts), 16))
+    t[:, :4] = np.diagonal(tri, axis1=1, axis2=2).real
+    t[:, 4::2], t[:, 5::2] = off.real, off.imag
+    return t
 
 
 def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
@@ -155,14 +197,13 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
     decrement g^T |H|^-1 g is at most ``tol`` * N and leaves the stack, so
     slow rows do not keep the others iterating.  A row still running after
     ``max_iter`` steps, or one whose line search finds no decrease, raises
-    NoConvergence.
+    NoConvergence.  Each row starts from its projected linear-inversion
+    estimate (``_start``).
     """
-    _check_informationally_complete(kets)
     counts = np.asarray(counts, dtype=float)
+    t = _start(kets, counts)
     n_tot = counts.sum(axis=1)
-    if np.any(n_tot <= 0):
-        raise NoConvergence("all counts are zero; likelihood is flat")
-    n_rows, n_set = counts.shape
+    n_set = counts.shape[1]
     m = np.einsum("jrc,kc->krj", _BASIS, kets)              # T psi_k = M_k t
     a = np.einsum("krj,krl->kjl", m.conj(), m).real         # (K, 16, 16)
     a_rows = a.reshape(n_set * 16, 16)
@@ -176,10 +217,7 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
             f = np.sum(q - n - n * np.log(q / ns), axis=1)
         return f, at, q
 
-    # maximally mixed start on the rate scale sum_k q_k = N
-    t = np.zeros((n_rows, 16))
-    t[:, :4] = np.sqrt(n_tot / n_set)[:, None]
-    active = np.arange(n_rows)
+    active = np.arange(len(counts))
     f, at, q = evaluate(t, counts, n_safe)
     for step_no in range(max_iter + 1):
         n, ns, ta = counts[active], n_safe[active], t[active]
@@ -247,13 +285,23 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     an independent generator derived from (seed, i), so evaluation order
     does not matter; all samples are solved as one stack.
     """
+    return _metric_with_error(_resampled_mle(records, n_samples, seed), metric)
+
+
+def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
+    """The (n_samples, 4, 4) MLE stack behind ``monte_carlo_metric``."""
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
     kets = _kets(records)
     observed = np.array([rec.counts for rec in records], dtype=float)
     resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
                           for i in range(n_samples)], dtype=float)
-    rhos = _mle_stack(kets, resampled, _MAX_ITER, _TOL)
+    return _mle_stack(kets, resampled, _MAX_ITER, _TOL)
+
+
+def _metric_with_error(rhos: np.ndarray, metric) -> MetricWithError:
+    """Mean and sample std of ``metric`` over a stack of density matrices."""
+    n_samples = len(rhos)
     values = np.array([metric(rho) for rho in rhos])
     return MetricWithError(value=float(values.mean()),
                            std=float(values.std(ddof=1)),

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
 from qfcsim.cli import main, _summary_schema
 
@@ -199,6 +200,33 @@ class TestTomo:
         assert (out2 / "counts.csv").read_bytes() == (out3 / "counts.csv").read_bytes()
         assert (out1 / "counts.csv").read_bytes() != (out2 / "counts.csv").read_bytes()
 
+    def test_mc_fields_equal_direct_calls_from_one_solve(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "tomo.json"
+        cfg.write_text(json.dumps({
+            "state": {"kind": "werner", "concurrence": 0.919},
+            "settings": 16,
+            "mean_pairs": 1e4,
+            "seed": 3,
+            "mc_samples": 12,
+        }))
+        solves = []
+        mle_stack = tomo_mod._mle_stack
+
+        def spy(kets, counts, max_iter, tol):
+            solves.append(len(counts))
+            return mle_stack(kets, counts, max_iter, tol)
+
+        monkeypatch.setattr(tomo_mod, "_mle_stack", spy)
+        assert main(["--out", str(tmp_path), "tomo", "--config", str(cfg)]) == 0
+        assert solves == [1, 12]  # the point estimate, then one MC stack
+        res = read_summary(tmp_path, "tomo")["results"]
+        records = tomo_mod.records_from_csv(tmp_path / "counts.csv")
+        for name, metric in (("concurrence", states_mod.concurrence),
+                             ("purity", states_mod.purity)):
+            est = tomo_mod.monte_carlo_metric(records, metric, 12, 3)
+            assert res[f"{name}_mc"] == {"value": est.value, "std": est.std,
+                                         "n_samples": 12}
+
 
 class TestBell:
     def test_fig_s5_exact_bundle(self, tmp_path):
@@ -306,6 +334,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: mean_pairs must be finite and at most 1e+15")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,config", [
+        ("bell", "fig_s5_phi_sweep.json"),
+        ("sweep-theta", "fig_4_theta_sweep.json"),
+    ])
+    def test_sampled_without_mean_pairs_is_a_config_error(self, tmp_path, capsys,
+                                                          command, config):
+        assert main(["--out", str(tmp_path), "--seed", "1", command,
+                     "--config", str(CONFIGS / config), "--sampled"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: missing key(s) ['mean_pairs'] in config\n"
 
     def test_bundled_configs_all_load(self, tmp_path):
         # every shipped config parses and passes strict validation

@@ -6,10 +6,10 @@ from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                            OutOfRange, ShapeMismatch)
 from qfcsim.states import bell_state, concurrence, fidelity, werner_state
-from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _kets,
-                               _mle_stack, expected_probability, mle_reconstruct,
-                               monte_carlo_metric, projector_set, records_from_csv,
-                               records_to_csv, simulate_counts)
+from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
+                               _kets, _mle_stack, _start, expected_probability,
+                               mle_reconstruct, monte_carlo_metric, projector_set,
+                               records_from_csv, records_to_csv, simulate_counts)
 
 from helpers import random_density_matrix
 
@@ -225,6 +225,48 @@ class TestStack:
         records = [CountRecord(setting=s, counts=int(k == 0)) for k, s in enumerate(settings)]
         with pytest.raises(NoConvergence):
             monte_carlo_metric(records, concurrence, n_samples=20, seed=1)
+
+
+def _edge_rows():
+    pairs = [(a, b) for a in "HVDR" for b in "HVDR"]
+    kets16 = np.array([MeasurementSetting.from_names(a, b).ket for a, b in pairs])
+    # counts on D/R settings only: the linear-inversion estimate has trace 0
+    yield kets16, np.array([[100.0 * (a in "DR" and b in "DR") for a, b in pairs]])
+    # a single count
+    yield np.array([s.ket for s in projector_set(36)]), np.eye(36)[5:6]
+    # noiseless rank-1 records
+    records = exact_records(bell_state("phi+"), projector_set(36), 1e4)
+    yield _kets(records), np.array([[rec.counts for rec in records]], dtype=float)
+
+
+class TestStart:
+    def test_edge_rows_give_a_valid_start(self):
+        for kets, counts in _edge_rows():
+            t = _start(kets, counts)
+            assert np.all(np.isfinite(t))
+            # T built from t is lower triangular with a real diagonal
+            tri = np.einsum("bj,jrc->brc", t, _BASIS)[0]
+            assert np.all(np.diag(tri).real > 0)
+            q = np.abs(kets @ tri.T) ** 2
+            assert abs(q.sum() - counts.sum()) <= 1e-10 * counts.sum()
+
+    def test_newton_iterations_from_the_start(self, monkeypatch):
+        # one 16x16 Hessian eigh per Newton iteration, the last one included
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.shape(a)[-1] == 16:
+                calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rho = werner_state((2 * 0.92 + 1) / 3)
+        for seed in range(30):
+            records = simulate_counts(rho, projector_set(36), 1.56e5, seed)
+            calls.clear()
+            mle_reconstruct(records)
+            assert len(calls) <= 8
 
 
 class TestMonteCarlo:
