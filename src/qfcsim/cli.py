@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: drive, sweep-theta, choi, jsa, tomo, bell, efficiency.
-Config-driven commands take a strict JSON config (unknown keys rejected);
-every run writes a JSON summary validated against the schema shipped in
+Config-driven commands take a strict JSON config, validated once against
+its command's entry in qfcsim/data/config.schema.json; every run writes a
+JSON summary validated against the schema shipped in
 qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Angles
 are accepted in degrees and converted internally.
 """
@@ -30,9 +31,12 @@ from . import tomography as tomo_mod
 from .errors import ConfigError, QfcError
 
 
+def _schema(name: str) -> dict:
+    return json.loads(resources.files("qfcsim.data").joinpath(name).read_text())
+
+
 def _summary_schema() -> dict:
-    text = resources.files("qfcsim.data").joinpath("run_summary.schema.json").read_text()
-    return json.loads(text)
+    return _schema("run_summary.schema.json")
 
 
 def _complex_to_json(m: np.ndarray):
@@ -48,6 +52,10 @@ def _fmt(x: float) -> str:
 # config handling
 # ---------------------------------------------------------------------------
 
+# The one size cap a schema cannot express: 0.1 deg steps over a full turn.
+_MAX_ANGLE_POINTS = 3601
+
+
 def _load_config(path: str) -> tuple[dict, str]:
     try:
         raw = Path(path).read_bytes()
@@ -62,91 +70,51 @@ def _load_config(path: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
-def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+def _validate_config(cfg: dict, command: str) -> None:
+    """Check ``cfg`` against the entry for ``command`` in data/config.schema.json.
+
+    Raises ConfigError with a one-line message for the most relevant
+    violation: the missing or unknown keys of an object, or else the dotted
+    path of the offending value and the schema rule it breaks.
+    """
+    schema = _schema("config.schema.json")
+    validator = jsonschema.Draft7Validator({**schema, "$ref": f"#/properties/{command}"})
+    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if error is None:
+        return
+    where = ".".join(map(str, error.absolute_path)) or "config"
+    if error.validator == "required":
+        missing = sorted(set(error.validator_value) - set(error.instance))
+        raise ConfigError(f"missing key(s) {missing} in {where}")
+    if error.validator == "additionalProperties":
+        unknown = sorted(set(error.instance) - set(error.schema.get("properties", {})))
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    raise ConfigError(f"{where}: {error.validator} {json.dumps(error.validator_value)}")
 
 
-def _as_number(obj, key: str, where: str) -> float:
-    if key not in obj:
-        raise ConfigError(f"missing key(s) {[key]} in {where}")
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(val)
+def _angle_grid(grid: dict, where: str) -> np.ndarray:
+    start, stop, step = (float(grid[key]) for key in ("start", "stop", "step"))
+    if not (np.all(np.isfinite([start, stop, step])) and step > 0 and stop >= start):
+        raise ConfigError(f"{where}: need finite start, stop and step, step > 0 "
+                          "and stop >= start")
+    n = (stop - start) / step  # inf when the span overflows
+    if not n <= _MAX_ANGLE_POINTS - 1:
+        raise ConfigError(f"{where}: more than {_MAX_ANGLE_POINTS} points")
+    return start + step * np.arange(int(round(n)) + 1)
 
 
-def _angle_grid(cfg: dict, where: str) -> np.ndarray:
-    _check_keys(cfg, {"start", "stop", "step"}, {"start", "stop", "step"}, where)
-    start = _as_number(cfg, "start", where)
-    stop = _as_number(cfg, "stop", where)
-    step = _as_number(cfg, "step", where)
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{where}: need step > 0 and stop >= start")
-    n = int(round((stop - start) / step))
-    return start + step * np.arange(n + 1)
-
-
-def _state_from_config(cfg: dict, where: str = "state") -> np.ndarray:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = cfg.get("kind")
-    if kind == "bell":
-        _check_keys(cfg, {"kind", "label"}, {"kind", "label"}, where)
+def _state_from_config(cfg: dict) -> np.ndarray:
+    if cfg["kind"] == "bell":
         return states_mod.bell_state(cfg["label"])
-    if kind == "werner":
-        _check_keys(cfg, {"kind", "p", "concurrence"}, {"kind"}, where)
-        has_p = "p" in cfg
-        has_c = "concurrence" in cfg
-        if has_p == has_c:
-            raise ConfigError(f"{where}: give exactly one of 'p' or 'concurrence'")
-        p = _as_number(cfg, "p", where) if has_p else (2 * _as_number(cfg, "concurrence", where) + 1) / 3
-        if not 0 <= p <= 1:
-            raise ConfigError(f"{where}: werner weight {p} outside [0, 1]")
-        return states_mod.werner_state(p)
-    raise ConfigError(f"{where}.kind must be 'bell' or 'werner', got {kind!r}")
+    p = cfg["p"] if "p" in cfg else (2 * cfg["concurrence"] + 1) / 3
+    return states_mod.werner_state(float(p))
 
 
-def _drive_from_config(cfg: dict, where: str = "drive") -> np.ndarray:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be an object")
-    if "theta_deg" in cfg:
-        _check_keys(cfg, {"theta_deg"}, {"theta_deg"}, where)
-        return drive_mod.drive_from_theta(np.deg2rad(_as_number(cfg, "theta_deg", where)))
+def _drive_from_config(cfg: dict) -> np.ndarray:
     if "matrix" in cfg:
-        _check_keys(cfg, {"matrix"}, {"matrix"}, where)
-        try:
-            m = np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.matrix must be 2x2 of [re, im] pairs") from exc
-        if m.shape != (2, 2):
-            raise ConfigError(f"{where}.matrix must be 2x2")
-        return drive_mod.check_drive(m)
-    raise ConfigError(f"{where} needs 'theta_deg' or 'matrix'")
-
-
-def _crystal_from_config(cfg: dict) -> spectral_mod.CrystalSpec:
-    _check_keys(cfg, {"length_mm", "poling_period_um", "temperature_c", "interaction"},
-                {"length_mm", "poling_period_um", "temperature_c", "interaction"}, "crystal")
-    return spectral_mod.CrystalSpec(
-        length_mm=_as_number(cfg, "length_mm", "crystal"),
-        poling_period_um=_as_number(cfg, "poling_period_um", "crystal"),
-        temperature_c=_as_number(cfg, "temperature_c", "crystal"),
-        interaction=cfg["interaction"],
-    )
-
-
-def _pump_from_config(cfg: dict) -> spectral_mod.PumpSpec:
-    _check_keys(cfg, {"center_wavelength_nm", "duration_fs"},
-                {"center_wavelength_nm", "duration_fs"}, "pump")
-    return spectral_mod.PumpSpec(
-        center_wavelength_nm=_as_number(cfg, "center_wavelength_nm", "pump"),
-        duration_fs=_as_number(cfg, "duration_fs", "pump"),
-    )
+        return drive_mod.check_drive(
+            np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]]))
+    return drive_mod.drive_from_theta(np.deg2rad(float(cfg["theta_deg"])))
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +167,14 @@ def _cmd_drive(args, out_dir: Path) -> None:
     print(f"summary written to {path}")
 
 
-def _cmd_sweep_theta(cfg: dict, config_sha: str, seed_override, out_dir: Path) -> None:
-    _check_keys(cfg, {"theta_deg", "input_state", "kt", "mode", "mean_pairs", "seed",
-                      "settings"},
-                {"theta_deg", "input_state", "kt", "mode"}, "config")
+def _cmd_sweep_theta(cfg: dict, config_sha: str, out_dir: Path) -> None:
     thetas = _angle_grid(cfg["theta_deg"], "theta_deg")
-    rho0 = _state_from_config(cfg["input_state"], "input_state")
-    kt = _as_number(cfg, "kt", "config")
+    rho0 = _state_from_config(cfg["input_state"])
+    kt = float(cfg["kt"])
     mode = cfg["mode"]
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    seed = seed_override if seed_override is not None else cfg.get("seed")
+    seed = cfg.get("seed")
     if mode == "sampled":
-        if seed is None:
-            raise ConfigError("sampled mode needs a seed")
-        mean_pairs = _as_number(cfg, "mean_pairs", "config")
+        mean_pairs = float(cfg["mean_pairs"])
         settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
     rows = []
     for i, theta_deg in enumerate(thetas):
@@ -242,13 +203,9 @@ def _cmd_sweep_theta(cfg: dict, config_sha: str, seed_override, out_dir: Path) -
 
 
 def _cmd_choi(cfg: dict, config_sha: str, out_dir: Path) -> None:
-    _check_keys(cfg, {"drive", "kt_list"}, {"drive", "kt_list"}, "config")
     a = _drive_from_config(cfg["drive"])
-    kt_list = cfg["kt_list"]
-    if not isinstance(kt_list, list) or not kt_list:
-        raise ConfigError("kt_list must be a non-empty list of numbers")
     rows = []
-    for kt in kt_list:
+    for kt in cfg["kt_list"]:
         spec = channel_mod.ChannelSpec(a=a, kt=float(kt))
         rows.append((float(kt), channel_mod.choi_concurrence_closed(spec),
                      channel_mod.duality_distance(spec)))
@@ -264,17 +221,11 @@ def _cmd_choi(cfg: dict, config_sha: str, out_dir: Path) -> None:
 
 
 def _cmd_jsa(cfg: dict, config_sha: str, out_dir: Path) -> None:
-    _check_keys(cfg, {"crystal", "pump", "filter_fwhm_nm", "grid", "hg_modes",
-                      "delay_profile", "write_jsa_csv"},
-                {"crystal", "pump", "filter_fwhm_nm", "grid"}, "config")
-    crystal = _crystal_from_config(cfg["crystal"])
-    pump = _pump_from_config(cfg["pump"])
-    grid_cfg = cfg["grid"]
-    _check_keys(grid_cfg, {"points", "span_nm"}, {"points", "span_nm"}, "grid")
-    grid = spectral_mod.GridSpec(points=int(grid_cfg["points"]),
-                                 span_nm=_as_number(grid_cfg, "span_nm", "grid"))
-    jsa = spectral_mod.compute_jsa(pump, crystal, _as_number(cfg, "filter_fwhm_nm", "config"),
-                                   grid)
+    crystal = spectral_mod.CrystalSpec(**cfg["crystal"])
+    pump = spectral_mod.PumpSpec(**cfg["pump"])
+    grid = spectral_mod.GridSpec(points=int(cfg["grid"]["points"]),
+                                 span_nm=cfg["grid"]["span_nm"])
+    jsa = spectral_mod.compute_jsa(pump, crystal, cfg["filter_fwhm_nm"], grid)
     decomp = spectral_mod.schmidt(jsa)
     purity = spectral_mod.heralded_purity(decomp)
     rho_i = spectral_mod.reduced_density(jsa, "idler")
@@ -310,13 +261,11 @@ def _cmd_jsa(cfg: dict, config_sha: str, out_dir: Path) -> None:
     print(f"summary written to {path}")
 
 
-def _cmd_tomo(cfg: dict, config_sha: str, seed_override, out_dir: Path) -> None:
-    _check_keys(cfg, {"state", "settings", "mean_pairs", "seed", "mc_samples"},
-                {"state", "settings", "mean_pairs", "seed"}, "config")
+def _cmd_tomo(cfg: dict, config_sha: str, out_dir: Path) -> None:
     rho_true = _state_from_config(cfg["state"])
     settings = tomo_mod.projector_set(int(cfg["settings"]))
-    mean_pairs = _as_number(cfg, "mean_pairs", "config")
-    seed = int(seed_override if seed_override is not None else cfg["seed"])
+    mean_pairs = float(cfg["mean_pairs"])
+    seed = int(cfg["seed"])
     records = tomo_mod.simulate_counts(rho_true, settings, mean_pairs, seed)
     rho_mle = tomo_mod.mle_reconstruct(records)
     results = {
@@ -345,21 +294,14 @@ def _cmd_tomo(cfg: dict, config_sha: str, seed_override, out_dir: Path) -> None:
     print(f"summary written to {path}")
 
 
-def _cmd_bell(cfg: dict, config_sha: str, seed_override, out_dir: Path) -> None:
-    _check_keys(cfg, {"state", "phi_deg", "mode", "mean_pairs", "seed"},
-                {"state", "phi_deg", "mode"}, "config")
+def _cmd_bell(cfg: dict, config_sha: str, out_dir: Path) -> None:
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
     mode = cfg["mode"]
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    seed = seed_override if seed_override is not None else cfg.get("seed")
+    seed = cfg.get("seed")
     if mode == "sampled":
-        if seed is None:
-            raise ConfigError("sampled mode needs a seed")
         sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg),
-                                    mean_pairs=_as_number(cfg, "mean_pairs", "config"),
-                                    seed=int(seed))
+                                    mean_pairs=float(cfg["mean_pairs"]), seed=int(seed))
         rows = [(deg, row[1], row[2]) for deg, row in zip(phis_deg, sweep)]
     else:
         sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg))
@@ -396,6 +338,13 @@ def _cmd_efficiency(args, out_dir: Path) -> None:
     print(f"summary written to {path}")
 
 
+_CONFIG_COMMANDS = {"sweep-theta": _cmd_sweep_theta, "choi": _cmd_choi, "jsa": _cmd_jsa,
+                    "tomo": _cmd_tomo, "bell": _cmd_bell}
+
+# the commands whose config has a seed, which --seed overrides
+_SEEDED_COMMANDS = ("sweep-theta", "tomo", "bell")
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -412,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_drive = sub.add_parser("drive", help="drive matrix and concurrence for a QWP angle")
     p_drive.add_argument("--theta", type=float, required=True, help="QWP angle in degrees")
 
-    for name in ("sweep-theta", "choi", "jsa", "tomo", "bell"):
+    for name in _CONFIG_COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         if name in ("sweep-theta", "bell"):
@@ -445,21 +394,20 @@ def main(argv=None) -> int:
                 cfg["mode"] = "exact"
             elif getattr(args, "sampled", False):
                 cfg["mode"] = "sampled"
-            if args.command == "sweep-theta":
-                _cmd_sweep_theta(cfg, sha, args.seed, out_dir)
-            elif args.command == "choi":
-                _cmd_choi(cfg, sha, out_dir)
-            elif args.command == "jsa":
-                _cmd_jsa(cfg, sha, out_dir)
-            elif args.command == "tomo":
-                _cmd_tomo(cfg, sha, args.seed, out_dir)
-            elif args.command == "bell":
-                _cmd_bell(cfg, sha, args.seed, out_dir)
+            if args.seed is not None and args.command in _SEEDED_COMMANDS:
+                cfg["seed"] = args.seed
+            _validate_config(cfg, args.command)
+            _CONFIG_COMMANDS[args.command](cfg, sha, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QfcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # Python float arithmetic on a finite but absurd input, such as a
+        # temperature of 1e100 C in the Sellmeier terms
+        print(f"error: an input is too large to compute with: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -515,8 +515,8 @@ def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
     if denom == 0:
         raise DivisionByZero("herald rate times APD efficiency is zero")
     for name, val in (("r_up_hz", r_up_hz), ("r_herald_hz", r_herald_hz)):
-        if val <= 0:
-            raise OutOfRange(f"{name} must be positive, got {val}")
+        if not 0 < val < np.inf:
+            raise OutOfRange(f"{name} must be positive and finite, got {val}")
     for name, val in (("eta_snspd", eta_snspd), ("eta_apd", eta_apd)):
         if not 0 < val <= 1:
             raise OutOfRange(f"{name} must be in (0, 1], got {val}")

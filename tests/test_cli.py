@@ -1,18 +1,33 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
-from qfcsim.cli import main, _summary_schema
+from qfcsim.cli import main, _schema, _summary_schema, _validate_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED = {
+    "fig_4_theta_sweep.json": "sweep-theta",
+    "fig_s2_type0.json": "jsa",
+    "fig_s2_type1.json": "jsa",
+    "fig_s3_hg_modes.json": "jsa",
+    "fig_s5_phi_sweep.json": "bell",
+    "tomo_rho0.json": "tomo",
+}
+CHOI = {"drive": {"theta_deg": 22.5}, "kt_list": [0.1, 0.2]}
 
 
 def read_summary(out_dir: Path, command: str) -> dict:
@@ -275,6 +290,15 @@ class TestEfficiency:
         assert abs(summary["results"]["efficiency"] - 0.0044444444) < 1e-9
         assert "0.444" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rates", [["nan", "60000"], ["inf", "60000"],
+                                       ["100", "nan"], ["100", "inf"]])
+    def test_non_finite_rate_is_a_one_line_error(self, tmp_path, capsys, rates):
+        assert main(["--out", str(tmp_path), "efficiency", *rates, "0.8", "0.6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: r_") and "must be positive and finite" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "efficiency_summary.json").exists()
+
 
 class TestConfigValidation:
     def test_unknown_key_rejected(self, tmp_path):
@@ -335,6 +359,20 @@ class TestConfigValidation:
         assert err.startswith("error: mean_pairs must be finite and at most 1e+15")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("path,value", [(["crystal", "temperature_c"], 1e143),
+                                            (["pump", "duration_fs"], 1e300)])
+    def test_input_too_large_for_floats_is_a_one_line_error(self, tmp_path, capsys, path,
+                                                            value):
+        cfg = json.loads((CONFIGS / "fig_s2_type0.json").read_text())
+        cfg[path[0]][path[1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an input is too large to compute with")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command,config", [
         ("bell", "fig_s5_phi_sweep.json"),
         ("sweep-theta", "fig_4_theta_sweep.json"),
@@ -348,8 +386,104 @@ class TestConfigValidation:
 
     def test_bundled_configs_all_load(self, tmp_path):
         # every shipped config parses and passes strict validation
-        for cfg in sorted(CONFIGS.glob("*.json")):
-            json.loads(cfg.read_text())
+        assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(BUNDLED)
+        for name, command in BUNDLED.items():
+            _validate_config(json.loads((CONFIGS / name).read_text()), command)
+
+    @pytest.mark.parametrize("name", ["config.schema.json", "run_summary.schema.json"])
+    def test_schemas_are_valid_draft7(self, name):
+        jsonschema.Draft7Validator.check_schema(_schema(name))
+
+    @pytest.mark.parametrize("command,base,path,value,flags", [
+        ("choi", CHOI, ["kt_list"], ["x"], []),
+        ("choi", CHOI, ["kt_list"], [0.1, True], []),
+        ("tomo", "tomo_rho0.json", ["settings"], "abc", []),
+        ("jsa", "fig_s3_hg_modes.json", ["hg_modes"], "x", []),
+        ("jsa", "fig_s3_hg_modes.json", ["hg_modes"], 2.7, []),
+        ("tomo", "tomo_rho0.json", ["mc_samples"], "x", []),
+        ("tomo", "tomo_rho0.json", ["mc_samples"], 1e9, []),
+        ("tomo", "tomo_rho0.json", ["seed"], "abc", []),
+        ("tomo", "tomo_rho0.json", ["seed"], 1.5, []),
+        ("tomo", "tomo_rho0.json", ["state", "label"], 5, []),
+        ("jsa", "fig_s2_type0.json", ["grid"], 5, []),
+        ("jsa", "fig_s2_type0.json", ["grid", "points"], "512", []),
+        ("jsa", "fig_s2_type0.json", ["grid", "points"], 1e9, []),
+        ("jsa", "fig_s2_type0.json", ["crystal"], "abc", []),
+        ("bell", "fig_s5_phi_sweep.json", ["phi_deg", "start"], float("nan"), []),
+        ("bell", "fig_s5_phi_sweep.json", ["phi_deg", "stop"], float("inf"), []),
+        ("bell", "fig_s5_phi_sweep.json", ["phi_deg", "step"], 1e-300, []),
+        ("tomo", "tomo_rho0.json", ["seed"], 7, ["--seed", "-1"]),
+    ])
+    def test_malformed_config_is_a_one_line_config_error(self, tmp_path, capsys, command,
+                                                         base, path, value, flags):
+        cfg = copy.deepcopy(CHOI if isinstance(base, dict)
+                            else json.loads((CONFIGS / base).read_text()))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), *flags, command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", [
+        {"start": float("nan"), "stop": 90.0, "step": 1.0},
+        {"start": 0.0, "stop": float("nan"), "step": 1.0},
+        {"start": 0.0, "stop": 90.0, "step": float("nan")},
+        {"start": float("-inf"), "stop": 90.0, "step": 1.0},
+        {"start": 0.0, "stop": float("inf"), "step": 1.0},
+        {"start": 0.0, "stop": 90.0, "step": float("inf")},
+        {"start": -1e308, "stop": 1e308, "step": 1.0},
+        {"start": 0.0, "stop": 360.0, "step": 0.0999},
+    ])
+    @pytest.mark.parametrize("command,config,key", [
+        ("bell", "fig_s5_phi_sweep.json", "phi_deg"),
+        ("sweep-theta", "fig_4_theta_sweep.json", "theta_deg"),
+    ])
+    def test_bad_angle_grid_is_a_one_line_config_error(self, tmp_path, capsys, command,
+                                                       config, key, grid):
+        cfg = {**json.loads((CONFIGS / config).read_text()), key: grid}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_full_turn_at_a_tenth_of_a_degree_is_accepted(self, tmp_path):
+        cfg = {**json.loads((CONFIGS / "fig_s5_phi_sweep.json").read_text()),
+               "phi_deg": {"start": 0.0, "stop": 360.0, "step": 0.1}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "bell", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "bell_sweep.csv")
+        assert len(rows) == 3601
+
+    @pytest.mark.parametrize("command,cfg,key,values,flags", [
+        ("sweep-theta", {"theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0},
+                         "input_state": {"kind": "werner", "p": 0.9}, "mode": "exact"},
+         "kt", [1, 1.0], []),
+        ("tomo", {"state": {"kind": "werner", "p": 0.9}, "settings": 16, "mean_pairs": 1e3,
+                  "mc_samples": 4},
+         "seed", [7, 7.0, None], ["--seed", "7"]),
+    ])
+    def test_integral_numbers_give_byte_identical_outputs(self, tmp_path, command, cfg, key,
+                                                          values, flags):
+        # a None value leaves the key out, so that only --seed gives it
+        outputs = []
+        for i, value in enumerate(values):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg if value is None else {**cfg, key: value}))
+            out = tmp_path / f"out{i}"
+            argv = flags if value is None else []
+            assert main(["--out", str(out), *argv, command, "--config", str(path)]) == 0
+            outputs.append({p.name: [line for line in p.read_text().splitlines()
+                                     if "config_sha256" not in line]
+                            for p in sorted(out.iterdir())})
+        assert all(o == outputs[0] for o in outputs[1:])
 
 
 class TestImports:
@@ -379,3 +513,72 @@ class TestBundles:
         summary = read_summary(tmp_path, "tomo")
         assert summary["results"]["fidelity_to_true"] > 0.99
         assert summary["results"]["concurrence_mc"]["n_samples"] == 100
+
+
+# any JSON value: NaN and +-inf included, integers kept small so that a
+# replaced size stays cheap to run; numbers are drawn most often, so that
+# many cases get past the schema into the physics
+NUMBERS = st.integers(-1000, 1000) | st.floats()
+JSON_VALUES = NUMBERS | st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every path below ``node`` as (path, value) pairs, ``node`` itself first."""
+    yield prefix, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_bundled_configs(draw):
+    """A bundled config with one leaf replaced, one key deleted or one key added."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    cfg = json.loads((CONFIGS / name).read_text())
+    paths = list(_paths(cfg))
+    # replacing a leaf is drawn three times as often as each other action
+    action = draw(st.sampled_from(["replace"] * 3 + ["delete", "add"]))
+    if action == "add":
+        path = draw(st.sampled_from([p for p, v in paths if isinstance(v, dict)]))
+        path += (draw(st.text(max_size=8)),)
+    elif action == "delete":
+        path = draw(st.sampled_from([p for p, _ in paths if p and isinstance(p[-1], str)]))
+    else:
+        path = draw(st.sampled_from([p for p, v in paths if not isinstance(v, (dict, list))]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if action == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = draw(JSON_VALUES)
+    return BUNDLED[name], cfg
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-JSON constant {name}")
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mutated_bundled_configs())
+    def test_any_config_ends_in_a_clean_exit(self, case):
+        command, cfg = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--out", tmp, command, "--config", str(path)])
+            assert code in (0, 1, 2)
+            if code:
+                assert len(err.getvalue().splitlines()) == 1
+            else:
+                summary = Path(tmp) / f"{command.replace('-', '_')}_summary.json"
+                json.loads(summary.read_text(), parse_constant=_reject_constant)

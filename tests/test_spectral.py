@@ -393,6 +393,14 @@ class TestEfficiency:
         with pytest.raises(DivisionByZero):
             estimate_efficiency(100.0, 0.0, 0.8, 0.6)
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_rates(self, rate, which):
+        rates = [100.0, 60e3]
+        rates[which] = rate
+        with pytest.raises(OutOfRange, match="positive and finite"):
+            estimate_efficiency(*rates, 0.8, 0.6)
+
 
 class TestExport:
     def test_binary_roundtrip(self, tmp_path, jsa_type0):
