@@ -66,10 +66,19 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
             f"validity [{lo}, {hi}] um of model {model.name}")
     a1, a2, a3, a4, a5, a6 = model.sellmeier
     b1, b2, b3, b4 = model.thermo
+    if not np.isfinite(temperature_c):
+        raise OutOfRange(f"temperature must be finite, got {temperature_c}")
     f = (temperature_c - 24.5) * (temperature_c + 570.82)
+    try:
+        pole = (a3 + b3 * f) ** 2
+    except OverflowError:  # Python float power
+        pole = np.inf
+    if not (np.isfinite(f) and np.isfinite(pole)):
+        raise OutOfRange(f"an input is too large to compute with: temperature "
+                         f"{temperature_c} C in the Sellmeier terms")
     lam2 = lam ** 2
     n2 = (a1 + b1 * f
-          + (a2 + b2 * f) / (lam2 - (a3 + b3 * f) ** 2)
+          + (a2 + b2 * f) / (lam2 - pole)
           + (a4 + b4 * f) / (lam2 - a5 ** 2)
           - a6 * lam2)
     n = np.sqrt(n2)
@@ -137,8 +146,10 @@ class CrystalSpec:
     extraordinary: DispersionModel | None = None
 
     def __post_init__(self):
-        if self.length_mm <= 0 or self.poling_period_um <= 0:
-            raise OutOfRange("crystal length and poling period must be positive")
+        if not (0 < self.length_mm < np.inf and 0 < self.poling_period_um < np.inf):
+            raise OutOfRange("crystal length and poling period must be positive and finite")
+        if not np.isfinite(self.temperature_c):
+            raise OutOfRange(f"crystal temperature must be finite, got {self.temperature_c}")
         if self.interaction not in INTERACTIONS:
             raise OutOfRange(f"interaction must be one of {INTERACTIONS}")
         models = builtin_lithium_niobate()
@@ -161,8 +172,8 @@ class PumpSpec:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.duration_fs <= 0 or self.center_wavelength_nm <= 0:
-            raise OutOfRange("pump duration and wavelength must be positive")
+        if not (0 < self.duration_fs < np.inf and 0 < self.center_wavelength_nm < np.inf):
+            raise OutOfRange("pump duration and wavelength must be positive and finite")
         if self.shape != "gaussian":
             raise OutOfRange("only gaussian pumps are modeled")
 
@@ -274,21 +285,25 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     """Joint spectral amplitude with per-photon Gaussian bandpass filters."""
     if grid.points < 64:
         raise GridTooCoarse(f"need at least 64 points per axis, got {grid.points}")
-    if filter_fwhm_nm <= 0:
-        raise OutOfRange("filter FWHM must be positive")
+    if not 0 < filter_fwhm_nm < np.inf:
+        raise OutOfRange(f"filter FWHM must be positive and finite, got {filter_fwhm_nm}")
     center_nm = grid.center_nm if grid.center_nm is not None else 2 * pump.center_wavelength_nm
     # +-3 sigma of the amplitude filter must fit on the grid
     sigma_nm = filter_fwhm_nm / (2 * np.sqrt(np.log(2)))
-    if grid.span_nm < 6 * sigma_nm:
-        raise OutOfRange(
-            f"grid span {grid.span_nm} nm narrower than +-3 filter sigma ({6 * sigma_nm:.1f} nm)")
+    if not 6 * sigma_nm <= grid.span_nm < np.inf:
+        raise OutOfRange(f"grid span {grid.span_nm} nm must be finite and cover +-3 filter "
+                         f"sigma ({6 * sigma_nm:.1f} nm)")
 
     w_ax = grid.axis(center_nm)
     ws = w_ax[:, None]
     wi = w_ax[None, :]
 
-    t_pump = pump.duration_fs * 1e-15
-    envelope = np.exp(-t_pump ** 2 * (ws + wi - pump.omega_rad_s) ** 2 / 4.0)
+    try:
+        t_pump2 = (pump.duration_fs * 1e-15) ** 2
+    except OverflowError:  # Python float power
+        raise OutOfRange(f"an input is too large to compute with: pump duration "
+                         f"{pump.duration_fs} fs") from None
+    envelope = np.exp(-t_pump2 * (ws + wi - pump.omega_rad_s) ** 2 / 4.0)
 
     dk = phase_mismatch(crystal, ws, wi)
     pm = np.sinc(dk * (crystal.length_mm * 1e-3 / 2.0) / np.pi)
@@ -305,6 +320,8 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     norm = np.linalg.norm(amp)
     if norm == 0:
         raise OutOfRange("JSA vanished on the grid; check phase matching")
+    if not np.isfinite(norm):
+        raise OutOfRange("JSA is not finite on the grid; an input is too large to compute with")
     return JSAGrid(signal_axis=w_ax, idler_axis=w_ax.copy(), amp=amp / norm)
 
 
@@ -313,12 +330,20 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
 # ---------------------------------------------------------------------------
 
 def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
-    """Schmidt decomposition: SVD of the JSA (singular values now, vectors on demand)."""
+    """Schmidt decomposition of the JSA: weights now, modes on demand.
+
+    The weights are the squared singular values of the JSA, i.e. the
+    eigenvalues of the reduced density of its smaller side, taken here with
+    one Hermitian eigenvalue pass. Weights below ~1e-13 carry the
+    eigensolver's absolute error of ~1e-16 and lose relative accuracy.
+    """
+    ns, ni = grid.amp.shape
+    rho = reduced_density(grid, "signal" if ns < ni else "idler")
     try:
-        s = np.linalg.svd(grid.amp, compute_uv=False)
+        w = np.linalg.eigvalsh(rho.mat)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    p = s ** 2
+    p = np.clip(w[::-1], 0.0, None)
     p = p / p.sum()
     return SchmidtDecomposition(probabilities=p, amp=grid.amp)
 
@@ -455,15 +480,14 @@ def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
     return chirp[:m] * conv[:m]
 
 
-def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
-    """Photon temporal intensity I(t), the time-domain diagonal of rho.
+def _lag_sum(rho: SpectralDensity, t_s, lag_weight=None) -> np.ndarray:
+    """Re sum_d w(d dw) c_d exp(-i d dw t) on uniform time points t.
 
-    On the uniform frequency grid w_j = w_0 + j dw,
-    I(t) = sum_jl rho_jl exp(-i (w_j - w_l) t) = sum_d c_d exp(-i d dw t),
-    where c_d sums the d-th diagonal of rho (d = j - l); the overall
-    dw / 2 pi factor is dropped. On the uniform time grid the sum over d is a
-    chirp-z transform. Raises OutOfRange for a non-uniform frequency axis
-    or fewer than two or non-uniform time points.
+    On the uniform frequency grid w_j = w_0 + j dw, c_d sums the d-th
+    diagonal of rho (d = j - l); ``lag_weight`` maps the lag frequencies
+    d dw to real weights w, all ones when None. On the uniform time grid
+    the sum over d is a chirp-z transform. Raises OutOfRange for a
+    non-uniform frequency axis or fewer than two or non-uniform time points.
     """
     t = np.asarray(t_s, dtype=float)
     if t.ndim != 1 or len(t) < 2:
@@ -476,12 +500,26 @@ def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
     flat = rho.mat.ravel()
     c = (np.bincount(lag, flat.real, 2 * n - 1)
          + 1j * np.bincount(lag, flat.imag, 2 * n - 1))
+    d = np.arange(1 - n, n)
+    if lag_weight is not None:
+        c = c * lag_weight(d * dw)
     # with t_m = t_0 + m dt and k = d + n - 1 indexing c:
     # exp(-i d dw t_m) = exp(-i d dw t_0) exp(-i k dw dt m) exp(i (n - 1) dw dt m)
-    d = np.arange(1 - n, n)
     coeffs = c * np.exp(-1j * d * dw * t[0])
     shift = np.exp(1j * (n - 1) * dw * dt * np.arange(len(t)))
     return (shift * _chirp_z(coeffs, dw * dt, len(t))).real
+
+
+def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
+    """Photon temporal intensity I(t), the time-domain diagonal of rho.
+
+    On the uniform frequency grid w_j = w_0 + j dw,
+    I(t) = sum_jl rho_jl exp(-i (w_j - w_l) t) = sum_d c_d exp(-i d dw t),
+    evaluated by ``_lag_sum``; the overall dw / 2 pi factor is dropped.
+    Raises OutOfRange for a non-uniform frequency axis or fewer than two or
+    non-uniform time points.
+    """
+    return _lag_sum(rho, t_s)
 
 
 def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec,
@@ -490,13 +528,14 @@ def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec,
 
     Cross-correlates the photon's temporal intensity with the drive-pulse
     intensity exp(-2 (t/D)^2); this is the shape of the upconversion
-    signal versus the relative delay of photon and drive.
+    signal versus the relative delay of photon and drive. The drive
+    intensity's Fourier transform is proportional to exp(-w^2 D^2 / 8), so
+    the cross-correlation is I(tau) with each lag term c_d weighted by
+    exp(-(d dw D)^2 / 8), up to a constant factor the FWHM ignores.
     """
     t = np.arange(-window_ps * 500, window_ps * 500 + 1) * step_fs * 1e-15
-    photon = temporal_intensity(rho, t)
     d = drive.duration_fs * 1e-15
-    drive_int = np.exp(-2.0 * (t / d) ** 2)
-    cc = np.convolve(photon, drive_int, mode="same")
+    cc = _lag_sum(rho, t, lambda w: np.exp(-(w * d) ** 2 / 8.0))
     return _fwhm(t, cc) / 1e-15
 
 

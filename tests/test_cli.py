@@ -373,6 +373,17 @@ class TestConfigValidation:
         assert err.startswith("error: an input is too large to compute with")
         assert len(err.splitlines()) == 1
 
+    def test_infinite_poling_period_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "fig_s2_type1.json").read_text())
+        cfg["crystal"]["poling_period_um"] = float("inf")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert "Infinity" in cfg_path.read_text()
+        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: crystal length and poling period must be positive")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command,config", [
         ("bell", "fig_s5_phi_sweep.json"),
         ("sweep-theta", "fig_4_theta_sweep.json"),

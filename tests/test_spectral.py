@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, gammaln
 
+from qfcsim import spectral as spectral_mod
 from qfcsim.errors import DivisionByZero, GridTooCoarse, OutOfRange
 from qfcsim.spectral import (C_M_S, CrystalSpec, GridSpec, JSAGrid, PumpSpec,
-                             SpectralDensity, _hg_modes, builtin_lithium_niobate,
+                             SpectralDensity, _fwhm, _hg_modes, builtin_lithium_niobate,
                              coincidence_delay_width, compute_jsa, estimate_efficiency,
                              heralded_purity, hg_mode_probabilities, jsa_from_binary,
                              jsa_to_binary, jsa_to_csv, load_dispersion_models,
@@ -74,6 +77,15 @@ class TestDispersion:
         models = builtin_lithium_niobate()
         with pytest.raises(OutOfRange):
             refractive_index(models["mgcln_e"], 0.2, 25.0)
+
+    @pytest.mark.parametrize("temperature_c,message", [
+        (1e100, "too large to compute with"), (-1e100, "too large to compute with"),
+        (1e200, "too large to compute with"),
+        (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite")])
+    def test_absurd_temperature_raises_out_of_range(self, temperature_c, message):
+        models = builtin_lithium_niobate()
+        with pytest.raises(OutOfRange, match=message):
+            refractive_index(models["mgcln_e"], 1.56, temperature_c)
 
     def test_file_roundtrip(self, tmp_path):
         text = (
@@ -163,6 +175,40 @@ class TestComputeJsa:
         with pytest.raises(OutOfRange):
             compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 20.0))
 
+    def test_absurd_pump_duration_raises_out_of_range(self):
+        pump = PumpSpec(center_wavelength_nm=780.0, duration_fs=1e200)
+        with pytest.raises(OutOfRange, match="too large to compute with"):
+            compute_jsa(pump, TYPE1, 12.0, GridSpec(128, 80.0))
+
+    def test_non_finite_jsa_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral_mod, "phase_mismatch",
+                            lambda crystal, ws, wi: np.full(np.broadcast(ws, wi).shape, np.nan))
+        with pytest.raises(OutOfRange, match="not finite"):
+            compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 80.0))
+
+
+def jsa_with(field, value):
+    """compute_jsa on the type-1 setup with one numeric input replaced."""
+    crystal, pump, fwhm, span = TYPE1, PUMP, 12.0, 80.0
+    if hasattr(crystal, field):
+        crystal = replace(crystal, **{field: value})
+    elif hasattr(pump, field):
+        pump = replace(pump, **{field: value})
+    elif field == "filter_fwhm_nm":
+        fwhm = value
+    else:
+        span = value
+    return compute_jsa(pump, crystal, fwhm, GridSpec(128, span))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["length_mm", "poling_period_um", "temperature_c",
+                                   "center_wavelength_nm", "duration_fs",
+                                   "filter_fwhm_nm", "span_nm"])
+def test_non_finite_spectral_input_raises_out_of_range(field, value):
+    with pytest.raises(OutOfRange, match="finite"):
+        jsa_with(field, value)
+
 
 class TestSchmidt:
     def test_separable_product_purity_one(self):
@@ -217,6 +263,26 @@ class TestSchmidt:
             grid = compute_jsa(PUMP, TYPE0, fwhm, GridSpec(256, 80.0))
             purities.append(heralded_purity(schmidt(grid)))
         assert np.all(np.diff(purities) < 0)
+
+    @pytest.mark.parametrize("shape", [(96, 128), (128, 96)])
+    def test_non_square_complex_weights_match_svd(self, jsa_type1, shape):
+        rng = np.random.default_rng(5)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        grid = JSAGrid(signal_axis=jsa_type1.signal_axis[:shape[0]],
+                       idler_axis=jsa_type1.idler_axis[:shape[1]], amp=amp)
+        p = schmidt(grid).probabilities
+        s = np.linalg.svd(amp, compute_uv=False)
+        assert p.shape == (min(shape),)
+        assert np.max(np.abs(p - s ** 2 / np.sum(s ** 2))) < 1e-12
+
+    def test_weights_need_no_svd(self, jsa_type0, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the Schmidt weights ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        decomp = schmidt(jsa_type0)
+        assert abs(decomp.probabilities.sum() - 1.0) < 1e-12
+        assert abs(heralded_purity(decomp) - TYPE0_PURITY) < 1e-4
 
     def test_grid_refinement_stability(self):
         p256 = heralded_purity(schmidt(compute_jsa(PUMP, TYPE1, 12.0, GridSpec(256, 80.0))))
@@ -311,6 +377,14 @@ class TestDelayWidth:
         assert abs(width - TYPE1_DELAY_FS) < 2.0
         assert 350.0 <= width <= 650.0
 
+    def test_type1_matches_direct_convolution(self, jsa_type1):
+        rho = reduced_density(jsa_type1, "idler")
+        assert abs(coincidence_delay_width(rho, PUMP) - convolved_delay_width(rho, PUMP)) < 1e-6
+
+    def test_matched_gaussian_matches_direct_convolution(self):
+        rho = reduced_density(gaussian_mode_grid(duration_fs=220.0), "idler")
+        assert abs(coincidence_delay_width(rho, PUMP) - convolved_delay_width(rho, PUMP)) < 1e-6
+
     def test_width_monotone_in_inverse_bandwidth(self):
         # narrower filter -> narrower photon spectrum -> wider time profile
         widths = []
@@ -319,6 +393,15 @@ class TestDelayWidth:
             rho = reduced_density(grid, "idler")
             widths.append(coincidence_delay_width(rho, PUMP))
         assert np.all(np.diff(widths) > 0)
+
+
+def convolved_delay_width(rho, drive, window_ps=12.0, step_fs=2.0):
+    """Delay FWHM from a direct discrete convolution of the photon and drive
+    intensities on the time grid."""
+    t = np.arange(-window_ps * 500, window_ps * 500 + 1) * step_fs * 1e-15
+    drive_int = np.exp(-2.0 * (t / (drive.duration_fs * 1e-15)) ** 2)
+    cc = np.convolve(temporal_intensity(rho, t), drive_int, mode="same")
+    return _fwhm(t, cc) / 1e-15
 
 
 def direct_intensity(rho, t):
