@@ -16,13 +16,13 @@ from .channel import (ChannelSpec, ModeTransfer, apply_channel, choi_concurrence
 from .drive import (coherence_matrix, drive_concurrence, drive_from_theta, qwp_jones,
                     vwp_transform)
 from .linalg import func_psd, herm_eig, kron, partial_trace, svd
-from .spectral import (CrystalSpec, DispersionModel, GridSpec, JSAGrid, PumpSpec,
-                       SchmidtDecomposition, SpectralDensity, builtin_lithium_niobate,
+from .spectral import (LITHIUM_NIOBATE, CrystalSpec, DispersionModel, GridSpec, JSAGrid,
+                       PumpSpec, SchmidtDecomposition, SpectralDensity,
                        coincidence_delay_width, compute_jsa, estimate_efficiency,
                        heralded_purity, hg_mode_probabilities, jsa_from_binary,
-                       jsa_to_binary, jsa_to_csv, load_dispersion_models,
-                       phase_mismatch, pump_overlap, reduced_density, refractive_index,
-                       schmidt, spectral_purity, temporal_intensity)
+                       jsa_to_binary, jsa_to_csv, phase_mismatch, pump_overlap,
+                       reduced_density, refractive_index, schmidt, spectral_purity,
+                       temporal_intensity)
 from .states import (assert_density_matrix, bell_state, chsh_max, concurrence, fidelity,
                      pauli_correlations, purity, werner_state)
 from .tomography import (CountRecord, MeasurementSetting, MetricWithError,

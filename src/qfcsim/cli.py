@@ -32,7 +32,8 @@ from .errors import ConfigError, QfcError
 
 
 def _schema(name: str) -> dict:
-    return json.loads(resources.files("qfcsim.data").joinpath(name).read_text())
+    # data/ is a directory of the package, not a module to import
+    return json.loads((resources.files("qfcsim") / "data" / name).read_text())
 
 
 def _summary_schema() -> dict:

@@ -37,7 +37,7 @@ def vwp_transform(e) -> np.ndarray:
     """
     e = np.asarray(e, dtype=complex).reshape(2)
     norm = np.sqrt(np.sum(np.abs(e) ** 2))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized(f"Jones vector has norm {norm}, expected 1")
     ex, ey = e
     return np.array([[ex, ey], [-ey, ex]], dtype=complex) / np.sqrt(2)
@@ -54,7 +54,8 @@ def check_drive(a) -> np.ndarray:
     if a.shape != (2, 2):
         raise NotNormalized(f"drive matrix must be 2x2, got {a.shape}")
     norm = np.linalg.norm(a)
-    if abs(norm - 1.0) > 1e-10:
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized(f"drive matrix has Frobenius norm {norm}, expected 1")
     return a
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NoConvergence, NotHermitian, ShapeMismatch
+from .errors import (InvalidState, NegativeEigenvalue, NoConvergence, NotHermitian,
+                     ShapeMismatch)
 
 # Eigenvalues of a PSD matrix above -PSD_CLIP are treated as rounding noise
 # and clipped to zero; anything more negative is a genuine error.
 PSD_CLIP = 1e-10
+# Largest max|H - H^dag| accepted as rounding noise in a Hermitian matrix
+HERMITIAN_TOL = 1e-10
 
 
 def as_complex(m) -> np.ndarray:
@@ -28,21 +31,22 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def check_finite(m: np.ndarray) -> None:
     if not np.all(np.isfinite(m)):
-        raise NotHermitian("matrix contains non-finite entries")
+        raise InvalidState("matrix contains non-finite entries")
 
 
-def herm_eig(h, tol: float = 1e-10):
+def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues descending, eigenvector columns).  Raises
-    NotHermitian if max|H - H^dag| exceeds ``tol``.
+    InvalidState for non-finite entries and NotHermitian if max|H - H^dag|
+    exceeds HERMITIAN_TOL.
     """
     h = as_complex(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {h.shape}")
     check_finite(h)
-    if np.max(np.abs(h - dagger(h))) > tol:
-        raise NotHermitian(f"matrix is not Hermitian within tol={tol}")
+    if np.max(np.abs(h - dagger(h))) > HERMITIAN_TOL:
+        raise NotHermitian(f"matrix is not Hermitian within tol={HERMITIAN_TOL}")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -65,13 +69,13 @@ def svd(m):
     return u, s, dagger(vh)
 
 
-def func_psd(h, f, tol: float = 1e-10) -> np.ndarray:
+def func_psd(h, f) -> np.ndarray:
     """Apply a real scalar function to a Hermitian PSD matrix.
 
     Eigenvalues in [-PSD_CLIP, 0) are clipped to zero before ``f`` is
     applied, so that e.g. sqrt of a numerically-PSD matrix stays real.
     """
-    w, v = herm_eig(h, tol=tol)
+    w, v = herm_eig(h)
     if w[-1] < -PSD_CLIP:
         raise NegativeEigenvalue(f"matrix has eigenvalue {w[-1]} < -{PSD_CLIP}")
     w = np.clip(w, 0.0, None)

@@ -18,10 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
@@ -40,16 +38,24 @@ class DispersionModel:
     """One refractive-index model n(lambda, T) for a single crystal axis."""
 
     name: str
-    form: str
-    sellmeier: tuple
-    thermo: tuple
-    valid_um: tuple  # (min, max) wavelength in micrometers
+    sellmeier: tuple  # (a1, ..., a6)
+    thermo: tuple     # (b1, ..., b4)
+    valid_um: tuple   # (min, max) wavelength in micrometers
 
-    def __post_init__(self):
-        if self.form not in ("gayer",):
-            raise OutOfRange(f"unknown dispersion form {self.form!r}")
-        if self.form == "gayer" and (len(self.sellmeier) != 6 or len(self.thermo) != 4):
-            raise OutOfRange("gayer form needs 6 sellmeier and 4 thermo coefficients")
+
+# Refractive-index models of 5% MgO-doped congruent LiNbO3 (the composition
+# of commercial PPLN), Gayer et al., Appl. Phys. B 91, 343 (2008):
+#   n^2 = a1 + b1 f + (a2 + b2 f) / (lam^2 - (a3 + b3 f)^2)
+#         + (a4 + b4 f) / (lam^2 - a5^2) - a6 lam^2
+# with lam in micrometers and f = (T - 24.5)(T + 570.82), T in Celsius.
+LITHIUM_NIOBATE = {
+    "mgcln_e": DispersionModel(
+        "mgcln_e", sellmeier=(5.756, 0.0983, 0.2020, 189.32, 12.52, 0.0132),
+        thermo=(2.860e-6, 4.7e-8, 6.113e-8, 1.516e-4), valid_um=(0.5, 4.0)),
+    "mgcln_o": DispersionModel(
+        "mgcln_o", sellmeier=(5.653, 0.1185, 0.2091, 89.61, 10.85, 0.0197),
+        thermo=(7.941e-7, 3.134e-8, -4.641e-9, -2.188e-6), valid_um=(0.5, 4.0)),
+}
 
 
 def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float):
@@ -85,48 +91,6 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
     return float(n) if np.isscalar(wavelength_um) else n
 
 
-def load_dispersion_models(text: str) -> dict:
-    """Parse the versioned key-value dispersion file format."""
-    models = {}
-    current: dict | None = None
-
-    def flush():
-        if current is not None:
-            m = DispersionModel(
-                name=current["model"], form=current["form"],
-                sellmeier=tuple(current["sellmeier"]), thermo=tuple(current["thermo"]),
-                valid_um=tuple(current["valid_um"]))
-            models[m.name] = m
-
-    version = None
-    for raw in io.StringIO(text):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *rest = line.split()
-        if key == "format_version":
-            version = int(rest[0])
-        elif key == "model":
-            flush()
-            current = {"model": rest[0]}
-        elif current is not None and key in ("form",):
-            current[key] = rest[0]
-        elif current is not None and key in ("sellmeier", "thermo", "valid_um"):
-            current[key] = [float(x) for x in rest]
-        else:
-            raise OutOfRange(f"unrecognized dispersion-file line: {line!r}")
-    flush()
-    if version != 1:
-        raise OutOfRange(f"unsupported dispersion file version {version}")
-    return models
-
-
-def builtin_lithium_niobate() -> dict:
-    """Bundled MgO-doped congruent lithium niobate models keyed by name."""
-    text = resources.files("qfcsim.data").joinpath("lithium_niobate.txt").read_text()
-    return load_dispersion_models(text)
-
-
 # ---------------------------------------------------------------------------
 # crystal / pump / grid specifications
 # ---------------------------------------------------------------------------
@@ -142,8 +106,6 @@ class CrystalSpec:
     poling_period_um: float
     temperature_c: float
     interaction: str  # "type0_eee" (all extraordinary) or "type1_ooe" (pair ordinary, pump extraordinary)
-    ordinary: DispersionModel | None = None
-    extraordinary: DispersionModel | None = None
 
     def __post_init__(self):
         if not (0 < self.length_mm < np.inf and 0 < self.poling_period_um < np.inf):
@@ -152,11 +114,6 @@ class CrystalSpec:
             raise OutOfRange(f"crystal temperature must be finite, got {self.temperature_c}")
         if self.interaction not in INTERACTIONS:
             raise OutOfRange(f"interaction must be one of {INTERACTIONS}")
-        models = builtin_lithium_niobate()
-        if self.ordinary is None:
-            object.__setattr__(self, "ordinary", models["mgcln_o"])
-        if self.extraordinary is None:
-            object.__setattr__(self, "extraordinary", models["mgcln_e"])
 
 
 @dataclass(frozen=True)
@@ -169,13 +126,14 @@ class PumpSpec:
 
     center_wavelength_nm: float
     duration_fs: float
-    shape: str = "gaussian"
 
     def __post_init__(self):
         if not (0 < self.duration_fs < np.inf and 0 < self.center_wavelength_nm < np.inf):
             raise OutOfRange("pump duration and wavelength must be positive and finite")
-        if self.shape != "gaussian":
-            raise OutOfRange("only gaussian pumps are modeled")
+        # a subnormal wavelength underflows to 0 m or gives an infinite frequency
+        if not (self.center_wavelength_nm * 1e-9 > 0 and self.omega_rad_s < np.inf):
+            raise OutOfRange(f"pump wavelength {self.center_wavelength_nm} nm is too small "
+                             f"to compute with")
 
     @property
     def omega_rad_s(self) -> float:
@@ -184,15 +142,17 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform angular-frequency grid around a center wavelength."""
+    """Uniform angular-frequency grid of ``span_nm`` around a center wavelength."""
 
     points: int = 512
     span_nm: float = 80.0
-    center_nm: float | None = None  # default: degenerate wavelength of the pump
 
     def axis(self, center_nm: float) -> np.ndarray:
         lam_lo = (center_nm - self.span_nm / 2) * 1e-9
         lam_hi = (center_nm + self.span_nm / 2) * 1e-9
+        if not lam_lo > 0:
+            raise OutOfRange(f"grid span {self.span_nm} nm must be less than twice the "
+                             f"center wavelength {center_nm} nm")
         w_lo = 2 * np.pi * C_M_S / lam_hi
         w_hi = 2 * np.pi * C_M_S / lam_lo
         return np.linspace(w_lo, w_hi, self.points)
@@ -253,7 +213,7 @@ class SpectralDensity:
 
 def _wavevector(crystal: CrystalSpec, omega, pol: str):
     lam_um = 2 * np.pi * C_M_S / np.asarray(omega, dtype=float) * 1e6
-    model = crystal.ordinary if pol == "o" else crystal.extraordinary
+    model = LITHIUM_NIOBATE["mgcln_o" if pol == "o" else "mgcln_e"]
     n = refractive_index(model, lam_um, crystal.temperature_c)
     return n * np.asarray(omega, dtype=float) / C_M_S  # rad/m
 
@@ -282,12 +242,13 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
 
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
                 grid: GridSpec = GridSpec()) -> JSAGrid:
-    """Joint spectral amplitude with per-photon Gaussian bandpass filters."""
+    """Joint spectral amplitude with per-photon Gaussian bandpass filters,
+    on a grid centered on the degenerate wavelength 2 lambda_pump."""
     if grid.points < 64:
         raise GridTooCoarse(f"need at least 64 points per axis, got {grid.points}")
     if not 0 < filter_fwhm_nm < np.inf:
         raise OutOfRange(f"filter FWHM must be positive and finite, got {filter_fwhm_nm}")
-    center_nm = grid.center_nm if grid.center_nm is not None else 2 * pump.center_wavelength_nm
+    center_nm = 2 * pump.center_wavelength_nm
     # +-3 sigma of the amplitude filter must fit on the grid
     sigma_nm = filter_fwhm_nm / (2 * np.sqrt(np.log(2)))
     if not 6 * sigma_nm <= grid.span_nm < np.inf:
@@ -522,18 +483,18 @@ def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
     return _lag_sum(rho, t_s)
 
 
-def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec,
-                            window_ps: float = 12.0, step_fs: float = 2.0) -> float:
+def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec) -> float:
     """FWHM (fs) of the photon/drive intensity cross-correlation.
 
     Cross-correlates the photon's temporal intensity with the drive-pulse
-    intensity exp(-2 (t/D)^2); this is the shape of the upconversion
-    signal versus the relative delay of photon and drive. The drive
+    intensity exp(-2 (t/D)^2) at delays of +-12 ps in 2 fs steps; this is
+    the shape of the upconversion signal versus the relative delay of
+    photon and drive. The drive
     intensity's Fourier transform is proportional to exp(-w^2 D^2 / 8), so
     the cross-correlation is I(tau) with each lag term c_d weighted by
     exp(-(d dw D)^2 / 8), up to a constant factor the FWHM ignores.
     """
-    t = np.arange(-window_ps * 500, window_ps * 500 + 1) * step_fs * 1e-15
+    t = np.arange(-6000, 6001) * 2.0 * 1e-15
     d = drive.duration_fs * 1e-15
     cc = _lag_sum(rho, t, lambda w: np.exp(-(w * d) ** 2 / 8.0))
     return _fwhm(t, cc) / 1e-15

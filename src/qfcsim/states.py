@@ -20,6 +20,10 @@ _SYSY = kron(SY, SY)
 # sigma_i x sigma_j for i, j in (x, y, z)
 _PAULI_PAIRS = np.array([[kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
 
+# Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
+# density matrix may carry as rounding noise
+_TOL = 1e-10
+
 # Largest expected pair count per measurement; numpy's Poisson sampler
 # rejects means above ~9.2e18, so the cap stays well below that.
 MAX_MEAN_PAIRS = 1e15
@@ -32,7 +36,7 @@ _BELL_KETS = {
 }
 
 
-def assert_density_matrix(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
+def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; return as ndarray."""
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -41,13 +45,13 @@ def assert_density_matrix(rho, dim: int | None = None, tol: float = 1e-10) -> np
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[0]}")
     if not np.all(np.isfinite(rho)):
         raise InvalidState("density matrix has non-finite entries")
-    if np.max(np.abs(rho - dagger(rho))) > tol:
+    if np.max(np.abs(rho - dagger(rho))) > _TOL:
         raise InvalidState("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > _TOL or abs(np.trace(rho).imag) > _TOL:
         raise InvalidState(f"trace is {np.trace(rho)}, expected 1")
     w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if w[0] < -tol:
-        raise InvalidState(f"density matrix has eigenvalue {w[0]} < -{tol}")
+    if w[0] < -_TOL:
+        raise InvalidState(f"density matrix has eigenvalue {w[0]} < -{_TOL}")
     return rho
 
 
@@ -116,12 +120,8 @@ def concurrence(rho) -> float:
     return float(min(max(c, 0.0), 1.0))
 
 
-def fidelity(rho, sigma, squared: bool = True) -> float:
-    """Uhlmann fidelity.
-
-    Returns (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2 by default; pass
-    squared=False for the square-root convention.
-    """
+def fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2."""
     rho = assert_density_matrix(rho)
     sigma = assert_density_matrix(sigma)
     if rho.shape != sigma.shape:
@@ -130,8 +130,7 @@ def fidelity(rho, sigma, squared: bool = True) -> float:
     inner = sqrt_rho @ sigma @ sqrt_rho
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
     root = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    f = root ** 2 if squared else root
-    return float(min(max(f, 0.0), 1.0))
+    return float(min(max(root ** 2, 0.0), 1.0))
 
 
 def pauli_correlations(rho) -> np.ndarray:

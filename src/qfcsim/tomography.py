@@ -57,7 +57,6 @@ class CountRecord:
     setting: MeasurementSetting
     counts: int
     integration_time_s: float = 1.0
-    rate_scale_hz: float = 1.0
 
     def __post_init__(self):
         if self.counts < 0:
@@ -94,8 +93,7 @@ def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     settings = list(settings)
     probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
     counts = np.random.default_rng(seed).poisson(mean_pairs * probs)
-    return [CountRecord(setting=setting, counts=int(n), integration_time_s=1.0,
-                        rate_scale_hz=mean_pairs)
+    return [CountRecord(setting=setting, counts=int(n), integration_time_s=1.0)
             for setting, n in zip(settings, counts)]
 
 
@@ -263,18 +261,16 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
     return np.array([assert_density_matrix(rho, dim=4) for rho in rhos])
 
 
-def mle_reconstruct(records, max_iter: int = _MAX_ITER, tol: float = _TOL) -> np.ndarray:
+def mle_reconstruct(records) -> np.ndarray:
     """Density matrix maximizing the Poisson likelihood of the records.
 
     The predicted mean for record k is s * <proj_k| rho |proj_k> with a free
     overall rate s, and rho = T^dag T / Tr(T^dag T) stays physical; see
-    ``_mle_stack`` for the solver.  ``max_iter`` caps the Newton steps and
-    ``tol`` is the squared Newton decrement, relative to the total count, at
-    which the fit stops.
+    ``_mle_stack`` for the solver, which runs with ``_MAX_ITER`` and ``_TOL``.
     """
     kets = _kets(records)
     counts = np.array([[rec.counts for rec in records]], dtype=float)
-    return _mle_stack(kets, counts, max_iter, tol)[0]
+    return _mle_stack(kets, counts, _MAX_ITER, _TOL)[0]
 
 
 def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWithError:

@@ -181,6 +181,19 @@ class TestJsa:
         summary = read_summary(tmp_path, "jsa")
         assert abs(summary["results"]["heralded_purity"] - 0.184) < 0.05
 
+    def test_write_jsa_csv(self, tmp_path):
+        cfg = json.loads((CONFIGS / "fig_s2_type0.json").read_text())
+        cfg["grid"]["points"] = 64
+        cfg["write_jsa_csv"] = True
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 0
+        summary = read_summary(tmp_path, "jsa")
+        assert summary["outputs"]["jsa_csv"] == "jsa.csv"
+        path = tmp_path / "jsa.csv"
+        assert path.exists()
+        assert len(path.read_text().splitlines()) == 64 ** 2 + 1
+
 
 class TestTomo:
     def test_tomo_round_trip(self, tmp_path):
@@ -382,6 +395,23 @@ class TestConfigValidation:
         assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: crystal length and poling period must be positive")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("path,value,message", [
+        (["pump", "center_wavelength_nm"], 1e-320,
+         "error: pump wavelength 1e-320 nm is too small to compute with"),
+        (["grid", "span_nm"], 3120.0,
+         "error: grid span 3120.0 nm must be less than twice the center wavelength"),
+    ], ids=["pump_wavelength", "grid_span"])
+    def test_zero_wavelength_is_a_one_line_error(self, tmp_path, capsys, path, value,
+                                                 message):
+        cfg = json.loads((CONFIGS / "fig_s2_type1.json").read_text())
+        cfg[path[0]][path[1]] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command,config", [

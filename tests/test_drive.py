@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qfcsim.drive import (coherence_matrix, drive_concurrence, drive_from_theta,
+from qfcsim.channel import ChannelSpec
+from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
 from qfcsim.errors import NotNormalized
 from qfcsim.states import bell_state, concurrence, purity
@@ -55,6 +56,10 @@ class TestVwp:
         with pytest.raises(NotNormalized):
             vwp_transform([1.0, 1.0])
 
+    def test_nan_jones_vector_raises(self):
+        with pytest.raises(NotNormalized):
+            vwp_transform([np.nan, 0.0])
+
 
 class TestDriveFromTheta:
     @pytest.mark.parametrize("theta_deg,expected", [(0.0, 1.0), (45.0, 0.0),
@@ -95,3 +100,12 @@ class TestCoherenceMatrix:
     def test_unnormalized_drive_raises(self):
         with pytest.raises(NotNormalized):
             drive_concurrence(np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_drive_raises(self, bad):
+        with pytest.raises(NotNormalized):
+            check_drive([[bad, 0], [0, 1]])
+        with pytest.raises(NotNormalized):
+            drive_concurrence([[bad, 0], [0, 1]])
+        with pytest.raises(NotNormalized):
+            ChannelSpec(np.array([[bad, 0], [0, 1]]), 0.5)

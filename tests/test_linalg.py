@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfcsim.errors import NegativeEigenvalue, NotHermitian, ShapeMismatch
+from qfcsim.errors import InvalidState, NegativeEigenvalue, NotHermitian, ShapeMismatch
 from qfcsim.linalg import func_psd, herm_eig, kron, partial_trace, svd
 
 from helpers import random_density_matrix, random_hermitian, random_unitary
@@ -49,7 +49,7 @@ class TestHermEig:
             herm_eig(np.zeros((2, 3)))
 
     def test_nan_raises(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidState):
             herm_eig(np.array([[np.nan, 0], [0, 1.0]]))
 
 

@@ -1,4 +1,7 @@
+import importlib.resources
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +9,12 @@ from scipy.special import eval_hermite, gammaln
 
 from qfcsim import spectral as spectral_mod
 from qfcsim.errors import DivisionByZero, GridTooCoarse, OutOfRange
-from qfcsim.spectral import (C_M_S, CrystalSpec, GridSpec, JSAGrid, PumpSpec,
-                             SpectralDensity, _fwhm, _hg_modes, builtin_lithium_niobate,
+from qfcsim.spectral import (C_M_S, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
+                             PumpSpec, SpectralDensity, _fwhm, _hg_modes,
                              coincidence_delay_width, compute_jsa, estimate_efficiency,
                              heralded_purity, hg_mode_probabilities, jsa_from_binary,
-                             jsa_to_binary, jsa_to_csv, load_dispersion_models,
-                             phase_mismatch, pump_overlap, reduced_density,
-                             refractive_index, schmidt, spectral_purity,
+                             jsa_to_binary, jsa_to_csv, phase_mismatch, pump_overlap,
+                             reduced_density, refractive_index, schmidt, spectral_purity,
                              temporal_intensity)
 
 PUMP = PumpSpec(center_wavelength_nm=780.0, duration_fs=220.0)
@@ -21,6 +23,7 @@ TYPE1 = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
 TYPE0 = CrystalSpec(length_mm=10.0, poling_period_um=19.67, temperature_c=25.0,
                     interaction="type0_eee")
 W_DEG = 2 * np.pi * C_M_S / 1560e-9
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # regression constants pinned from the bundled dispersion model
 NE_1560_25C = 2.1304216885285254
@@ -58,46 +61,42 @@ def gaussian_mode_grid(duration_fs=220.0, points=512, span_nm=80.0, center_nm=15
 
 class TestDispersion:
     def test_pinned_extraordinary_index(self):
-        models = builtin_lithium_niobate()
-        assert abs(refractive_index(models["mgcln_e"], 1.56, 25.0) - NE_1560_25C) < 1e-12
+        n = refractive_index(LITHIUM_NIOBATE["mgcln_e"], 1.56, 25.0)
+        assert abs(n - NE_1560_25C) < 1e-12
 
     def test_normal_dispersion_monotone(self):
-        models = builtin_lithium_niobate()
         lams = np.linspace(1.0, 1.6, 61)
-        n = refractive_index(models["mgcln_e"], lams, 25.0)
+        n = refractive_index(LITHIUM_NIOBATE["mgcln_e"], lams, 25.0)
         assert np.all(np.diff(n) < 0)
 
     def test_deterministic(self):
-        models = builtin_lithium_niobate()
-        a = refractive_index(models["mgcln_o"], 0.78, 50.0)
-        b = refractive_index(models["mgcln_o"], 0.78, 50.0)
+        a = refractive_index(LITHIUM_NIOBATE["mgcln_o"], 0.78, 50.0)
+        b = refractive_index(LITHIUM_NIOBATE["mgcln_o"], 0.78, 50.0)
         assert a == b
 
     def test_out_of_range(self):
-        models = builtin_lithium_niobate()
         with pytest.raises(OutOfRange):
-            refractive_index(models["mgcln_e"], 0.2, 25.0)
+            refractive_index(LITHIUM_NIOBATE["mgcln_e"], 0.2, 25.0)
 
     @pytest.mark.parametrize("temperature_c,message", [
         (1e100, "too large to compute with"), (-1e100, "too large to compute with"),
         (1e200, "too large to compute with"),
         (np.nan, "must be finite"), (np.inf, "must be finite"), (-np.inf, "must be finite")])
     def test_absurd_temperature_raises_out_of_range(self, temperature_c, message):
-        models = builtin_lithium_niobate()
         with pytest.raises(OutOfRange, match=message):
-            refractive_index(models["mgcln_e"], 1.56, temperature_c)
+            refractive_index(LITHIUM_NIOBATE["mgcln_e"], 1.56, temperature_c)
 
-    def test_file_roundtrip(self, tmp_path):
-        text = (
-            "format_version 1\n"
-            "model demo\nform gayer\n"
-            "sellmeier 5.0 0.1 0.2 100.0 11.0 0.01\n"
-            "thermo 1e-6 1e-8 1e-9 1e-4\n"
-            "valid_um 0.5 2.0\n")
-        models = load_dispersion_models(text)
-        assert "demo" in models
-        n = refractive_index(models["demo"], 1.0, 25.0)
-        assert 1.0 < n < 3.0
+
+def test_compute_jsa_reads_no_package_file(monkeypatch):
+    cfg = json.loads((CONFIGS / "fig_s2_type1.json").read_text())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral path read a package file")
+
+    monkeypatch.setattr(importlib.resources, "files", refuse)
+    jsa = compute_jsa(PumpSpec(**cfg["pump"]), CrystalSpec(**cfg["crystal"]),
+                      cfg["filter_fwhm_nm"], GridSpec(**cfg["grid"]))
+    assert jsa.amp.shape == (512, 512)
 
 
 class TestPhaseMismatch:

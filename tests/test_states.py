@@ -107,12 +107,6 @@ class TestFidelity:
             expected = float(np.real(np.trace(inner))) ** 2
             assert abs(fidelity(a, b) - expected) < 1e-10
 
-    def test_squared_flag(self):
-        rng = np.random.default_rng(19)
-        a = random_density_matrix(rng, 2)
-        b = random_density_matrix(rng, 2)
-        assert abs(fidelity(a, b, squared=False) ** 2 - fidelity(a, b)) < 1e-10
-
     def test_unity_iff_equal(self):
         rng = np.random.default_rng(23)
         for _ in range(10):

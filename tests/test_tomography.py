@@ -16,8 +16,7 @@ from helpers import random_density_matrix
 
 def exact_records(rho, settings, mean_pairs):
     """Noiseless records: counts = rounded expected means."""
-    return [CountRecord(setting=s, counts=int(round(mean_pairs * expected_probability(rho, s))),
-                        rate_scale_hz=mean_pairs)
+    return [CountRecord(setting=s, counts=int(round(mean_pairs * expected_probability(rho, s))))
             for s in settings]
 
 
@@ -151,8 +150,10 @@ class TestMle:
 
     def test_step_cap_raises(self):
         records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
+        kets = _kets(records)
+        counts = np.array([[rec.counts for rec in records]], dtype=float)
         with pytest.raises(NoConvergence):
-            mle_reconstruct(records, max_iter=2)
+            _mle_stack(kets, counts, 2, 1e-12)
 
     def test_fidelity_monotone_in_mean_pairs(self):
         rho = werner_state(0.9)
