@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroTotalCounts
-from .states import I2, SY, assert_density_matrix, born_probabilities, check_mean_pairs
+from .states import (I2, SY, _one_matrix, assert_density_matrix, born_probabilities,
+                     check_mean_pairs)
 
 
 def rotation_r(phi) -> np.ndarray:
@@ -89,7 +90,7 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     (phi, B) tuples, or (phi, B, B_std) in sampled mode with a
     Poisson-propagated standard deviation.
     """
-    rho = assert_density_matrix(rho, dim=4)
+    rho = assert_density_matrix(_one_matrix(rho), dim=4)
     if mean_pairs is not None:
         mean_pairs = check_mean_pairs(mean_pairs)
     phis = np.asarray(phi_list, dtype=float).reshape(-1)

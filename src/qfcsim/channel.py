@@ -28,7 +28,8 @@ import numpy as np
 from .drive import check_drive, coherence_matrix
 from .errors import OutOfRange, ZeroConversionProbability
 from .linalg import dagger, svd
-from .states import I2, assert_density_matrix, bell_state, concurrence, partial_trace
+from .states import (I2, _one_matrix, assert_density_matrix, bell_state, concurrence,
+                     partial_trace)
 
 # success probabilities at or below this are treated as zero conversion
 PROB_FLOOR = 1e-15
@@ -101,7 +102,7 @@ def mode_transfer(spec: ChannelSpec) -> ModeTransfer:
 
 def apply_channel(rho_in, spec: ChannelSpec):
     """Convert a single-qubit state; returns (rho_out, success_prob)."""
-    rho_in = assert_density_matrix(rho_in, dim=2)
+    rho_in = assert_density_matrix(_one_matrix(rho_in), dim=2)
     m = _conversion_operator(spec)
     out = m @ rho_in @ dagger(m)
     p = float(np.trace(out).real)
@@ -116,7 +117,7 @@ def one_sided_apply(rho0, spec: ChannelSpec):
 
     Qubit 1 is the untouched (heralding) qubit.
     """
-    rho0 = assert_density_matrix(rho0, dim=4)
+    rho0 = assert_density_matrix(_one_matrix(rho0), dim=4)
     op = np.zeros((4, 4), dtype=complex)          # I x M, block diagonal
     op[:2, :2] = op[2:, 2:] = _conversion_operator(spec)
     out = op @ rho0 @ dagger(op)
@@ -172,7 +173,7 @@ def konrad_check(rho0, spec: ChannelSpec):
     equality; heralding on conversion of states biased toward the weakly
     converted mode can concentrate entanglement past it (see tests).
     """
-    rho0 = assert_density_matrix(rho0, dim=4)
+    rho0 = assert_density_matrix(_one_matrix(rho0), dim=4)
     rho_out, _ = one_sided_apply(rho0, spec)
     c_out = concurrence(rho_out)
     bound = choi_concurrence_closed(spec) * concurrence(rho0)

@@ -278,12 +278,9 @@ def _cmd_tomo(cfg: dict, config_sha: str, out_dir: Path) -> None:
     }
     n_mc = int(cfg.get("mc_samples", 0))
     if n_mc >= 2:
-        # one resampled stack serves both metrics, as two
-        # monte_carlo_metric calls with the same seed would solve it twice
-        rhos = tomo_mod._resampled_mle(records, n_mc, seed)
         for name, metric in (("concurrence", states_mod.concurrence),
                              ("purity", states_mod.purity)):
-            est = tomo_mod._metric_with_error(rhos, metric)
+            est = tomo_mod.monte_carlo_metric(records, metric, n_mc, seed)
             results[f"{name}_mc"] = {"value": est.value, "std": est.std,
                                      "n_samples": est.n_samples}
     counts_path = out_dir / "counts.csv"

@@ -37,21 +37,39 @@ _BELL_KETS = {
 
 
 def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return as ndarray."""
+    """Validate Hermiticity, unit trace and positivity; return as ndarray.
+
+    ``rho`` is one d x d matrix or a (..., d, d) stack.  A stack is checked
+    as a whole, with one batched ``eigvalsh``, and raises if any of its
+    matrices would raise alone.
+    """
     rho = as_complex(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise InvalidState(f"expected dimension {dim}, got {rho.shape[0]}")
-    if not np.all(np.isfinite(rho)):
+    if dim is not None and rho.shape[-1] != dim:
+        raise InvalidState(f"expected dimension {dim}, got {rho.shape[-1]}")
+    # ndarray methods rather than np.* functions: this runs thousands of times
+    # per sweep on single 4x4 matrices; initial=0.0 lets an empty stack pass
+    if not np.isfinite(rho).all():
         raise InvalidState("density matrix has non-finite entries")
-    if np.max(np.abs(rho - dagger(rho))) > _TOL:
+    rho_dag = rho.conj().swapaxes(-1, -2)
+    if np.abs(rho - rho_dag).max(initial=0.0) > _TOL:
         raise InvalidState("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > _TOL or abs(np.trace(rho).imag) > _TOL:
-        raise InvalidState(f"trace is {np.trace(rho)}, expected 1")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2)
-    if w[0] < -_TOL:
-        raise InvalidState(f"density matrix has eigenvalue {w[0]} < -{_TOL}")
+    tr = rho.trace(axis1=-2, axis2=-1)
+    bad = (abs(tr.real - 1.0) > _TOL) | (abs(tr.imag) > _TOL)
+    if bad.any():
+        raise InvalidState(f"trace is {np.ravel(tr)[np.argmax(bad)]}, expected 1")
+    w = np.linalg.eigvalsh((rho + rho_dag) / 2)[..., 0].min(initial=0.0)
+    if w < -_TOL:
+        raise InvalidState(f"density matrix has eigenvalue {w} < -{_TOL}")
+    return rho
+
+
+def _one_matrix(rho) -> np.ndarray:
+    """``rho`` as an ndarray, for a kernel that takes one matrix, not a stack."""
+    rho = as_complex(rho)
+    if rho.ndim != 2:
+        raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
     return rho
 
 
@@ -100,7 +118,7 @@ def werner_state(p: float) -> np.ndarray:
 
 
 def purity(rho) -> float:
-    rho = assert_density_matrix(rho)
+    rho = assert_density_matrix(_one_matrix(rho))
     return float(np.trace(rho @ rho).real)
 
 
@@ -113,7 +131,7 @@ def concurrence(rho) -> float:
     singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which avoids the
     square-root amplification of rounding noise near rank-deficient states.
     """
-    rho = assert_density_matrix(rho, dim=4)
+    rho = assert_density_matrix(_one_matrix(rho), dim=4)
     sqrt_rho = func_psd(rho, np.sqrt)
     lam = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.T, compute_uv=False)
     c = lam[0] - lam[1] - lam[2] - lam[3]
@@ -122,8 +140,8 @@ def concurrence(rho) -> float:
 
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))**2."""
-    rho = assert_density_matrix(rho)
-    sigma = assert_density_matrix(sigma)
+    rho = assert_density_matrix(_one_matrix(rho))
+    sigma = assert_density_matrix(_one_matrix(sigma))
     if rho.shape != sigma.shape:
         raise ShapeMismatch(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     sqrt_rho = func_psd(rho, np.sqrt)
@@ -135,7 +153,7 @@ def fidelity(rho, sigma) -> float:
 
 def pauli_correlations(rho) -> np.ndarray:
     """3x3 matrix T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    rho = assert_density_matrix(rho, dim=4)
+    rho = assert_density_matrix(_one_matrix(rho), dim=4)
     return np.trace(rho @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
@@ -152,6 +170,6 @@ def chsh_max(rho) -> float:
 
 def pure_state_concurrence_from_marginal(rho) -> float:
     """For pure two-qubit states, C = 2 sqrt(det of either marginal)."""
-    reduced = partial_trace(assert_density_matrix(rho, dim=4), keep=1)
+    reduced = partial_trace(assert_density_matrix(_one_matrix(rho), dim=4), keep=1)
     det = np.linalg.det(reduced).real
     return float(2.0 * np.sqrt(max(det, 0.0)))

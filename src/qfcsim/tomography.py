@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                      NotNormalized, ShapeMismatch)
-from .states import assert_density_matrix, born_probabilities, check_mean_pairs
+from .states import (_one_matrix, assert_density_matrix, born_probabilities,
+                     check_mean_pairs)
 
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -29,7 +31,7 @@ STATE_VECTORS = {
 
 def _check_unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(2)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise NotNormalized(f"{name} is not unit norm")
     return v
 
@@ -88,7 +90,7 @@ def expected_probability(rho, setting: MeasurementSetting) -> float:
 
 def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     """Poisson coincidence counts for each setting, deterministic per seed."""
-    rho = assert_density_matrix(rho, dim=4)
+    rho = assert_density_matrix(_one_matrix(rho), dim=4)
     mean_pairs = check_mean_pairs(mean_pairs)
     settings = list(settings)
     probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
@@ -258,7 +260,7 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
     rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
     rhos = (rhos + np.swapaxes(rhos.conj(), 1, 2)) / 2
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    return np.array([assert_density_matrix(rho, dim=4) for rho in rhos])
+    return assert_density_matrix(rhos, dim=4)
 
 
 def mle_reconstruct(records) -> np.ndarray:
@@ -279,29 +281,49 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     Each sample redraws every record's counts as Poisson(observed counts),
     re-runs the MLE, and evaluates ``metric`` on the result.  Sample i uses
     an independent generator derived from (seed, i), so evaluation order
-    does not matter; all samples are solved as one stack.
+    does not matter; all samples are solved as one stack.  A second call
+    with the same records, ``n_samples`` and ``seed`` (another metric, say)
+    reuses that stack, which ``metric`` receives read-only.
     """
-    return _metric_with_error(_resampled_mle(records, n_samples, seed), metric)
+    rhos = _resampled_mle(records, n_samples, seed)
+    values = np.array([metric(rho) for rho in rhos])
+    return MetricWithError(value=float(values.mean()),
+                           std=float(values.std(ddof=1)),
+                           n_samples=len(rhos))
+
+
+# (key, stack) of the last stack _resampled_mle solved, stored and read in
+# one assignment so that a key is never paired with another call's stack
+_last_resample = None
 
 
 def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
-    """The (n_samples, 4, 4) MLE stack behind ``monte_carlo_metric``."""
+    """The read-only (n_samples, 4, 4) MLE stack behind ``monte_carlo_metric``.
+
+    The last stack solved is kept, keyed by the kets, the observed counts,
+    ``n_samples`` and ``seed``; a call with the same key returns that same
+    array.  One entry is enough for the metrics evaluated on one resampling,
+    and a call with other inputs solves anew.  A solve that raises keeps
+    nothing.
+    """
+    global _last_resample
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
     kets = _kets(records)
     observed = np.array([rec.counts for rec in records], dtype=float)
+    # operator.index rejects a float seed, as the generator below does,
+    # instead of truncating it onto another seed's entry
+    key = (kets.tobytes(), observed.tobytes(), operator.index(n_samples),
+           operator.index(seed))
+    last = _last_resample
+    if last is not None and last[0] == key:
+        return last[1]
     resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
                           for i in range(n_samples)], dtype=float)
-    return _mle_stack(kets, resampled, _MAX_ITER, _TOL)
-
-
-def _metric_with_error(rhos: np.ndarray, metric) -> MetricWithError:
-    """Mean and sample std of ``metric`` over a stack of density matrices."""
-    n_samples = len(rhos)
-    values = np.array([metric(rho) for rho in rhos])
-    return MetricWithError(value=float(values.mean()),
-                           std=float(values.std(ddof=1)),
-                           n_samples=n_samples)
+    rhos = _mle_stack(kets, resampled, _MAX_ITER, _TOL)
+    rhos.flags.writeable = False
+    _last_resample = (key, rhos)
+    return rhos
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ class TestValidation:
     def test_wrong_dim(self):
         with pytest.raises(InvalidState):
             assert_density_matrix(np.eye(2) / 2, dim=4)
+        with pytest.raises(InvalidState):
+            assert_density_matrix(np.array([np.eye(2) / 2] * 3), dim=4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry(self, bad):
@@ -258,3 +260,58 @@ class TestValidation:
             concurrence(rho)
         with pytest.raises(InvalidState, match="non-finite"):
             chsh_sweep(rho, [0.0])
+
+    def test_single_matrix_messages(self):
+        cases = [(np.diag([0.6, 0.6]), "trace is (1.2+0j), expected 1"),
+                 (np.diag([1.2, -0.2]), "density matrix has eigenvalue -0.2 < -1e-10"),
+                 (np.ones(4) / 4, "density matrix must be square, got shape (4,)")]
+        for rho, message in cases:
+            with pytest.raises(InvalidState) as err:
+                assert_density_matrix(rho)
+            assert str(err.value) == message
+
+
+def _non_hermitian(rho):
+    rho[0, 1] += 1e-3
+    return rho
+
+
+class TestStackValidation:
+    def test_valid_stack_equals_matrix_loop(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_density_matrix(rng, 4, rank=r) for r in (1, 2, 4, 4, 3, 4)])
+        loop = np.array([assert_density_matrix(rho, dim=4) for rho in stack])
+        assert np.array_equal(assert_density_matrix(stack, dim=4), loop)
+        grid = stack.reshape(2, 3, 4, 4)
+        assert np.array_equal(assert_density_matrix(grid, dim=4), grid)
+        assert assert_density_matrix(np.zeros((0, 4, 4)), dim=4).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (_non_hermitian, "not Hermitian"),
+        (lambda rho: 1.1 * rho, "trace"),
+        (lambda rho: np.diag([0.7, 0.4, 0.0, -0.1]), "eigenvalue"),
+        (lambda rho: np.full_like(rho, np.nan), "non-finite"),
+    ], ids=["non_hermitian", "wrong_trace", "negative", "non_finite"])
+    def test_one_bad_matrix_fails_the_stack(self, spoil, match):
+        rng = np.random.default_rng(6)
+        stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
+        bad = spoil(stack[3].copy())
+        with pytest.raises(InvalidState, match=match) as alone:
+            assert_density_matrix(bad)
+        stack[3] = bad
+        with pytest.raises(type(alone.value), match=match):
+            assert_density_matrix(stack)
+
+    def test_single_matrix_kernels_reject_stacks(self):
+        rho = werner_state(0.9)
+        spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
+        kernels = [purity, concurrence, pauli_correlations, chsh_max,
+                   pure_state_concurrence_from_marginal,
+                   lambda r: fidelity(r, rho), lambda r: fidelity(rho, r),
+                   lambda r: chsh_sweep(r, [0.0]),
+                   lambda r: one_sided_apply(r, spec),
+                   lambda r: simulate_counts(r, projector_set(16), 1e3, seed=1)]
+        for n in (1, 3):
+            for kernel in kernels:
+                with pytest.raises(InvalidState, match="square"):
+                    kernel(np.array([rho] * n))

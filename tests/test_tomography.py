@@ -1,17 +1,38 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import qfcsim.states
+import qfcsim.tomography as tomo_mod
 from qfcsim.channel import ChannelSpec, one_sided_apply
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
-                           OutOfRange, ShapeMismatch)
-from qfcsim.states import bell_state, concurrence, fidelity, werner_state
+                           NotNormalized, OutOfRange, ShapeMismatch)
+from qfcsim.states import bell_state, concurrence, fidelity, purity, werner_state
 from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
-                               _kets, _mle_stack, _start, expected_probability,
+                               _kets, _mle_stack, _resampled_mle, _start,
+                               expected_probability,
                                mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
 from helpers import random_density_matrix
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Row counts of the _mle_stack solves made while a test runs."""
+    calls = []
+    mle_stack = tomo_mod._mle_stack
+
+    def spy(kets, counts, max_iter, tol):
+        calls.append(len(counts))
+        return mle_stack(kets, counts, max_iter, tol)
+
+    monkeypatch.setattr(tomo_mod, "_mle_stack", spy)
+    return calls
 
 
 def exact_records(rho, settings, mean_pairs):
@@ -50,6 +71,12 @@ class TestProjectorSet:
         custom = MeasurementSetting(v[0] / np.linalg.norm(v[0]), v[1] / np.linalg.norm(v[1]))
         for s in projector_set(36) + [custom]:
             assert np.array_equal(s.ket, np.kron(s.proj_a, s.proj_b))
+
+    def test_nan_component_raises(self):
+        with pytest.raises(NotNormalized):
+            MeasurementSetting([np.nan, 0], [1, 0])
+        with pytest.raises(NotNormalized):
+            MeasurementSetting([1, 0], [0, np.nan])
 
 
 class TestSimulateCounts:
@@ -278,10 +305,12 @@ class TestMonteCarlo:
         assert abs(est.value - 1.0) < 1e-9
         assert est.std < 1e-9
 
-    def test_bit_reproducible_at_100_samples(self):
+    def test_bit_reproducible_at_100_samples(self, solves):
         records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=23)
         a = monte_carlo_metric(records, concurrence, n_samples=100, seed=29)
+        tomo_mod._last_resample = None  # compare two solves, not a kept stack
         b = monte_carlo_metric(records, concurrence, n_samples=100, seed=29)
+        assert solves == [100, 100]
         assert a.value == b.value
         assert a.std == b.std
 
@@ -301,6 +330,138 @@ class TestMonteCarlo:
         records = simulate_counts(bell_state("phi+"), projector_set(16), 1e3, seed=1)
         with pytest.raises(InvalidState):
             monte_carlo_metric(records, concurrence, n_samples=1, seed=2)
+
+    # one kept resample stack behind monte_carlo_metric
+
+    @staticmethod
+    def records():
+        return simulate_counts(werner_state(0.9), projector_set(36), 1e4, seed=43)
+
+    def test_second_metric_reuses_the_stack(self, solves):
+        records = self.records()
+        c = monte_carlo_metric(records, concurrence, n_samples=20, seed=5)
+        p = monte_carlo_metric(records, purity, n_samples=20, seed=5)
+        assert solves == [20]
+        tomo_mod._last_resample = None
+        assert monte_carlo_metric(records, concurrence, n_samples=20, seed=5) == c
+        tomo_mod._last_resample = None
+        assert monte_carlo_metric(records, purity, n_samples=20, seed=5) == p
+        assert solves == [20, 20, 20]
+
+    @pytest.mark.parametrize("change", ["seed", "n_samples", "count", "setting"])
+    def test_changed_input_solves_again(self, solves, change):
+        records = self.records()
+        monte_carlo_metric(records, purity, n_samples=8, seed=5)
+        n_samples, seed = 8, 5
+        if change == "seed":
+            seed = 6
+        elif change == "n_samples":
+            n_samples = 9
+        elif change == "count":
+            records[7] = CountRecord(setting=records[7].setting, counts=records[7].counts + 1)
+        else:
+            records[7] = CountRecord(setting=records[8].setting, counts=records[7].counts)
+        monte_carlo_metric(records, purity, n_samples=n_samples, seed=seed)
+        assert solves == [8, n_samples]
+
+    def test_one_entry(self, solves):
+        a, b = self.records(), simulate_counts(werner_state(0.8), projector_set(36), 1e4, 44)
+        for records in (a, b, a):
+            monte_carlo_metric(records, purity, n_samples=8, seed=5)
+        assert solves == [8, 8, 8]
+
+    def test_stack_is_read_only(self):
+        records = self.records()
+        rhos = _resampled_mle(records, 8, 5)
+        assert not rhos.flags.writeable
+        with pytest.raises(ValueError):
+            rhos[0, 0, 0] = 0.0
+        assert _resampled_mle(records, 8, 5) is rhos
+
+    def test_writing_metric_raises_and_the_stack_survives(self, solves):
+        records = self.records()
+        ref = monte_carlo_metric(records, purity, n_samples=8, seed=5)
+
+        def scribble(rho):
+            rho[0, 0] = 1.0
+            return 0.0
+
+        with pytest.raises(ValueError):
+            monte_carlo_metric(records, scribble, n_samples=8, seed=5)
+        assert monte_carlo_metric(records, purity, n_samples=8, seed=5) == ref
+        assert solves == [8]
+
+    def test_failed_solve_keeps_nothing(self, monkeypatch):
+        records = self.records()
+        with pytest.raises(InvalidState):
+            monte_carlo_metric(records, purity, n_samples=1, seed=5)
+        assert tomo_mod._last_resample is None
+        monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
+        slow = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
+        with pytest.raises(NoConvergence):
+            monte_carlo_metric(slow, purity, n_samples=8, seed=5)
+        assert tomo_mod._last_resample is None
+        # nor does it evict the stack kept before it
+        monkeypatch.setattr(tomo_mod, "_MAX_ITER", 1000)
+        monte_carlo_metric(records, purity, n_samples=8, seed=5)
+        kept = tomo_mod._last_resample
+        monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
+        with pytest.raises(NoConvergence):
+            monte_carlo_metric(slow, purity, n_samples=8, seed=5)
+        assert tomo_mod._last_resample is kept
+
+    def test_concurrent_callers_get_their_own_stack(self):
+        # threads that replace each other's kept stack still each get the
+        # values of a fresh solve of their own inputs
+        records = self.records()
+        refs = []
+        for seed in range(4):
+            tomo_mod._last_resample = None
+            refs.append(monte_carlo_metric(records, purity, n_samples=4, seed=seed))
+        results = []
+
+        def worker(seed):
+            for _ in range(5):
+                results.append((seed, monte_carlo_metric(records, purity, 4, seed)))
+
+        threads = [threading.Thread(target=worker, args=(i % 4,))
+                   for i in range(min((os.cpu_count() or 1) + 1, 16))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 5 * len(threads)  # no worker raised
+        assert all(est == refs[seed] for seed, est in results)
+
+    def test_float_seed_is_not_truncated(self):
+        records = self.records()
+        monte_carlo_metric(records, purity, n_samples=8, seed=5)
+        with pytest.raises(TypeError):
+            monte_carlo_metric(records, purity, n_samples=8, seed=5.5)
+
+    def test_stack_validated_once(self, monkeypatch):
+        # the solved stack is checked in one call, however many samples it has
+        calls = []
+        check = qfcsim.states.assert_density_matrix
+
+        def counting(rho, dim=None):
+            calls.append(np.shape(rho))
+            return check(rho, dim)
+
+        monkeypatch.setattr(qfcsim.states, "assert_density_matrix", counting)
+        monkeypatch.setattr(tomo_mod, "assert_density_matrix", counting)
+        records = self.records()
+        for n_samples in (4, 40):
+            calls.clear()
+            monte_carlo_metric(records, lambda rho: float(np.trace(rho).real),
+                               n_samples=n_samples, seed=5)
+            assert calls == [(n_samples, 4, 4)]
 
 
 class TestSerialization:
@@ -324,3 +485,10 @@ class TestSerialization:
         records_to_csv(records, path)
         back = records_from_csv(path)
         assert np.allclose(back[0].setting.proj_a, v, atol=1e-12)
+
+    def test_nan_component_raises(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
+                        "nan+0j;1+0j,H,5,1.0\n")
+        with pytest.raises(NotNormalized):
+            records_from_csv(path)
