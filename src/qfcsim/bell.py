@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroTotalCounts
+from .errors import OutOfRange, ZeroTotalCounts
 from .states import (I2, SY, _one_matrix, assert_density_matrix, born_probabilities,
                      check_mean_pairs)
 
@@ -22,7 +22,11 @@ def rotation_r(phi) -> np.ndarray:
 
     An array of angles gives a stack of rotations with shape (..., 2, 2).
     """
-    phi = np.asarray(phi, dtype=float)[..., None, None]
+    phi = np.asarray(phi, dtype=float)
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise OutOfRange(f"angle phi must be finite, got {phi.flat[np.argmin(finite)]}")
+    phi = phi[..., None, None]
     return np.cos(phi) * I2 + 1j * np.sin(phi) * SY
 
 

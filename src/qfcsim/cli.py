@@ -4,8 +4,10 @@ Subcommands: drive, sweep-theta, choi, jsa, tomo, bell, efficiency.
 Config-driven commands take a strict JSON config, validated once against
 its command's entry in qfcsim/data/config.schema.json; every run writes a
 JSON summary validated against the schema shipped in
-qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Angles
-are accepted in degrees and converted internally.
+qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
+checks use qfcsim.schema, the in-repo validator for the draft-07 subset
+these schemas use, so that a command does not pay for importing
+jsonschema.  Angles are accepted in degrees and converted internally.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from . import bell as bell_mod
 from . import channel as channel_mod
 from . import drive as drive_mod
+# named jsonschema: bench/tracing.py times summaries via cli.jsonschema.validate
+from . import schema as jsonschema
 from . import spectral as spectral_mod
 from . import states as states_mod
 from . import tomography as tomo_mod
@@ -79,11 +82,11 @@ def _validate_config(cfg: dict, command: str) -> None:
     path of the offending value and the schema rule it breaks.
     """
     schema = _schema("config.schema.json")
-    validator = jsonschema.Draft7Validator({**schema, "$ref": f"#/properties/{command}"})
-    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    error = jsonschema.best_match(
+        jsonschema.iter_errors(cfg, schema["properties"][command], root=schema))
     if error is None:
         return
-    where = ".".join(map(str, error.absolute_path)) or "config"
+    where = ".".join(map(str, error.path)) or "config"
     if error.validator == "required":
         missing = sorted(set(error.validator_value) - set(error.instance))
         raise ConfigError(f"missing key(s) {missing} in {where}")

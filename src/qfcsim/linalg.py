@@ -22,7 +22,11 @@ HERMITIAN_TOL = 1e-10
 
 
 def as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
+    try:
+        return np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"expected a numeric matrix, got {type(m).__name__}: "
+                           f"{exc}") from exc
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def check_mean_pairs(mean_pairs) -> float:
 
 def bell_state(label: str) -> np.ndarray:
     """Density matrix of one of the four Bell states ('phi+', 'phi-', 'psi+', 'psi-')."""
-    key = label.lower()
+    key = label.lower() if isinstance(label, str) else None
     if key not in _BELL_KETS:
         raise UnknownLabel(f"unknown Bell label {label!r}; use one of {sorted(_BELL_KETS)}")
     ket = _BELL_KETS[key]

@@ -61,6 +61,10 @@ class CountRecord:
     integration_time_s: float = 1.0
 
     def __post_init__(self):
+        if not (isinstance(self.counts, (int, np.integer))
+                or isinstance(self.counts, (float, np.floating))
+                and float(self.counts).is_integer()):
+            raise InvalidState(f"counts must be a whole number, got {self.counts!r}")
         if self.counts < 0:
             raise InvalidState(f"counts must be >= 0, got {self.counts}")
 

@@ -1,5 +1,8 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators and reference implementations for the test suite."""
 
+import json
+
+import jsonschema
 import numpy as np
 
 
@@ -78,3 +81,27 @@ def poisson_limit_std(rho, settings, mean_pairs, metric, h=1e-6):
     g = np.array([(metric_at(r + step) - metric_at(r - step)) / (2 * h)
                   for step in h * np.eye(15)])
     return float(np.sqrt(g @ cov_r @ g))
+
+
+def jsonschema_config_message(cfg, command):
+    """The message of the ConfigError that ``cli._validate_config`` should raise.
+
+    None if ``cfg`` is a valid config of ``command``.  This is the config
+    check computed with jsonschema, the reference implementation that the
+    in-repo validator must agree with message for message.
+    """
+    from qfcsim.cli import _schema
+
+    schema = _schema("config.schema.json")
+    validator = jsonschema.Draft7Validator({**schema, "$ref": f"#/properties/{command}"})
+    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if error is None:
+        return None
+    where = ".".join(map(str, error.absolute_path)) or "config"
+    if error.validator == "required":
+        missing = sorted(set(error.validator_value) - set(error.instance))
+        return f"missing key(s) {missing} in {where}"
+    if error.validator == "additionalProperties":
+        unknown = sorted(set(error.instance) - set(error.schema.get("properties", {})))
+        return f"unknown key(s) {unknown} in {where}"
+    return f"{where}: {error.validator} {json.dumps(error.validator_value)}"

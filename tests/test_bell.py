@@ -44,6 +44,12 @@ class TestRotation:
         j = rotation_r(0.7)
         assert np.linalg.norm(j.conj().T @ j - np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+    def test_non_finite_angle(self, phi):
+        with pytest.raises(OutOfRange) as err:
+            rotation_r(phi)
+        assert len(str(err.value).splitlines()) == 1
+
 
 class TestCorrelation:
     def test_perfect_correlation(self):
@@ -173,6 +179,14 @@ class TestBatchedSweep:
     def test_mean_pairs_out_of_range(self, mean_pairs):
         with pytest.raises(OutOfRange):
             chsh_sweep(bell_state("phi+"), [0.0], mean_pairs=mean_pairs, seed=1)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf])
+    @pytest.mark.parametrize("sampling", [{}, {"mean_pairs": 100.0, "seed": 1}],
+                             ids=["exact", "sampled"])
+    def test_non_finite_phi(self, phi, sampling):
+        with pytest.raises(OutOfRange) as err:
+            chsh_sweep(bell_state("phi+"), [0.0, phi], **sampling)
+        assert len(str(err.value).splitlines()) == 1
 
     def test_mean_pairs_not_positive(self):
         with pytest.raises(InvalidState):

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import jsonschema_config_message
+from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
 from qfcsim.cli import main, _schema, _summary_schema, _validate_config
+from qfcsim.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED = {
@@ -532,8 +535,8 @@ class TestImports:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src), os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, qfcsim.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        code = ("import sys, qfcsim.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('scipy', 'jsonschema')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
@@ -623,3 +626,132 @@ class TestFuzz:
             else:
                 summary = Path(tmp) / f"{command.replace('-', '_')}_summary.json"
                 json.loads(summary.read_text(), parse_constant=_reject_constant)
+
+
+def _config_message(cfg, command):
+    try:
+        _validate_config(cfg, command)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _property_names(node):
+    """Every key named under a ``properties`` keyword anywhere in ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "properties":
+                yield from value
+            yield from _property_names(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _property_names(value)
+
+
+# JSON objects built mostly from the keys and enum strings the config schema
+# knows, so that many get past the top level into the nested rules
+CONFIG_KEYS = st.sampled_from(sorted(set(_property_names(_schema("config.schema.json")))))
+CONFIG_LIKE = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4)
+    | st.sampled_from(["bell", "werner", "exact", "sampled", "phi+"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(CONFIG_KEYS | st.text(max_size=4), inner, max_size=5)),
+    max_leaves=12)
+ARBITRARY_CONFIGS = st.tuples(st.sampled_from(sorted(set(BUNDLED.values()) | {"choi"})),
+                              st.dictionaries(CONFIG_KEYS | st.text(max_size=4), CONFIG_LIKE,
+                                              max_size=6))
+
+
+def _schema_keywords(node):
+    """Every keyword of the schema ``node`` and of the subschemas below it."""
+    if node is True:
+        return
+    for key, value in node.items():
+        yield key
+        if key in ("properties", "definitions"):
+            subschemas = value.values()
+        elif key in ("allOf", "oneOf"):
+            subschemas = value
+        elif key in ("items", "additionalProperties", "if", "then", "else"):
+            subschemas = [value] if isinstance(value, dict) else []
+        else:
+            subschemas = []
+        for sub in subschemas:
+            yield from _schema_keywords(sub)
+
+
+def _summaries():
+    """The summary of every bundled config, of drive, choi and efficiency."""
+    with tempfile.TemporaryDirectory() as tmp:
+        choi = Path(tmp) / "choi.json"
+        choi.write_text(json.dumps(CHOI))
+        runs = [["drive", "--theta", "22.5"], ["efficiency", "100", "60000", "0.8", "0.6"],
+                ["choi", "--config", str(choi)]]
+        runs += [[command, "--config", str(CONFIGS / name)] for name, command in BUNDLED.items()]
+        summaries = []
+        for i, argv in enumerate(runs):
+            out = Path(tmp) / str(i)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--out", str(out), *argv]) == 0
+            summaries.append(json.loads(next(out.glob("*_summary.json")).read_text()))
+    return summaries
+
+
+class TestSchemaValidator:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mutated_bundled_configs() | ARBITRARY_CONFIGS)
+    def test_config_messages_match_jsonschema(self, case):
+        command, cfg = case
+        assert _config_message(cfg, command) == jsonschema_config_message(cfg, command)
+
+    @pytest.mark.parametrize("name", ["config.schema.json", "run_summary.schema.json"])
+    def test_schemas_use_only_supported_keywords(self, name):
+        assert set(_schema_keywords(_schema(name))) <= set(schema_mod.KEYWORDS)
+
+    @pytest.mark.parametrize("schema,instance", [
+        ({"type": "object", "minProperties": 1}, {}),
+        ({"properties": {"a": {"format": "date"}}}, {"a": "x"}),
+        ({"items": [{"type": "number"}]}, [1]),
+        ({"$ref": "#/properties/a", "properties": {"a": {}}}, 1),
+        ({"oneOf": [{"not": {"type": "string"}}]}, 1),
+    ])
+    def test_unsupported_schema_raises(self, schema, instance):
+        with pytest.raises(schema_mod.SchemaError):
+            list(schema_mod.iter_errors(instance, schema))
+
+    @pytest.mark.parametrize("x,types,expected", [
+        (True, "number", False), (True, "integer", False), (7.0, "integer", True),
+        (7.5, "integer", False), (float("nan"), "number", True),
+        (float("-inf"), "number", True), (float("inf"), "integer", False),
+        (None, ["string", "null"], True), (1, "boolean", False),
+    ])
+    def test_types_follow_jsonschema(self, x, types, expected):
+        assert (not list(schema_mod.iter_errors(x, {"type": types}))) is expected
+        assert jsonschema.Draft7Validator({"type": types}).is_valid(x) is expected
+
+    @pytest.mark.parametrize("x,value", [(True, 1), (1, True), (False, 0), (0.0, False),
+                                         ([1], [True]), ({"a": 0}, {"a": False})])
+    def test_bools_are_not_numbers_in_enum_and_const(self, x, value):
+        for schema in ({"const": value}, {"enum": [value]}):
+            assert list(schema_mod.iter_errors(x, schema))
+            assert not jsonschema.Draft7Validator(schema).is_valid(x)
+
+    def test_summaries_and_their_mutations_agree_with_jsonschema(self):
+        schema = _summary_schema()
+        mutations = {"command": "nope", "package_version": 1, "config_sha256": "abc",
+                     "seed": 1.5, "results": [], "outputs": {"csv": 1}}
+        assert set(mutations) == set(schema["required"])
+        summaries = _summaries()
+        assert {s["command"] for s in summaries} == set(schema["properties"]["command"]["enum"])
+        for summary in summaries:
+            schema_mod.validate(summary, schema)
+            jsonschema.validate(summary, schema)
+        for key, value in [*mutations.items(), ("extra", 0)]:
+            bad = {**summaries[0], key: value}
+            with pytest.raises(schema_mod.ValidationError) as ours:
+                schema_mod.validate(bad, schema)
+            with pytest.raises(jsonschema.ValidationError) as ref:
+                jsonschema.validate(bad, schema)
+            assert (ours.value.path, ours.value.validator) == (
+                tuple(ref.value.absolute_path), ref.value.validator)

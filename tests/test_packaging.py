@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,12 @@ def test_package_data_globs_match_the_data_files():
     data_files = {p for p in (PACKAGE / "data").rglob("*") if p.is_file()}
     installed = set().union(*matched.values())
     assert data_files <= installed, sorted(str(p) for p in data_files - installed)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every other import of the package would be paid by each command
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in
+             pyproject["project"]["dependencies"]]
+    assert names == ["numpy"]

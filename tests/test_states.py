@@ -42,6 +42,11 @@ class TestBellStates:
         with pytest.raises(UnknownLabel):
             bell_state("omega+")
 
+    @pytest.mark.parametrize("label", [5, None, b"phi+"])
+    def test_non_string_label(self, label):
+        with pytest.raises(UnknownLabel):
+            bell_state(label)
+
 
 class TestConcurrence:
     def test_product_state_is_zero(self):
@@ -260,6 +265,11 @@ class TestValidation:
             concurrence(rho)
         with pytest.raises(InvalidState, match="non-finite"):
             chsh_sweep(rho, [0.0])
+
+    @pytest.mark.parametrize("rho", ["abc", [["a", "b"], ["c", "d"]], {"rho": 1}])
+    def test_non_numeric_input(self, rho):
+        with pytest.raises(InvalidState):
+            concurrence(rho)
 
     def test_single_matrix_messages(self):
         cases = [(np.diag([0.6, 0.6]), "trace is (1.2+0j), expected 1"),

@@ -79,6 +79,18 @@ class TestProjectorSet:
             MeasurementSetting([1, 0], [0, np.nan])
 
 
+class TestCountRecord:
+    @pytest.mark.parametrize("counts", [float("nan"), float("inf"), 2.5, np.float64(0.5),
+                                        "3", None])
+    def test_counts_that_are_not_whole_numbers(self, counts):
+        with pytest.raises(InvalidState):
+            CountRecord(setting=projector_set(16)[0], counts=counts)
+
+    @pytest.mark.parametrize("counts", [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
+    def test_whole_counts_of_any_numeric_type(self, counts):
+        assert CountRecord(setting=projector_set(16)[0], counts=counts).counts == 3
+
+
 class TestSimulateCounts:
     def test_orthogonal_projector_gives_zero(self):
         settings = [MeasurementSetting.from_names("H", "V")]
