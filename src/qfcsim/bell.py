@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import OutOfRange, ZeroTotalCounts
 from .states import (I2, SY, _one_matrix, assert_density_matrix, born_probabilities,
-                     check_mean_pairs)
+                     check_mean_pairs, check_seed)
 
 
 def rotation_r(phi) -> np.ndarray:
@@ -22,12 +22,21 @@ def rotation_r(phi) -> np.ndarray:
 
     An array of angles gives a stack of rotations with shape (..., 2, 2).
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _angles(phi)[..., None, None]
+    return np.cos(phi) * I2 + 1j * np.sin(phi) * SY
+
+
+def _angles(phi) -> np.ndarray:
+    """``phi`` as a float array; OutOfRange unless every entry is a finite number."""
+    try:
+        phi = np.asarray(phi, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise OutOfRange(f"angle phi must be a real number or an array of them, "
+                         f"got {type(phi).__name__}: {exc}") from None
     finite = np.isfinite(phi)
     if not finite.all():
         raise OutOfRange(f"angle phi must be finite, got {phi.flat[np.argmin(finite)]}")
-    phi = phi[..., None, None]
-    return np.cos(phi) * I2 + 1j * np.sin(phi) * SY
+    return phi
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,12 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
     if mean_pairs is not None:
         mean_pairs = check_mean_pairs(mean_pairs)
-    phis = np.asarray(phi_list, dtype=float).reshape(-1)
+    phis = _angles(phi_list).reshape(-1)
     probs = born_probabilities(rho, _pair_kets(phis))         # (n_phi, 4, 2, 2)
     if mean_pairs is None:
         b_vals = chsh_polynomial(*np.moveaxis(_correlations(probs), -1, 0))
         return [(float(phi), float(b)) for phi, b in zip(phis, b_vals)]
-    if seed is None:
-        seed = 0
+    seed = check_seed(0 if seed is None else seed)
     counts = np.array([[np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
                         for i_pair, p in enumerate(pair_probs)]
                        for i_phi, pair_probs in enumerate(probs)],

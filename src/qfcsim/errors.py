@@ -49,6 +49,10 @@ class DivisionByZero(QfcError):
     pass
 
 
+class InvalidSeed(QfcError, TypeError):
+    """A random seed of the wrong type; a TypeError too, as numpy raises one."""
+
+
 class NotInformationallyComplete(QfcError):
     pass
 

@@ -6,9 +6,12 @@ with two-qubit indices ordered as 2*q1 + q2 (qubit 1 major).
 
 from __future__ import annotations
 
+import numbers
+import operator
+
 import numpy as np
 
-from .errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
+from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
 from .linalg import as_complex, dagger, func_psd, kron, partial_trace
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,6 +106,41 @@ def check_mean_pairs(mean_pairs) -> float:
     return mean_pairs
 
 
+def _describe(x) -> str:
+    """One-line description of a rejected argument: a scalar's repr, else its type."""
+    return repr(x) if x is None or np.isscalar(x) else type(x).__name__
+
+
+def _seed_word(x) -> int:
+    message = f"seed must be a non-negative integer or a sequence of them, got {_describe(x)}"
+    if isinstance(x, (bool, np.bool_)):
+        raise InvalidSeed(message)
+    try:
+        # takes Python and numpy integers and refuses floats
+        n = operator.index(x)
+    except TypeError:
+        raise InvalidSeed(message) from None
+    if n < 0:
+        raise OutOfRange(message)
+    return n
+
+
+def check_seed(seed):
+    """Validate a random seed; return it as an int or a tuple of ints.
+
+    A seed is a non-negative Python or numpy integer, or a non-empty flat
+    sequence of them. A negative integer or an empty sequence raises
+    OutOfRange; bool, float and any other type raise InvalidSeed.
+    ``numpy.random.default_rng`` flattens a returned seed nested in
+    ``[seed, i]``, so callers derive independent streams that way.
+    """
+    if isinstance(seed, (list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim == 1):
+        if len(seed) == 0:
+            raise OutOfRange("seed sequence must not be empty")
+        return tuple(_seed_word(x) for x in seed)
+    return _seed_word(seed)
+
+
 def bell_state(label: str) -> np.ndarray:
     """Density matrix of one of the four Bell states ('phi+', 'phi-', 'psi+', 'psi-')."""
     key = label.lower() if isinstance(label, str) else None
@@ -113,7 +151,14 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def werner_state(p: float) -> np.ndarray:
-    """p |phi+><phi+| + (1-p) I/4."""
+    """p |phi+><phi+| + (1-p) I/4; OutOfRange unless p is a finite real number."""
+    try:
+        finite = isinstance(p, numbers.Real) and np.isfinite(float(p))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise OutOfRange(f"Werner weight p must be a finite real number, got {_describe(p)}")
+    p = float(p)
     return p * bell_state("phi+") + (1 - p) * np.eye(4, dtype=complex) / 4
 
 

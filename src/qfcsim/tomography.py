@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                      NotNormalized, ShapeMismatch)
 from .states import (_one_matrix, assert_density_matrix, born_probabilities,
-                     check_mean_pairs)
+                     check_mean_pairs, check_seed)
 
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -96,6 +96,7 @@ def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     """Poisson coincidence counts for each setting, deterministic per seed."""
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
     mean_pairs = check_mean_pairs(mean_pairs)
+    seed = check_seed(seed)
     settings = list(settings)
     probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
     counts = np.random.default_rng(seed).poisson(mean_pairs * probs)
@@ -313,12 +314,10 @@ def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
     global _last_resample
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
+    seed = check_seed(seed)
     kets = _kets(records)
     observed = np.array([rec.counts for rec in records], dtype=float)
-    # operator.index rejects a float seed, as the generator below does,
-    # instead of truncating it onto another seed's entry
-    key = (kets.tobytes(), observed.tobytes(), operator.index(n_samples),
-           operator.index(seed))
+    key = (kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
     last = _last_resample
     if last is not None and last[0] == key:
         return last[1]

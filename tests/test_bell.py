@@ -224,3 +224,19 @@ class TestSampledSweep:
         for b in (bases.basis_a, bases.basis_a_prime, bases.basis_b,
                   bases.basis_b_prime):
             assert np.linalg.norm(b.conj().T @ b - np.eye(2)) < 1e-10
+
+
+class TestNonNumericAngles:
+    @pytest.mark.parametrize("phi", ["abc", [0.0, "x"], [[0.0], [1.0, 2.0]], None])
+    def test_rotation_r(self, phi):
+        with pytest.raises(OutOfRange) as err:
+            rotation_r(phi)
+        assert len(str(err.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("phi", ["abc", [0.0, "x"], [[0.0], [1.0, 2.0]]])
+    @pytest.mark.parametrize("sampling", [{}, {"mean_pairs": 100.0, "seed": 1}],
+                             ids=["exact", "sampled"])
+    def test_chsh_sweep(self, phi, sampling):
+        with pytest.raises(OutOfRange) as err:
+            chsh_sweep(bell_state("phi+"), phi, **sampling)
+        assert len(str(err.value).splitlines()) == 1

@@ -27,3 +27,15 @@ def test_numpy_is_the_only_runtime_dependency():
     names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in
              pyproject["project"]["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_tier1_workflow_runs_the_roadmap_command():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    job = workflow["jobs"]["tests"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert runs[0] == 'python -m pip install -e ".[test]"'
+    assert runs[-1] == ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+                        "python -m pytest -q --continue-on-collection-errors")

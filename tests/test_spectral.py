@@ -289,6 +289,90 @@ class TestSchmidt:
         assert abs(p256 - p512) < 0.005
 
 
+def bundled_jsa(name, points):
+    cfg = json.loads((CONFIGS / name).read_text())
+    return compute_jsa(PumpSpec(**cfg["pump"]), CrystalSpec(**cfg["crystal"]),
+                       cfg["filter_fwhm_nm"], GridSpec(points, cfg["grid"]["span_nm"]))
+
+
+def squared_singular_values(amp):
+    s = np.linalg.svd(amp, compute_uv=False)
+    return s ** 2 / np.sum(s ** 2)
+
+
+@pytest.fixture
+def density_calls(monkeypatch):
+    """Calls of ``reduced_density`` made through the spectral module."""
+    calls = []
+    original = spectral_mod.reduced_density
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "reduced_density", counting)
+    return calls
+
+
+class TestSchmidtSketch:
+    @pytest.mark.parametrize("name, points", [("fig_s2_type0.json", 512),
+                                              ("fig_s2_type1.json", 512),
+                                              ("fig_s2_type0.json", 1024)])
+    def test_bundled_grids_match_svd_without_reduced_density(self, name, points,
+                                                             density_calls):
+        grid = bundled_jsa(name, points)
+        decomp = schmidt(grid)
+        p = decomp.probabilities
+        expected = squared_singular_values(grid.amp)
+        assert density_calls == []
+        assert p.shape == (points,)
+        assert np.max(np.abs(p[:64] - expected[:64])) < 1e-12
+        assert abs(heralded_purity(decomp) - np.sum(expected ** 2)) < 1e-12
+
+    def test_slow_spectral_decay_falls_back_and_matches_svd(self, density_calls):
+        rng = np.random.default_rng(12)
+        # singular values ~ j^-1/2: far more than 64 modes carry weight
+        amp = ((rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256)))
+               / np.sqrt(np.arange(1, 257)))
+        axis = np.arange(1.0, 257.0)
+        grid = JSAGrid(signal_axis=axis, idler_axis=axis.copy(), amp=amp)
+        assert spectral_mod._sketched_weights(amp)[1] > spectral_mod._SKETCH_MISSED_MASS
+        p = schmidt(grid).probabilities
+        assert len(density_calls) == 1
+        assert np.max(np.abs(p - squared_singular_values(amp))) < 1e-12
+
+    def test_missed_mass_bounds_every_sketched_weight(self):
+        rng = np.random.default_rng(13)
+        amp = rng.normal(size=(200, 160)) + 1j * rng.normal(size=(200, 160))
+        w, missed = spectral_mod._sketched_weights(amp)
+        s2 = np.linalg.svd(amp, compute_uv=False)[:len(w)] ** 2
+        total = np.vdot(amp, amp).real
+        assert missed > 0.1
+        # Cauchy interlacing below, Weyl's inequality above
+        assert np.all(w <= s2 * (1 + 1e-12))
+        assert np.all(s2 - w <= missed * total * (1 + 1e-12))
+
+    @pytest.mark.parametrize("shape", [(64, 300), (300, 40)])
+    def test_sketch_is_exact_when_it_spans_the_smaller_side(self, jsa_type1, shape,
+                                                            density_calls):
+        rng = np.random.default_rng(14)
+        amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        grid = JSAGrid(signal_axis=jsa_type1.signal_axis[:shape[0]],
+                       idler_axis=jsa_type1.idler_axis[:shape[1]], amp=amp)
+        p = schmidt(grid).probabilities
+        assert density_calls == []
+        assert np.max(np.abs(p - squared_singular_values(amp))) < 1e-12
+
+    def test_deterministic_and_leaves_global_random_state(self, jsa_type0):
+        before = np.random.get_state()
+        first = schmidt(jsa_type0).probabilities.tobytes()
+        second = schmidt(jsa_type0).probabilities.tobytes()
+        after = np.random.get_state()
+        assert first == second
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+
+
 class TestReducedDensity:
     def test_trace_one(self, jsa_type1):
         rho = reduced_density(jsa_type1, "idler")

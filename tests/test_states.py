@@ -325,3 +325,77 @@ class TestStackValidation:
             for kernel in kernels:
                 with pytest.raises(InvalidState, match="square"):
                     kernel(np.array([rho] * n))
+
+
+from qfcsim.errors import InvalidSeed, QfcError
+from qfcsim.states import check_seed
+from qfcsim.tomography import monte_carlo_metric
+
+# the three seeded entry points, each called with a seed s
+SEEDED = {
+    "simulate_counts": lambda s: [r.counts for r in simulate_counts(
+        werner_state(0.9), projector_set(16), 1e3, s)],
+    "chsh_sweep": lambda s: chsh_sweep(werner_state(0.9), [0.0, 0.4], mean_pairs=1e3,
+                                       seed=s),
+    "monte_carlo_metric": lambda s: monte_carlo_metric(
+        simulate_counts(werner_state(0.9), projector_set(16), 1e3, 1), purity, 4, s),
+}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed, expected", [
+        (7, 7), (np.int64(7), 7), (np.uint32(2 ** 32 - 1), 2 ** 32 - 1), (0, 0),
+        ([7, 2], (7, 2)), ((np.int32(7), 2), (7, 2)), (np.array([7, 2]), (7, 2))])
+    def test_accepted_seeds(self, seed, expected):
+        got = check_seed(seed)
+        assert got == expected
+        assert all(type(w) is int for w in (got if isinstance(got, tuple) else (got,)))
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, OutOfRange), ([3, -1], OutOfRange), ([], OutOfRange),
+        (1.5, InvalidSeed), (2.0, InvalidSeed), (np.float64(3.0), InvalidSeed),
+        (True, InvalidSeed), (np.True_, InvalidSeed), ([1, False], InvalidSeed),
+        ("7", InvalidSeed), ([[1, 2]], InvalidSeed),
+        (np.zeros((2, 2), dtype=int), InvalidSeed)])
+    @pytest.mark.parametrize("caller", sorted(SEEDED))
+    def test_rejected_seeds_raise_one_line_errors(self, caller, seed, error):
+        with pytest.raises(error) as err:
+            SEEDED[caller](seed)
+        assert isinstance(err.value, QfcError)
+        assert len(str(err.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("caller", ["simulate_counts", "monte_carlo_metric"])
+    def test_no_seed_is_rejected_where_none_has_no_default(self, caller):
+        with pytest.raises(InvalidSeed, match="got None$"):
+            SEEDED[caller](None)
+
+    def test_sampled_chsh_sweep_defaults_to_seed_zero(self):
+        assert SEEDED["chsh_sweep"](None) == SEEDED["chsh_sweep"](0)
+
+    @pytest.mark.parametrize("caller", sorted(SEEDED))
+    def test_numpy_integer_and_sequence_seeds(self, caller):
+        call = SEEDED[caller]
+        assert call(np.int64(5)) == call(5)
+        assert call(np.array([5, 3])) == call([5, 3]) == call((5, 3))
+        assert call([5, 3]) != call(5)
+
+    def test_sequence_seed_is_the_flattened_generator_seed(self):
+        rho, settings = werner_state(0.9), projector_set(16)
+        records = simulate_counts(rho, settings, 1e3, [5, 3])
+        probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
+        expected = np.random.default_rng([5, 3]).poisson(1e3 * probs)
+        assert [r.counts for r in records] == expected.tolist()
+
+
+class TestWernerStateArguments:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf"), "x", None,
+                                   [0.5], 1j, 10 ** 400])
+    def test_rejects_non_finite_and_non_real(self, p):
+        with pytest.raises(OutOfRange) as err:
+            werner_state(p)
+        assert len(str(err.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("p", [0.9, np.float64(0.9), 1, np.int64(0)])
+    def test_real_numbers_give_the_same_matrix_as_floats(self, p):
+        expected = float(p) * bell_state("phi+") + (1 - float(p)) * np.eye(4) / 4
+        assert werner_state(p).tobytes() == expected.astype(complex).tobytes()
