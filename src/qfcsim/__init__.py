@@ -7,15 +7,14 @@ the measurement chain: tomography with Poisson statistics, CHSH sweeps,
 and joint-spectral-amplitude analysis of the photon-pair source.
 """
 
-from .bell import (ChshBases, chsh_polynomial, chsh_sweep, correlation_e, rotation_r,
-                   standard_chsh_bases)
+from .bell import chsh_polynomial, chsh_sweep, rotation_r
 from .channel import (ChannelSpec, ModeTransfer, apply_channel, choi_concurrence_closed,
                       choi_state, converted_marginal_is_mixed, drive_singular_values,
                       duality_distance, konrad_check, kraus_from_drive, mode_transfer,
                       one_sided_apply)
 from .drive import (coherence_matrix, drive_concurrence, drive_from_theta, qwp_jones,
                     vwp_transform)
-from .linalg import func_psd, herm_eig, kron, partial_trace, svd
+from .linalg import partial_trace, svd
 from .spectral import (LITHIUM_NIOBATE, CrystalSpec, DispersionModel, GridSpec, JSAGrid,
                        PumpSpec, SchmidtDecomposition, SpectralDensity,
                        coincidence_delay_width, compute_jsa, estimate_efficiency,

@@ -8,8 +8,6 @@ phi + pi/4.  R(phi) = exp(i phi Y) rotates around the Bloch y axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutOfRange, ZeroTotalCounts
@@ -39,39 +37,12 @@ def _angles(phi) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
-class ChshBases:
-    """Four measurement bases; columns of each 2x2 array are the basis states."""
-
-    basis_a: np.ndarray
-    basis_a_prime: np.ndarray
-    basis_b: np.ndarray
-    basis_b_prime: np.ndarray
-    phi: float
-
-
-def standard_chsh_bases(phi: float) -> ChshBases:
-    """a computational, a' = R(pi/4), b = R(phi), b' = R(phi + pi/4)."""
-    return ChshBases(
-        basis_a=I2.copy(),
-        basis_a_prime=rotation_r(np.pi / 4),
-        basis_b=rotation_r(phi),
-        basis_b_prime=rotation_r(phi + np.pi / 4),
-        phi=phi,
-    )
-
-
 def _correlations(n: np.ndarray) -> np.ndarray:
     """(N00 + N11 - N01 - N10) / total over the last two axes of ``n``."""
     total = n.sum(axis=(-2, -1))
     if np.any(total <= 0):
         raise ZeroTotalCounts("no coincidences recorded for this basis pair")
     return (n[..., 0, 0] + n[..., 1, 1] - n[..., 0, 1] - n[..., 1, 0]) / total
-
-
-def correlation_e(counts) -> float:
-    """Correlation estimator (N00 + N11 - N01 - N10) / total."""
-    return float(_correlations(np.asarray(counts, dtype=float)))
 
 
 def chsh_polynomial(e_ab, e_abp, e_apb, e_apbp):

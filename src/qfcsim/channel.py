@@ -21,15 +21,16 @@ A = U diag(s+, s-) V^dag, which stays regular when A is singular:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .drive import check_drive, coherence_matrix
 from .errors import OutOfRange, ZeroConversionProbability
-from .linalg import dagger, svd
-from .states import (I2, _one_matrix, assert_density_matrix, bell_state, concurrence,
-                     partial_trace)
+from .linalg import dagger, partial_trace, svd
+from .states import (I2, _describe, _finite_real, _one_matrix, assert_density_matrix,
+                     bell_state, concurrence)
 
 # success probabilities at or below this are treated as zero conversion
 PROB_FLOOR = 1e-15
@@ -44,8 +45,9 @@ class ChannelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "a", check_drive(self.a))
-        if not np.isfinite(self.kt) or self.kt < 0:
-            raise OutOfRange(f"kt must be finite and >= 0, got {self.kt}")
+        if not _finite_real(self.kt) or self.kt < 0:
+            got = self.kt if isinstance(self.kt, numbers.Real) else _describe(self.kt)
+            raise OutOfRange(f"kt must be finite and >= 0, got {got}")
 
 
 @dataclass(frozen=True)
@@ -100,16 +102,20 @@ def mode_transfer(spec: ChannelSpec) -> ModeTransfer:
     )
 
 
-def apply_channel(rho_in, spec: ChannelSpec):
-    """Convert a single-qubit state; returns (rho_out, success_prob)."""
-    rho_in = assert_density_matrix(_one_matrix(rho_in), dim=2)
-    m = _conversion_operator(spec)
-    out = m @ rho_in @ dagger(m)
+def _herald(op: np.ndarray, rho: np.ndarray, spec: ChannelSpec):
+    """(op rho op^dag / p, p) with p = Tr(op rho op^dag) the success probability."""
+    out = op @ rho @ dagger(op)
     p = float(np.trace(out).real)
     if p <= PROB_FLOOR:
         raise ZeroConversionProbability(
             f"conversion probability {p} <= {PROB_FLOOR} (kt={spec.kt})")
-    return assert_density_matrix(out / p, dim=2), p
+    return assert_density_matrix(out / p, dim=len(rho)), p
+
+
+def apply_channel(rho_in, spec: ChannelSpec):
+    """Convert a single-qubit state; returns (rho_out, success_prob)."""
+    rho_in = assert_density_matrix(_one_matrix(rho_in), dim=2)
+    return _herald(_conversion_operator(spec), rho_in, spec)
 
 
 def one_sided_apply(rho0, spec: ChannelSpec):
@@ -120,12 +126,7 @@ def one_sided_apply(rho0, spec: ChannelSpec):
     rho0 = assert_density_matrix(_one_matrix(rho0), dim=4)
     op = np.zeros((4, 4), dtype=complex)          # I x M, block diagonal
     op[:2, :2] = op[2:, 2:] = _conversion_operator(spec)
-    out = op @ rho0 @ dagger(op)
-    p = float(np.trace(out).real)
-    if p <= PROB_FLOOR:
-        raise ZeroConversionProbability(
-            f"conversion probability {p} <= {PROB_FLOOR} (kt={spec.kt})")
-    return assert_density_matrix(out / p, dim=4), p
+    return _herald(op, rho0, spec)
 
 
 def choi_state(spec: ChannelSpec) -> np.ndarray:
@@ -135,7 +136,10 @@ def choi_state(spec: ChannelSpec) -> np.ndarray:
 
 
 def drive_singular_values(c_d: float):
-    """Singular values (s+, s-) of a unit-norm drive with concurrence c_d."""
+    """Singular values (s+, s-) of a unit-norm drive with finite concurrence c_d."""
+    if not _finite_real(c_d):
+        raise OutOfRange(f"drive concurrence must be a finite real number, "
+                         f"got {_describe(c_d)}")
     c_d = min(max(c_d, 0.0), 1.0)
     root = np.sqrt(max(1.0 - c_d ** 2, 0.0))
     return np.sqrt((1.0 + root) / 2.0), np.sqrt((1.0 - root) / 2.0)
@@ -182,5 +186,5 @@ def konrad_check(rho0, spec: ChannelSpec):
 
 def converted_marginal_is_mixed(rho0, tol: float = 1e-10) -> bool:
     """True when the qubit-2 marginal equals I/2 within ``tol``."""
-    reduced = partial_trace(np.asarray(rho0, dtype=complex), keep=2)
+    reduced = partial_trace(assert_density_matrix(_one_matrix(rho0), dim=4), keep=2)
     return bool(np.max(np.abs(reduced - I2 / 2)) <= tol)

@@ -35,7 +35,10 @@ def vwp_transform(e) -> np.ndarray:
     HG00*y -> (HG01*x - HG10*y)/sqrt(2), so an input (ex, ey) gives
     A = [[ex, ey], [-ey, ex]] / sqrt(2).
     """
-    e = np.asarray(e, dtype=complex).reshape(2)
+    try:
+        e = np.asarray(e, dtype=complex).reshape(2)
+    except (TypeError, ValueError):
+        raise NotNormalized(f"Jones vector must be 2 numbers, got {type(e).__name__}") from None
     norm = np.sqrt(np.sum(np.abs(e) ** 2))
     if not abs(norm - 1.0) <= 1e-10:
         raise NotNormalized(f"Jones vector has norm {norm}, expected 1")
@@ -50,7 +53,10 @@ def drive_from_theta(theta: float) -> np.ndarray:
 
 
 def check_drive(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    try:
+        a = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise NotNormalized(f"drive matrix must be numeric, got {type(a).__name__}") from None
     if a.shape != (2, 2):
         raise NotNormalized(f"drive matrix must be 2x2, got {a.shape}")
     norm = np.linalg.norm(a)

@@ -5,19 +5,11 @@ class QfcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotHermitian(QfcError):
-    pass
-
-
 class NoConvergence(QfcError):
     pass
 
 
 class ShapeMismatch(QfcError):
-    pass
-
-
-class NegativeEigenvalue(QfcError):
     pass
 
 

@@ -18,8 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,28 +175,9 @@ class JSAGrid:
 
 @dataclass
 class SchmidtDecomposition:
-    """Schmidt weights of a JSA, as ``schmidt`` returns them; the modes come
-    from a full SVD of ``amp`` on first access."""
+    """Schmidt weights of a JSA, as ``schmidt`` returns them."""
 
     probabilities: np.ndarray       # min(ns, ni) weights, descending, sum 1; 0 past the sketch
-    amp: np.ndarray = field(repr=False)
-
-    @cached_property
-    def _vectors(self):
-        try:
-            u, _, vh = np.linalg.svd(self.amp)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
-        return u, vh.conj().T
-
-    @property
-    def signal_modes(self) -> np.ndarray:
-        """Columns, orthonormal on the grid."""
-        return self._vectors[0]
-
-    @property
-    def idler_modes(self) -> np.ndarray:
-        return self._vectors[1]
 
 
 @dataclass
@@ -334,7 +314,7 @@ def _sketched_weights(amp: np.ndarray) -> tuple:
 
 
 def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
-    """Schmidt decomposition of the JSA: weights now, modes on demand.
+    """Schmidt weights of the JSA.
 
     The weights are the squared singular values of the JSA, normalised to
     sum to 1. They come from a randomized subspace iteration of width
@@ -354,7 +334,7 @@ def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
         rho = reduced_density(grid, "signal" if ns < ni else "idler")
         p = np.clip(_eigvalsh(rho.mat)[::-1], 0.0, None)
     p = p / p.sum()
-    return SchmidtDecomposition(probabilities=p, amp=grid.amp)
+    return SchmidtDecomposition(probabilities=p)
 
 
 def heralded_purity(decomp: SchmidtDecomposition) -> float:

@@ -12,16 +12,16 @@ import operator
 import numpy as np
 
 from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from .linalg import as_complex, dagger, func_psd, kron, partial_trace
+from .linalg import as_complex, dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-_SYSY = kron(SY, SY)
+_SYSY = np.kron(SY, SY)
 # sigma_i x sigma_j for i, j in (x, y, z)
-_PAULI_PAIRS = np.array([[kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
 
 # Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
 # density matrix may carry as rounding noise
@@ -106,6 +106,14 @@ def check_mean_pairs(mean_pairs) -> float:
     return mean_pairs
 
 
+def _finite_real(x) -> bool:
+    """True for a finite real number; False for NaN, +-inf, arrays and other types."""
+    try:
+        return isinstance(x, numbers.Real) and bool(np.isfinite(float(x)))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _describe(x) -> str:
     """One-line description of a rejected argument: a scalar's repr, else its type."""
     return repr(x) if x is None or np.isscalar(x) else type(x).__name__
@@ -152,14 +160,18 @@ def bell_state(label: str) -> np.ndarray:
 
 def werner_state(p: float) -> np.ndarray:
     """p |phi+><phi+| + (1-p) I/4; OutOfRange unless p is a finite real number."""
-    try:
-        finite = isinstance(p, numbers.Real) and np.isfinite(float(p))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _finite_real(p):
         raise OutOfRange(f"Werner weight p must be a finite real number, got {_describe(p)}")
     p = float(p)
     return p * bell_state("phi+") + (1 - p) * np.eye(4, dtype=complex) / 4
+
+
+def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
+    """sqrt(rho) of a validated density matrix; rounding-noise eigenvalues < 0 give 0."""
+    w, v = np.linalg.eigh(rho)
+    w, v = w[::-1], v[:, ::-1]
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return (v * root) @ dagger(v)
 
 
 def purity(rho) -> float:
@@ -177,7 +189,7 @@ def concurrence(rho) -> float:
     square-root amplification of rounding noise near rank-deficient states.
     """
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
-    sqrt_rho = func_psd(rho, np.sqrt)
+    sqrt_rho = _sqrt_psd(rho)
     lam = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.T, compute_uv=False)
     c = lam[0] - lam[1] - lam[2] - lam[3]
     return float(min(max(c, 0.0), 1.0))
@@ -189,7 +201,7 @@ def fidelity(rho, sigma) -> float:
     sigma = assert_density_matrix(_one_matrix(sigma))
     if rho.shape != sigma.shape:
         raise ShapeMismatch(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    sqrt_rho = func_psd(rho, np.sqrt)
+    sqrt_rho = _sqrt_psd(rho)
     inner = sqrt_rho @ sigma @ sqrt_rho
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
     root = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
@@ -212,9 +224,3 @@ def chsh_max(rho) -> float:
     m = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * np.sqrt(max(m[-1] + m[-2], 0.0)))
 
-
-def pure_state_concurrence_from_marginal(rho) -> float:
-    """For pure two-qubit states, C = 2 sqrt(det of either marginal)."""
-    reduced = partial_trace(assert_density_matrix(_one_matrix(rho), dim=4), keep=1)
-    det = np.linalg.det(reduced).real
-    return float(2.0 * np.sqrt(max(det, 0.0)))

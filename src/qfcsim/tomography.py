@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                      NotNormalized, ShapeMismatch)
-from .states import (_one_matrix, assert_density_matrix, born_probabilities,
+from .states import (_describe, _one_matrix, assert_density_matrix, born_probabilities,
                      check_mean_pairs, check_seed)
 
 STATE_VECTORS = {
@@ -58,7 +59,6 @@ class MeasurementSetting:
 class CountRecord:
     setting: MeasurementSetting
     counts: int
-    integration_time_s: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.counts, (int, np.integer))
@@ -88,10 +88,6 @@ def projector_set(kind: int) -> list:
             for a, b in itertools.product(names, names)]
 
 
-def expected_probability(rho, setting: MeasurementSetting) -> float:
-    return float(born_probabilities(rho, setting.ket))
-
-
 def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     """Poisson coincidence counts for each setting, deterministic per seed."""
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
@@ -100,7 +96,7 @@ def simulate_counts(rho, settings, mean_pairs: float, seed: int) -> list:
     settings = list(settings)
     probs = born_probabilities(rho, np.array([s.ket for s in settings]).reshape(-1, 4))
     counts = np.random.default_rng(seed).poisson(mean_pairs * probs)
-    return [CountRecord(setting=setting, counts=int(n), integration_time_s=1.0)
+    return [CountRecord(setting=setting, counts=int(n))
             for setting, n in zip(settings, counts)]
 
 
@@ -312,6 +308,8 @@ def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
     nothing.
     """
     global _last_resample
+    if not isinstance(n_samples, numbers.Integral):
+        raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
     seed = check_seed(seed)
@@ -347,23 +345,25 @@ def _parse_vector_spec(spec: str) -> np.ndarray:
 
 
 def records_to_csv(records, path) -> None:
-    """CSV columns: proj_a_spec, proj_b_spec, counts, integration_time_s."""
+    """CSV columns: proj_a_spec, proj_b_spec, counts, integration_time_s (always 1.0)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["proj_a_spec", "proj_b_spec", "counts", "integration_time_s"])
         for rec in records:
             writer.writerow([_vector_spec(rec.setting.proj_a),
-                             _vector_spec(rec.setting.proj_b),
-                             rec.counts, f"{rec.integration_time_s!r}"])
+                             _vector_spec(rec.setting.proj_b), rec.counts, "1.0"])
 
 
 def records_from_csv(path) -> list:
+    """Records of a ``records_to_csv`` file; the likelihood needs equal count times."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
+            if row.get("integration_time_s") != "1.0":
+                raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
+                                   f"got {row.get('integration_time_s')!r}")
             setting = MeasurementSetting(_parse_vector_spec(row["proj_a_spec"]),
                                          _parse_vector_spec(row["proj_b_spec"]))
-            records.append(CountRecord(setting=setting, counts=int(row["counts"]),
-                                       integration_time_s=float(row["integration_time_s"])))
+            records.append(CountRecord(setting=setting, counts=int(row["counts"])))
     return records

@@ -49,6 +49,24 @@ def random_bell_diagonal_rotated(rng):
     return u @ rho @ u.conj().T
 
 
+def pure_state_concurrence_from_marginal(rho):
+    """For pure two-qubit states, C = 2 sqrt(det of either marginal)."""
+    from qfcsim.linalg import partial_trace
+
+    det = np.linalg.det(partial_trace(rho, keep=1)).real
+    return float(2.0 * np.sqrt(max(det, 0.0)))
+
+
+def chsh_bases(phi):
+    """CHSH bases a = I, a' = R(pi/4), b = R(phi), b' = R(phi + pi/4).
+
+    Columns of each 2x2 array are the basis states.
+    """
+    from qfcsim.bell import rotation_r
+
+    return np.eye(2), rotation_r(np.pi / 4), rotation_r(phi), rotation_r(phi + np.pi / 4)
+
+
 def poisson_limit_std(rho, settings, mean_pairs, metric, h=1e-6):
     """Delta-method std of ``metric`` for Poisson counts of the settings.
 

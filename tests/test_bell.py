@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from qfcsim.bell import (chsh_polynomial, chsh_sweep, correlation_e, rotation_r,
-                         standard_chsh_bases)
+from qfcsim.bell import _correlations, chsh_polynomial, chsh_sweep, rotation_r
 from qfcsim.errors import InvalidState, OutOfRange, ZeroTotalCounts
 from qfcsim.states import bell_state, chsh_max, werner_state
 
-from helpers import random_density_matrix
+from helpers import chsh_bases, random_density_matrix
 
 RT2 = np.sqrt(2)
 
@@ -51,19 +50,24 @@ class TestRotation:
         assert len(str(err.value).splitlines()) == 1
 
 
+def correlation(counts) -> float:
+    """The correlation estimate of one 2x2 count or probability table."""
+    return float(_correlations(np.asarray(counts, dtype=float)))
+
+
 class TestCorrelation:
     def test_perfect_correlation(self):
-        assert correlation_e(np.diag([50, 50])) == 1.0
+        assert correlation(np.diag([50, 50])) == 1.0
 
     def test_perfect_anticorrelation(self):
-        assert correlation_e(np.array([[0, 50], [50, 0]])) == -1.0
+        assert correlation(np.array([[0, 50], [50, 0]])) == -1.0
 
     def test_uncorrelated(self):
-        assert correlation_e(np.full((2, 2), 25)) == 0.0
+        assert correlation(np.full((2, 2), 25)) == 0.0
 
     def test_zero_counts_raise(self):
         with pytest.raises(ZeroTotalCounts):
-            correlation_e(np.zeros((2, 2)))
+            correlation(np.zeros((2, 2)))
 
 
 class TestPolynomial:
@@ -125,9 +129,8 @@ class TestSweep:
 
 def reference_pair_probabilities(rho, phi):
     """4 basis pairs x 2 x 2 probabilities from explicit np.kron product kets."""
-    bases = standard_chsh_bases(phi)
-    pairs = [(bases.basis_a, bases.basis_b), (bases.basis_a, bases.basis_b_prime),
-             (bases.basis_a_prime, bases.basis_b), (bases.basis_a_prime, bases.basis_b_prime)]
+    a, a_prime, b, b_prime = chsh_bases(phi)
+    pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     out = np.empty((4, 2, 2))
     for k, (b1, b2) in enumerate(pairs):
         for i in range(2):
@@ -145,7 +148,7 @@ class TestBatchedSweep:
             rho = random_density_matrix(rng, 4)
             sweep = chsh_sweep(rho, phis)
             for (phi_out, b), phi in zip(sweep, phis):
-                e = [correlation_e(p) for p in reference_pair_probabilities(rho, phi)]
+                e = [correlation(p) for p in reference_pair_probabilities(rho, phi)]
                 assert phi_out == phi
                 assert abs(b - chsh_polynomial(*e)) <= 1e-12
 
@@ -161,7 +164,7 @@ class TestBatchedSweep:
             es, var = [], 0.0
             for i_pair, p in enumerate(reference_pair_probabilities(rho, phi)):
                 counts = np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
-                e = correlation_e(counts)
+                e = correlation(counts)
                 es.append(e)
                 var += max(1.0 - e ** 2, 1.0 / counts.sum()) / counts.sum()
             expected.append((float(phi), chsh_polynomial(*es), float(np.sqrt(var))))
@@ -220,9 +223,7 @@ class TestSampledSweep:
         assert 0.03 <= reported_std <= 0.3
 
     def test_bases_are_orthonormal(self):
-        bases = standard_chsh_bases(0.4)
-        for b in (bases.basis_a, bases.basis_a_prime, bases.basis_b,
-                  bases.basis_b_prime):
+        for b in chsh_bases(0.4):
             assert np.linalg.norm(b.conj().T @ b - np.eye(2)) < 1e-10
 
 

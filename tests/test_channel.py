@@ -7,7 +7,7 @@ from qfcsim.channel import (ChannelSpec, apply_channel, choi_concurrence_closed,
                             mode_transfer, one_sided_apply)
 from qfcsim.drive import drive_concurrence, drive_from_theta
 from qfcsim.errors import ZeroConversionProbability
-from qfcsim.linalg import dagger, kron
+from qfcsim.linalg import dagger
 from qfcsim.states import bell_state, concurrence, purity, werner_state
 
 from helpers import (random_bell_diagonal_rotated, random_density_matrix,
@@ -160,9 +160,9 @@ class TestOneSidedApply:
         ra = random_density_matrix(rng, 2)
         rb = random_density_matrix(rng, 2)
         spec = ChannelSpec(a=random_drive(rng), kt=0.8)
-        rho, _ = one_sided_apply(kron(ra, rb), spec)
+        rho, _ = one_sided_apply(np.kron(ra, rb), spec)
         rb_out, _ = apply_channel(rb, spec)
-        assert np.linalg.norm(rho - kron(ra, rb_out)) < 1e-12
+        assert np.linalg.norm(rho - np.kron(ra, rb_out)) < 1e-12
         assert concurrence(rho) < 1e-10
 
     def test_success_prob_for_mixed_marginal(self):

@@ -239,12 +239,6 @@ class TestSchmidt:
             expected = s ** 2 / np.sum(s ** 2)
             assert np.max(np.abs(schmidt(grid).probabilities - expected)) < 1e-12
 
-    def test_modes_orthonormal(self, jsa_type1):
-        decomp = schmidt(jsa_type1)
-        for modes in (decomp.signal_modes, decomp.idler_modes):
-            gram = modes.conj().T @ modes
-            assert np.linalg.norm(gram - np.eye(gram.shape[0])) < 1e-8
-
     def test_svd_vs_trace_purity(self, jsa_type1, jsa_type0):
         for grid in (jsa_type1, jsa_type0):
             p_svd = heralded_purity(schmidt(grid))

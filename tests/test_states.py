@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import qfcsim.linalg
 from qfcsim.bell import chsh_sweep
 from qfcsim.channel import ChannelSpec, one_sided_apply
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from qfcsim.linalg import kron, partial_trace
-from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, assert_density_matrix, bell_state,
-                           born_probabilities, check_mean_pairs, chsh_max, concurrence,
-                           fidelity, pauli_correlations, purity,
-                           pure_state_concurrence_from_marginal, werner_state)
+from qfcsim.linalg import partial_trace
+from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _sqrt_psd, assert_density_matrix,
+                           bell_state, born_probabilities, check_mean_pairs, chsh_max,
+                           concurrence, fidelity, pauli_correlations, purity, werner_state)
 from qfcsim.tomography import mle_reconstruct, projector_set, simulate_counts
 
-from helpers import (random_density_matrix, random_pure_state, random_unitary)
+from helpers import (pure_state_concurrence_from_marginal, random_density_matrix,
+                     random_pure_state, random_unitary)
 
 RT2 = np.sqrt(2)
 
@@ -52,7 +51,7 @@ class TestConcurrence:
     def test_product_state_is_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            rho = kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+            rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
             assert concurrence(rho) < 1e-8
 
     def test_werner_eigenvalue_vs_closed_form(self):
@@ -68,7 +67,7 @@ class TestConcurrence:
         rng = np.random.default_rng(5)
         for _ in range(10):
             rho = random_density_matrix(rng, 4)
-            u = kron(random_unitary(rng), random_unitary(rng))
+            u = np.kron(random_unitary(rng), random_unitary(rng))
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
 
@@ -84,6 +83,23 @@ class TestConcurrence:
             concurrence(np.diag([1.0, 1.0, 0.0, 0.0]))  # trace 2
         with pytest.raises(InvalidState):
             concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+
+
+class TestSqrtPsd:
+    def test_sqrt_identity(self):
+        assert np.allclose(_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
+
+    def test_tiny_negative_clipped(self):
+        out = _sqrt_psd(np.diag([1.0, -1e-11]))
+        assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_square_is_rho(self):
+        rng = np.random.default_rng(43)
+        for rank in (1, 2, 3, 4) * 5:
+            rho = random_density_matrix(rng, 4, rank)
+            root = _sqrt_psd(rho)
+            assert np.linalg.norm(root @ root - rho) < 1e-12
+            assert np.linalg.norm(root - root.conj().T) < 1e-12
 
 
 class TestFidelity:
@@ -232,7 +248,6 @@ class TestNoKronOnHotPath:
         def no_kron(*args, **kwargs):
             raise AssertionError("kron called on a per-call path")
 
-        monkeypatch.setattr(qfcsim.linalg, "kron", no_kron)
         monkeypatch.setattr(np, "kron", no_kron)
         phis = np.deg2rad([0.0, 22.5, 45.0])
         chsh_sweep(rho, phis)
@@ -316,7 +331,6 @@ class TestStackValidation:
         rho = werner_state(0.9)
         spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
         kernels = [purity, concurrence, pauli_correlations, chsh_max,
-                   pure_state_concurrence_from_marginal,
                    lambda r: fidelity(r, rho), lambda r: fidelity(rho, r),
                    lambda r: chsh_sweep(r, [0.0]),
                    lambda r: one_sided_apply(r, spec),

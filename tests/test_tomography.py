@@ -11,10 +11,10 @@ from qfcsim.channel import ChannelSpec, one_sided_apply
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                            NotNormalized, OutOfRange, ShapeMismatch)
-from qfcsim.states import bell_state, concurrence, fidelity, purity, werner_state
+from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity, purity,
+                           werner_state)
 from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
                                _kets, _mle_stack, _resampled_mle, _start,
-                               expected_probability,
                                mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
@@ -37,7 +37,8 @@ def solves(monkeypatch):
 
 def exact_records(rho, settings, mean_pairs):
     """Noiseless records: counts = rounded expected means."""
-    return [CountRecord(setting=s, counts=int(round(mean_pairs * expected_probability(rho, s))))
+    return [CountRecord(setting=s,
+                        counts=int(round(mean_pairs * born_probabilities(rho, s.ket))))
             for s in settings]
 
 
@@ -497,6 +498,25 @@ class TestSerialization:
         records_to_csv(records, path)
         back = records_from_csv(path)
         assert np.allclose(back[0].setting.proj_a, v, atol=1e-12)
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        records = simulate_counts(werner_state(0.8), projector_set(16), 1e4, seed=41)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        records_to_csv(records, first)
+        records_to_csv(records_from_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert all(line.endswith(",1.0") for line in first.read_text().splitlines()[1:])
+
+    @pytest.mark.parametrize("time_s", ["nan", "2.0", "-1", "abc", ""])
+    def test_unequal_integration_time_raises(self, tmp_path, time_s):
+        # the likelihood fits one rate to every record, so it cannot weigh
+        # records counted for different times
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
+                        f"H,H,5,1.0\nH,V,5,{time_s}\n")
+        with pytest.raises(InvalidState, match="^line 3: integration_time_s") as err:
+            records_from_csv(path)
+        assert len(str(err.value).splitlines()) == 1
 
     def test_nan_component_raises(self, tmp_path):
         path = tmp_path / "counts.csv"
