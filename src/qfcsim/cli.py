@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: drive, sweep-theta, choi, jsa, tomo, bell, efficiency.
-Config-driven commands take a strict JSON config, validated once against
-its command's entry in qfcsim/data/config.schema.json; every run writes a
-JSON summary validated against the schema shipped in
-qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
+Config-driven commands are the entries of qfcsim/data/config.schema.json;
+each takes a strict JSON config validated once against its entry, and
+--seed and --exact/--sampled reach those whose entry declares a seed or a
+mode.  Every run writes a JSON summary validated against the schema shipped
+in qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
 checks use qfcsim.schema, the in-repo validator for the draft-07 subset
 these schemas use, so that a command does not pay for importing
 jsonschema.  Angles are accepted in degrees and converted internally.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -34,8 +36,10 @@ from . import tomography as tomo_mod
 from .errors import ConfigError, QfcError
 
 
+@functools.lru_cache(maxsize=None)
 def _schema(name: str) -> dict:
-    # data/ is a directory of the package, not a module to import
+    # data/ is a directory of the package, not a module to import; callers
+    # only read the cached dict
     return json.loads((resources.files("qfcsim") / "data" / name).read_text())
 
 
@@ -141,58 +145,57 @@ def _write_summary(out_dir: Path, command: str, config_sha: str | None,
     return path
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(out_dir: Path, name: str, header: list, rows) -> str:
+    with open(out_dir / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([x if isinstance(x, str) else _fmt(x) for x in row])
+    return name
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (config, out_dir) -> (summary results, summary outputs)
 # ---------------------------------------------------------------------------
 
-def _cmd_drive(args, out_dir: Path) -> None:
-    theta = np.deg2rad(args.theta)
-    a = drive_mod.drive_from_theta(theta)
+def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    a = drive_mod.drive_from_theta(np.deg2rad(cfg["theta"]))
     rho_d = drive_mod.coherence_matrix(a)
     conc = drive_mod.drive_concurrence(a)
+    print(f"theta = {cfg['theta']} deg")
+    print(f"drive matrix A:\n{np.array_str(a, precision=6, suppress_small=True)}")
+    print(f"concurrence C(rho_D) = {conc:.6f}")
     results = {
-        "theta_deg": args.theta,
+        "theta_deg": cfg["theta"],
         "drive_matrix": _complex_to_json(a),
         "coherence_matrix": _complex_to_json(rho_d),
         "concurrence": conc,
     }
-    path = _write_summary(out_dir, "drive", None, None, results, {})
-    print(f"theta = {args.theta} deg")
-    print(f"drive matrix A:\n{np.array_str(a, precision=6, suppress_small=True)}")
-    print(f"concurrence C(rho_D) = {conc:.6f}")
-    print(f"summary written to {path}")
+    return results, {}
 
 
-def _cmd_sweep_theta(cfg: dict, config_sha: str, out_dir: Path) -> None:
+def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     thetas = _angle_grid(cfg["theta_deg"], "theta_deg")
     rho0 = _state_from_config(cfg["input_state"])
     kt = float(cfg["kt"])
     mode = cfg["mode"]
-    seed = cfg.get("seed")
     if mode == "sampled":
         mean_pairs = float(cfg["mean_pairs"])
         settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
+    c_in = states_mod.concurrence(rho0)
     rows = []
     for i, theta_deg in enumerate(thetas):
         spec = channel_mod.ChannelSpec(a=drive_mod.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
         rho_out, _ = channel_mod.one_sided_apply(rho0, spec)
-        bound = channel_mod.choi_concurrence_closed(spec) * states_mod.concurrence(rho0)
+        bound = channel_mod.choi_concurrence_closed(spec) * c_in
         if mode == "sampled":
             records = tomo_mod.simulate_counts(rho_out, settings, mean_pairs,
-                                               seed=[int(seed), i])
+                                               seed=[int(cfg["seed"]), i])
             rho_out = tomo_mod.mle_reconstruct(records)
         rows.append((theta_deg, states_mod.concurrence(rho_out),
                      states_mod.chsh_max(rho_out), bound))
-    csv_path = out_dir / "sweep_theta.csv"
-    _write_csv(csv_path, ["theta_deg", "concurrence", "chsh_max", "bound"], rows)
+    csv_name = _write_csv(out_dir, "sweep_theta.csv",
+                          ["theta_deg", "concurrence", "chsh_max", "bound"], rows)
     results = {
         "n_points": len(rows),
         "kt": kt,
@@ -200,31 +203,26 @@ def _cmd_sweep_theta(cfg: dict, config_sha: str, out_dir: Path) -> None:
         "max_concurrence": max(r[1] for r in rows),
         "max_chsh": max(r[2] for r in rows),
     }
-    path = _write_summary(out_dir, "sweep-theta", config_sha,
-                          None if seed is None else int(seed),
-                          results, {"sweep_csv": csv_path.name})
-    print(f"wrote {csv_path} and {path}")
+    return results, {"sweep_csv": csv_name}
 
 
-def _cmd_choi(cfg: dict, config_sha: str, out_dir: Path) -> None:
+def _cmd_choi(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     a = _drive_from_config(cfg["drive"])
     rows = []
     for kt in cfg["kt_list"]:
         spec = channel_mod.ChannelSpec(a=a, kt=float(kt))
         rows.append((float(kt), channel_mod.choi_concurrence_closed(spec),
                      channel_mod.duality_distance(spec)))
-    csv_path = out_dir / "choi.csv"
-    _write_csv(csv_path, ["kt", "choi_concurrence", "duality_distance"], rows)
+    csv_name = _write_csv(out_dir, "choi.csv",
+                          ["kt", "choi_concurrence", "duality_distance"], rows)
     results = {
         "drive_concurrence": drive_mod.drive_concurrence(a),
         "n_points": len(rows),
     }
-    path = _write_summary(out_dir, "choi", config_sha, None, results,
-                          {"choi_csv": csv_path.name})
-    print(f"wrote {csv_path} and {path}")
+    return results, {"choi_csv": csv_name}
 
 
-def _cmd_jsa(cfg: dict, config_sha: str, out_dir: Path) -> None:
+def _cmd_jsa(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     crystal = spectral_mod.CrystalSpec(**cfg["crystal"])
     pump = spectral_mod.PumpSpec(**cfg["pump"])
     grid = spectral_mod.GridSpec(points=int(cfg["grid"]["points"]),
@@ -238,34 +236,29 @@ def _cmd_jsa(cfg: dict, config_sha: str, out_dir: Path) -> None:
         "schmidt_probabilities": [float(p) for p in decomp.probabilities[:16]],
         "pump_overlap": spectral_mod.pump_overlap(rho_i, pump),
     }
-    outputs = {}
-    bin_path = out_dir / "jsa.bin"
-    spectral_mod.jsa_to_binary(jsa, bin_path)
-    outputs["jsa_binary"] = bin_path.name
-    schmidt_path = out_dir / "schmidt.csv"
-    _write_csv(schmidt_path, ["mode_index", "probability"],
-               [(str(i), p) for i, p in enumerate(decomp.probabilities[:64])])
-    outputs["schmidt_csv"] = schmidt_path.name
+    spectral_mod.jsa_to_binary(jsa, out_dir / "jsa.bin")
+    outputs = {
+        "jsa_binary": "jsa.bin",
+        "schmidt_csv": _write_csv(out_dir, "schmidt.csv", ["mode_index", "probability"],
+                                  [(str(i), p) for i, p in enumerate(decomp.probabilities[:64])]),
+    }
     if cfg.get("write_jsa_csv", False):
-        csv_path = out_dir / "jsa.csv"
-        spectral_mod.jsa_to_csv(jsa, csv_path)
-        outputs["jsa_csv"] = csv_path.name
+        spectral_mod.jsa_to_csv(jsa, out_dir / "jsa.csv")
+        outputs["jsa_csv"] = "jsa.csv"
     n_modes = int(cfg.get("hg_modes", 0))
     if n_modes > 0:
         probs = spectral_mod.hg_mode_probabilities(rho_i, pump.duration_fs, n_modes)
-        hg_path = out_dir / "hg_modes.csv"
-        _write_csv(hg_path, ["mode_index", "probability"],
-                   [(str(i), p) for i, p in enumerate(probs)])
-        outputs["hg_modes_csv"] = hg_path.name
+        outputs["hg_modes_csv"] = _write_csv(out_dir, "hg_modes.csv",
+                                             ["mode_index", "probability"],
+                                             [(str(i), p) for i, p in enumerate(probs)])
         results["hg_mode_probabilities"] = [float(p) for p in probs]
     if cfg.get("delay_profile", False):
         results["delay_fwhm_fs"] = spectral_mod.coincidence_delay_width(rho_i, pump)
-    path = _write_summary(out_dir, "jsa", config_sha, None, results, outputs)
     print(f"heralded purity = {purity:.4f}")
-    print(f"summary written to {path}")
+    return results, outputs
 
 
-def _cmd_tomo(cfg: dict, config_sha: str, out_dir: Path) -> None:
+def _cmd_tomo(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     rho_true = _state_from_config(cfg["state"])
     settings = tomo_mod.projector_set(int(cfg["settings"]))
     mean_pairs = float(cfg["mean_pairs"])
@@ -280,35 +273,30 @@ def _cmd_tomo(cfg: dict, config_sha: str, out_dir: Path) -> None:
         "reconstruction": _complex_to_json(rho_mle),
     }
     n_mc = int(cfg.get("mc_samples", 0))
-    if n_mc >= 2:
+    if n_mc > 0:  # monte_carlo_metric rejects a single sample
         for name, metric in (("concurrence", states_mod.concurrence),
                              ("purity", states_mod.purity)):
             est = tomo_mod.monte_carlo_metric(records, metric, n_mc, seed)
             results[f"{name}_mc"] = {"value": est.value, "std": est.std,
                                      "n_samples": est.n_samples}
-    counts_path = out_dir / "counts.csv"
-    tomo_mod.records_to_csv(records, counts_path)
-    path = _write_summary(out_dir, "tomo", config_sha, seed, results,
-                          {"counts_csv": counts_path.name})
+    tomo_mod.records_to_csv(records, out_dir / "counts.csv")
     print(f"fidelity to true state = {results['fidelity_to_true']:.6f}")
     print(f"concurrence = {results['concurrence']:.6f}")
-    print(f"summary written to {path}")
+    return results, {"counts_csv": "counts.csv"}
 
 
-def _cmd_bell(cfg: dict, config_sha: str, out_dir: Path) -> None:
+def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
     mode = cfg["mode"]
-    seed = cfg.get("seed")
     if mode == "sampled":
         sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg),
-                                    mean_pairs=float(cfg["mean_pairs"]), seed=int(seed))
+                                    mean_pairs=float(cfg["mean_pairs"]), seed=int(cfg["seed"]))
         rows = [(deg, row[1], row[2]) for deg, row in zip(phis_deg, sweep)]
     else:
         sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg))
         rows = [(deg, row[1], "") for deg, row in zip(phis_deg, sweep)]
-    csv_path = out_dir / "bell_sweep.csv"
-    _write_csv(csv_path, ["phi_deg", "B", "B_std_if_sampled"], rows)
+    csv_name = _write_csv(out_dir, "bell_sweep.csv", ["phi_deg", "B", "B_std_if_sampled"], rows)
     b_values = [r[1] for r in rows]
     i_max = int(np.argmax(b_values))
     results = {
@@ -317,60 +305,54 @@ def _cmd_bell(cfg: dict, config_sha: str, out_dir: Path) -> None:
         "argmax_phi_deg": float(rows[i_max][0]),
         "horodecki_max": states_mod.chsh_max(rho),
     }
-    path = _write_summary(out_dir, "bell", config_sha,
-                          None if seed is None else int(seed),
-                          results, {"sweep_csv": csv_path.name})
     print(f"max |B| = {results['max_B']:.6f} at phi = {results['argmax_phi_deg']} deg")
-    print(f"summary written to {path}")
+    return results, {"sweep_csv": csv_name}
 
 
-def _cmd_efficiency(args, out_dir: Path) -> None:
-    eta = spectral_mod.estimate_efficiency(args.r_up, args.r_herald,
-                                           args.eta_snspd, args.eta_apd)
+def _cmd_efficiency(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    eta = spectral_mod.estimate_efficiency(cfg["r_up"], cfg["r_herald"],
+                                           cfg["eta_snspd"], cfg["eta_apd"])
+    print(f"upconversion efficiency = {eta:.6g} ({100 * eta:.3g}%)")
     results = {
-        "r_up_hz": args.r_up,
-        "r_herald_hz": args.r_herald,
-        "eta_snspd": args.eta_snspd,
-        "eta_apd": args.eta_apd,
+        "r_up_hz": cfg["r_up"],
+        "r_herald_hz": cfg["r_herald"],
+        "eta_snspd": cfg["eta_snspd"],
+        "eta_apd": cfg["eta_apd"],
         "efficiency": eta,
     }
-    path = _write_summary(out_dir, "efficiency", None, None, results, {})
-    print(f"upconversion efficiency = {eta:.6g} ({100 * eta:.3g}%)")
-    print(f"summary written to {path}")
+    return results, {}
 
 
-_CONFIG_COMMANDS = {"sweep-theta": _cmd_sweep_theta, "choi": _cmd_choi, "jsa": _cmd_jsa,
-                    "tomo": _cmd_tomo, "bell": _cmd_bell}
-
-# the commands whose config has a seed, which --seed overrides
-_SEEDED_COMMANDS = ("sweep-theta", "tomo", "bell")
+_COMMANDS = {"drive": _cmd_drive, "sweep-theta": _cmd_sweep_theta, "choi": _cmd_choi,
+             "jsa": _cmd_jsa, "tomo": _cmd_tomo, "bell": _cmd_bell,
+             "efficiency": _cmd_efficiency}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(configs: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfcsim",
         description="Simulate quantum frequency conversion driven by structured light.")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for stochastic commands")
+    parser.set_defaults(mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_drive = sub.add_parser("drive", help="drive matrix and concurrence for a QWP angle")
     p_drive.add_argument("--theta", type=float, required=True, help="QWP angle in degrees")
 
-    for name in _CONFIG_COMMANDS:
+    for name, schema in configs.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        if name in ("sweep-theta", "bell"):
+        if "mode" in schema["properties"]:
             mode = p.add_mutually_exclusive_group()
-            mode.add_argument("--exact", action="store_true",
-                              help="override the config mode to exact")
-            mode.add_argument("--sampled", action="store_true",
-                              help="override the config mode to sampled")
+            for value in ("exact", "sampled"):
+                mode.add_argument(f"--{value}", dest="mode", action="store_const", const=value,
+                                  help=f"override the config mode to {value}")
 
     p_eff = sub.add_parser("efficiency", help="upconversion efficiency from rates")
     p_eff.add_argument("r_up", type=float, help="upconverted singles rate (Hz)")
@@ -381,24 +363,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    configs = _schema("config.schema.json")["properties"]
+    args = _build_parser(configs).parse_args(argv)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "drive":
-            _cmd_drive(args, out_dir)
-        elif args.command == "efficiency":
-            _cmd_efficiency(args, out_dir)
-        else:
+        cfg, sha, declared = vars(args), None, {}
+        if args.command in configs:
+            # --seed and --exact/--sampled reach the configs whose schema has the key
+            declared = configs[args.command]["properties"]
             cfg, sha = _load_config(args.config)
-            if getattr(args, "exact", False):
-                cfg["mode"] = "exact"
-            elif getattr(args, "sampled", False):
-                cfg["mode"] = "sampled"
-            if args.seed is not None and args.command in _SEEDED_COMMANDS:
-                cfg["seed"] = args.seed
+            cfg.update((key, value) for key, value in (("mode", args.mode), ("seed", args.seed))
+                       if value is not None and key in declared)
             _validate_config(cfg, args.command)
-            _CONFIG_COMMANDS[args.command](cfg, sha, out_dir)
+        results, outputs = _COMMANDS[args.command](cfg, out_dir)
+        seed = cfg.get("seed") if "seed" in declared else None
+        path = _write_summary(out_dir, args.command, sha, None if seed is None else int(seed),
+                              results, outputs)
+        print(f"summary written to {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

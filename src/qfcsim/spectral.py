@@ -65,7 +65,7 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
     """
     lam = np.asarray(wavelength_um, dtype=float)
     lo, hi = model.valid_um
-    if np.min(lam) < lo or np.max(lam) > hi:
+    if not (lo <= np.min(lam) and np.max(lam) <= hi):  # NaN fails too
         raise OutOfRange(
             f"wavelength range [{np.min(lam):.4g}, {np.max(lam):.4g}] um outside "
             f"validity [{lo}, {hi}] um of model {model.name}")
@@ -409,7 +409,7 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
     spectral amplitude H_n(tau dw) exp(-tau^2 dw^2 / 2) with
     tau = duration / sqrt(2), matching the envelope convention above.
     """
-    if mode_duration_fs <= 0 or n_modes < 1:
+    if not (mode_duration_fs > 0 and n_modes >= 1):  # NaN fails too
         raise OutOfRange("mode duration must be positive and n_modes >= 1")
     tau_s = mode_duration_fs * 1e-15 / np.sqrt(2)
     _check_mode_resolution(rho, tau_s, n_modes)

@@ -31,7 +31,10 @@ STATE_VECTORS = {
 
 
 def _check_unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(2)
+    try:
+        v = np.asarray(v, dtype=complex).reshape(2)
+    except (TypeError, ValueError):
+        raise NotNormalized(f"{name} must be 2 numbers, got {type(v).__name__}") from None
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
         raise NotNormalized(f"{name} is not unit norm")
     return v
@@ -338,10 +341,13 @@ def _vector_spec(v: np.ndarray) -> str:
     return ";".join(f"{float(x.real):.17g}{float(x.imag):+.17g}j" for x in v)
 
 
-def _parse_vector_spec(spec: str) -> np.ndarray:
+def _parse_vector_spec(spec: str, line: int) -> np.ndarray:
     if spec in STATE_VECTORS:
         return STATE_VECTORS[spec]
-    return np.array([complex(part) for part in spec.split(";")], dtype=complex)
+    try:
+        return np.array([complex(part) for part in spec.split(";")], dtype=complex)
+    except ValueError:
+        raise InvalidState(f"line {line}: malformed vector spec {spec!r}") from None
 
 
 def records_to_csv(records, path) -> None:
@@ -363,7 +369,12 @@ def records_from_csv(path) -> list:
             if row.get("integration_time_s") != "1.0":
                 raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
                                    f"got {row.get('integration_time_s')!r}")
-            setting = MeasurementSetting(_parse_vector_spec(row["proj_a_spec"]),
-                                         _parse_vector_spec(row["proj_b_spec"]))
-            records.append(CountRecord(setting=setting, counts=int(row["counts"])))
+            setting = MeasurementSetting(_parse_vector_spec(row["proj_a_spec"], reader.line_num),
+                                         _parse_vector_spec(row["proj_b_spec"], reader.line_num))
+            try:
+                counts = int(row["counts"])
+            except ValueError:
+                raise InvalidState(f"line {reader.line_num}: counts must be an integer, "
+                                   f"got {row['counts']!r}") from None
+            records.append(CountRecord(setting=setting, counts=counts))
     return records

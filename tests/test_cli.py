@@ -31,6 +31,9 @@ BUNDLED = {
     "tomo_rho0.json": "tomo",
 }
 CHOI = {"drive": {"theta_deg": 22.5}, "kt_list": [0.1, 0.2]}
+# the config schema's entry of each config-driven command
+SCHEMA_PROPERTIES = {name: entry["properties"]
+                     for name, entry in _schema("config.schema.json")["properties"].items()}
 
 
 def read_summary(out_dir: Path, command: str) -> dict:
@@ -258,6 +261,20 @@ class TestTomo:
             assert res[f"{name}_mc"] == {"value": est.value, "std": est.std,
                                          "n_samples": 12}
 
+    def test_single_mc_sample_is_an_error(self, tmp_path, capsys):
+        # 0 turns the error bars off; 1 is not a spread, so the library rejects it
+        cfg = tmp_path / "tomo.json"
+        cfg.write_text(json.dumps({
+            "state": {"kind": "bell", "label": "phi+"},
+            "settings": 16,
+            "mean_pairs": 1e3,
+            "seed": 5,
+            "mc_samples": 1,
+        }))
+        assert main(["--out", str(tmp_path), "tomo", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: n_samples must be >= 2, got 1\n"
+        assert not (tmp_path / "tomo_summary.json").exists()
+
 
 class TestBell:
     def test_fig_s5_exact_bundle(self, tmp_path):
@@ -314,6 +331,69 @@ class TestEfficiency:
         assert err.startswith("error: r_") and "must be positive and finite" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "efficiency_summary.json").exists()
+
+
+def _small_configs() -> dict:
+    """A quick config of every config-driven command; the seeded ones sampled."""
+    jsa = json.loads((CONFIGS / "fig_s2_type0.json").read_text())
+    jsa["grid"]["points"] = 64
+    bell_state = {"kind": "bell", "label": "phi+"}
+    return {
+        "sweep-theta": {"theta_deg": {"start": 0.0, "stop": 10.0, "step": 10.0},
+                        "input_state": bell_state, "kt": 0.5, "mode": "sampled",
+                        "mean_pairs": 1e3, "seed": 3, "settings": 16},
+        "choi": CHOI,
+        "jsa": jsa,
+        "tomo": {"state": bell_state, "settings": 16, "mean_pairs": 1e3, "seed": 3},
+        "bell": {"state": bell_state, "phi_deg": {"start": 0.0, "stop": 45.0, "step": 22.5},
+                 "mode": "sampled", "mean_pairs": 100.0, "seed": 3},
+    }
+
+
+SMALL_CONFIGS = _small_configs()
+
+
+class TestSchemaDerivedFlags:
+    """--seed and --exact/--sampled reach the commands whose config schema
+    declares a seed and a mode, and no others."""
+
+    def test_schema_declarations(self):
+        assert sorted(SMALL_CONFIGS) == sorted(SCHEMA_PROPERTIES)
+        assert sorted(c for c, props in SCHEMA_PROPERTIES.items()
+                      if "seed" in props) == ["bell", "sweep-theta", "tomo"]
+        assert sorted(c for c, props in SCHEMA_PROPERTIES.items()
+                      if "mode" in props) == ["bell", "sweep-theta"]
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+    def test_seed_flag_reaches_exactly_the_seeded_configs(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "5", command, "--config", str(cfg)]) == 0
+        expected = 5 if "seed" in SCHEMA_PROPERTIES[command] else None
+        assert read_summary(out, command)["seed"] == expected
+
+    @pytest.mark.parametrize("argv", [["drive", "--theta", "10"],
+                                      ["efficiency", "100", "60000", "0.8", "0.6"]])
+    def test_seed_flag_leaves_argument_commands_unseeded(self, tmp_path, argv):
+        assert main(["--out", str(tmp_path), "--seed", "5"] + argv) == 0
+        assert read_summary(tmp_path, argv[0])["seed"] is None
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+    @pytest.mark.parametrize("flag", ["--exact", "--sampled"])
+    def test_mode_flags_exist_exactly_for_configs_with_a_mode(self, tmp_path, capsys,
+                                                              command, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
+        argv = ["--out", str(tmp_path), command, "--config", str(cfg), flag]
+        if "mode" in SCHEMA_PROPERTIES[command]:
+            assert main(argv) == 0
+            assert read_summary(tmp_path, command)["results"]["mode"] == flag[2:]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestConfigValidation:
