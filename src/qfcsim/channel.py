@@ -21,7 +21,6 @@ A = U diag(s+, s-) V^dag, which stays regular when A is singular:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,7 @@ class ChannelSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", check_drive(self.a))
         if not _finite_real(self.kt) or self.kt < 0:
-            got = self.kt if isinstance(self.kt, numbers.Real) else _describe(self.kt)
-            raise OutOfRange(f"kt must be finite and >= 0, got {got}")
+            raise OutOfRange(f"kt must be finite and >= 0, got {_describe(self.kt)}")
 
 
 @dataclass(frozen=True)

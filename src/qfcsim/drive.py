@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotNormalized
+from .linalg import unit_norm
 from .states import assert_density_matrix
 
 
@@ -35,14 +35,7 @@ def vwp_transform(e) -> np.ndarray:
     HG00*y -> (HG01*x - HG10*y)/sqrt(2), so an input (ex, ey) gives
     A = [[ex, ey], [-ey, ex]] / sqrt(2).
     """
-    try:
-        e = np.asarray(e, dtype=complex).reshape(2)
-    except (TypeError, ValueError):
-        raise NotNormalized(f"Jones vector must be 2 numbers, got {type(e).__name__}") from None
-    norm = np.sqrt(np.sum(np.abs(e) ** 2))
-    if not abs(norm - 1.0) <= 1e-10:
-        raise NotNormalized(f"Jones vector has norm {norm}, expected 1")
-    ex, ey = e
+    ex, ey = unit_norm(e, (2,), "Jones vector")
     return np.array([[ex, ey], [-ey, ex]], dtype=complex) / np.sqrt(2)
 
 
@@ -53,17 +46,7 @@ def drive_from_theta(theta: float) -> np.ndarray:
 
 
 def check_drive(a) -> np.ndarray:
-    try:
-        a = np.asarray(a, dtype=complex)
-    except (TypeError, ValueError):
-        raise NotNormalized(f"drive matrix must be numeric, got {type(a).__name__}") from None
-    if a.shape != (2, 2):
-        raise NotNormalized(f"drive matrix must be 2x2, got {a.shape}")
-    norm = np.linalg.norm(a)
-    # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= 1e-10:
-        raise NotNormalized(f"drive matrix has Frobenius norm {norm}, expected 1")
-    return a
+    return unit_norm(a, (2, 2), "drive matrix")
 
 
 def coherence_matrix(a) -> np.ndarray:

@@ -1,18 +1,33 @@
-"""Dense complex linear algebra: conversion, SVD and the two-qubit partial trace."""
+"""Complex arrays: conversion, the unit-norm check, SVD and the two-qubit partial trace."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidState, NoConvergence, ShapeMismatch
+from .errors import InvalidState, NoConvergence, NotNormalized, ShapeMismatch
 
 
 def as_complex(m) -> np.ndarray:
     try:
         return np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise InvalidState(f"expected a numeric matrix, got {type(m).__name__}: "
                            f"{exc}") from exc
+
+
+def unit_norm(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a complex array of exactly ``shape`` and 2-norm 1 within 1e-10
+    (Frobenius for a matrix; NaN fails); NotNormalized otherwise."""
+    try:
+        arr = as_complex(x)
+    except InvalidState:
+        raise NotNormalized(f"{what} must be numeric, got {type(x).__name__}") from None
+    if arr.shape != shape:
+        raise NotNormalized(f"{what} must have shape {shape}, got {arr.shape}")
+    norm = np.linalg.norm(arr)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise NotNormalized(f"{what} has norm {norm}, expected 1")
+    return arr
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

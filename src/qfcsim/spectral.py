@@ -379,6 +379,7 @@ def _hg_modes(axis: np.ndarray, n_modes: int, tau_s: float, omega0: float) -> np
     psi_{k+1} = sqrt(2/(k+1)) x psi_k - sqrt(k/(k+1)) psi_{k-1}, which stays
     finite where H_k(x) and exp(-x^2/2) alone would overflow or underflow.
     """
+    # the first spacing: callers have checked the axis with _uniform_step
     dw = axis[1] - axis[0]
     x = tau_s * (axis - omega0)
     modes = np.empty((n_modes, len(axis)))
@@ -391,7 +392,7 @@ def _hg_modes(axis: np.ndarray, n_modes: int, tau_s: float, omega0: float) -> np
 
 
 def _check_mode_resolution(rho: SpectralDensity, tau_s: float, n_modes: int) -> None:
-    dw = rho.axis[1] - rho.axis[0]
+    dw = _uniform_step(rho.axis, "frequency axis")
     sigma = 1.0 / tau_s  # spectral std of the fundamental mode
     if sigma < 4 * dw:
         raise GridTooCoarse("grid spacing too coarse for the requested mode duration")
@@ -408,6 +409,7 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
     Modes are centered on the photon's mean frequency; mode n has the
     spectral amplitude H_n(tau dw) exp(-tau^2 dw^2 / 2) with
     tau = duration / sqrt(2), matching the envelope convention above.
+    Raises OutOfRange for fewer than two or non-uniform frequencies.
     """
     if not (mode_duration_fs > 0 and n_modes >= 1):  # NaN fails too
         raise OutOfRange("mode duration must be positive and n_modes >= 1")
@@ -446,8 +448,10 @@ def _fwhm(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:
-    """Step of a uniform 1-D grid; OutOfRange when the spacing varies by more
-    than 1e-9 of the step."""
+    """Step of a uniform 1-D grid; OutOfRange for fewer than 2 points or when
+    the spacing varies by more than 1e-9 of the step."""
+    if len(x) < 2:
+        raise OutOfRange(f"{what} must have at least 2 points, got {len(x)}")
     step = (x[-1] - x[0]) / (len(x) - 1)
     if not np.all(np.abs(np.diff(x) - step) <= 1e-9 * np.abs(step)):
         raise OutOfRange(f"{what} must be uniformly spaced (relative tolerance 1e-9)")
@@ -475,14 +479,14 @@ def _lag_sum(rho: SpectralDensity, t_s, lag_weight=None) -> np.ndarray:
     On the uniform frequency grid w_j = w_0 + j dw, c_d sums the d-th
     diagonal of rho (d = j - l); ``lag_weight`` maps the lag frequencies
     d dw to real weights w, all ones when None. On the uniform time grid
-    the sum over d is a chirp-z transform. Raises OutOfRange for a
-    non-uniform frequency axis or fewer than two or non-uniform time points.
+    the sum over d is a chirp-z transform. Raises OutOfRange for fewer than
+    two or non-uniform frequencies or time points.
     """
     t = np.asarray(t_s, dtype=float)
     if t.ndim != 1 or len(t) < 2:
         raise OutOfRange("temporal_intensity needs at least 2 time points in a 1-D array")
     n = len(rho.axis)
-    dw = _uniform_step(rho.axis, "frequency axis") if n > 1 else 0.0
+    dw = _uniform_step(rho.axis, "frequency axis")
     dt = _uniform_step(t, "time points")
     j = np.arange(n)
     lag = (j[:, None] - j[None, :] + n - 1).ravel()
@@ -505,8 +509,8 @@ def temporal_intensity(rho: SpectralDensity, t_s: np.ndarray) -> np.ndarray:
     On the uniform frequency grid w_j = w_0 + j dw,
     I(t) = sum_jl rho_jl exp(-i (w_j - w_l) t) = sum_d c_d exp(-i d dw t),
     evaluated by ``_lag_sum``; the overall dw / 2 pi factor is dropped.
-    Raises OutOfRange for a non-uniform frequency axis or fewer than two or
-    non-uniform time points.
+    Raises OutOfRange for fewer than two or non-uniform frequencies or time
+    points.
     """
     return _lag_sum(rho, t_s)
 

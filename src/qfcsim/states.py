@@ -94,16 +94,15 @@ def born_probabilities(rho, kets) -> np.ndarray:
 def check_mean_pairs(mean_pairs) -> float:
     """Validate an expected pair count for Poisson sampling; return it as float.
 
-    It must be positive (InvalidState otherwise), finite and at most
-    MAX_MEAN_PAIRS (OutOfRange otherwise).
+    It must be positive (InvalidState otherwise), and a finite real number
+    at most MAX_MEAN_PAIRS (OutOfRange otherwise).
     """
-    mean_pairs = float(mean_pairs)
-    if not np.isfinite(mean_pairs) or mean_pairs > MAX_MEAN_PAIRS:
+    if not _finite_real(mean_pairs) or mean_pairs > MAX_MEAN_PAIRS:
         raise OutOfRange(f"mean_pairs must be finite and at most {MAX_MEAN_PAIRS:g}, "
-                         f"got {mean_pairs}")
+                         f"got {_describe(mean_pairs)}")
     if mean_pairs <= 0:
         raise InvalidState(f"mean_pairs must be positive, got {mean_pairs}")
-    return mean_pairs
+    return float(mean_pairs)
 
 
 def _finite_real(x) -> bool:
@@ -115,8 +114,11 @@ def _finite_real(x) -> bool:
 
 
 def _describe(x) -> str:
-    """One-line description of a rejected argument: a scalar's repr, else its type."""
-    return repr(x) if x is None or np.isscalar(x) else type(x).__name__
+    """One-line description of a rejected argument: a string's or None's repr,
+    another scalar as str prints it (nan, not np.float64(nan)), else its type."""
+    if x is None or isinstance(x, str):
+        return repr(x)
+    return str(x) if np.isscalar(x) else type(x).__name__
 
 
 def _seed_word(x) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidState, NoConvergence, NotInformationallyComplete,
-                     NotNormalized, ShapeMismatch)
+from .errors import InvalidState, NoConvergence, NotInformationallyComplete, ShapeMismatch
+from .linalg import unit_norm
 from .states import (_describe, _one_matrix, assert_density_matrix, born_probabilities,
                      check_mean_pairs, check_seed)
 
@@ -30,16 +30,6 @@ STATE_VECTORS = {
 }
 
 
-def _check_unit(v, name: str) -> np.ndarray:
-    try:
-        v = np.asarray(v, dtype=complex).reshape(2)
-    except (TypeError, ValueError):
-        raise NotNormalized(f"{name} must be 2 numbers, got {type(v).__name__}") from None
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-10:
-        raise NotNormalized(f"{name} is not unit norm")
-    return v
-
-
 @dataclass(frozen=True)
 class MeasurementSetting:
     """Projector states for qubit 1 and qubit 2, and their product ket."""
@@ -49,8 +39,8 @@ class MeasurementSetting:
     ket: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "proj_a", _check_unit(self.proj_a, "proj_a"))
-        object.__setattr__(self, "proj_b", _check_unit(self.proj_b, "proj_b"))
+        object.__setattr__(self, "proj_a", unit_norm(self.proj_a, (2,), "proj_a"))
+        object.__setattr__(self, "proj_b", unit_norm(self.proj_b, (2,), "proj_b"))
         object.__setattr__(self, "ket", np.outer(self.proj_a, self.proj_b).reshape(4))
 
     @classmethod
@@ -350,25 +340,32 @@ def _parse_vector_spec(spec: str, line: int) -> np.ndarray:
         raise InvalidState(f"line {line}: malformed vector spec {spec!r}") from None
 
 
+_CSV_COLUMNS = ("proj_a_spec", "proj_b_spec", "counts", "integration_time_s")
+
+
 def records_to_csv(records, path) -> None:
-    """CSV columns: proj_a_spec, proj_b_spec, counts, integration_time_s (always 1.0)."""
+    """One row per record in the columns ``_CSV_COLUMNS``; integration_time_s is 1.0."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["proj_a_spec", "proj_b_spec", "counts", "integration_time_s"])
+        writer.writerow(_CSV_COLUMNS)
         for rec in records:
             writer.writerow([_vector_spec(rec.setting.proj_a),
                              _vector_spec(rec.setting.proj_b), rec.counts, "1.0"])
 
 
 def records_from_csv(path) -> list:
-    """Records of a ``records_to_csv`` file; the likelihood needs equal count times."""
+    """Records of a ``records_to_csv`` file; InvalidState for a missing column or a
+    malformed row, and for a count time other than 1.0: the likelihood needs equal times."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells
+        for column in _CSV_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                raise InvalidState(f"counts CSV has no {column!r} column")
         for row in reader:
-            if row.get("integration_time_s") != "1.0":
+            if row["integration_time_s"] != "1.0":
                 raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
-                                   f"got {row.get('integration_time_s')!r}")
+                                   f"got {row['integration_time_s']!r}")
             setting = MeasurementSetting(_parse_vector_spec(row["proj_a_spec"], reader.line_num),
                                          _parse_vector_spec(row["proj_b_spec"], reader.line_num))
             try:

@@ -1,17 +1,24 @@
 """Library calls that must raise a one-line QfcError for malformed arguments."""
 
+import functools
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qfcsim.bell import chsh_sweep
 from qfcsim.channel import ChannelSpec, converted_marginal_is_mixed, drive_singular_values
 from qfcsim.drive import check_drive, coherence_matrix, drive_concurrence, vwp_transform
 from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError
-from qfcsim.spectral import (LITHIUM_NIOBATE, CrystalSpec, SpectralDensity,
-                             hg_mode_probabilities, phase_mismatch, refractive_index)
-from qfcsim.states import purity, werner_state
+from qfcsim.spectral import (LITHIUM_NIOBATE, CrystalSpec, GridSpec, PumpSpec,
+                             SpectralDensity, compute_jsa, hg_mode_probabilities,
+                             phase_mismatch, pump_overlap, reduced_density, refractive_index,
+                             temporal_intensity)
+from qfcsim.states import MAX_MEAN_PAIRS, check_mean_pairs, check_seed, purity, werner_state
 from qfcsim.tomography import (MeasurementSetting, monte_carlo_metric, projector_set,
                                records_from_csv, simulate_counts)
 
@@ -22,6 +29,36 @@ CRYSTAL = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
 SPECTRUM = SpectralDensity(axis=2.4e15 + 1e12 * np.arange(-32, 32), mat=np.eye(64) / 64)
 
 
+PUMP = PumpSpec(center_wavelength_nm=780.0, duration_fs=220.0)
+HUGE = 10 ** 400  # an int beyond the float range
+T_S = np.linspace(-2e-12, 2e-12, 101)
+
+
+@functools.lru_cache(maxsize=None)
+def _warped_type1_density():
+    """The idler density of configs/fig_s2_type1.json on its axis remapped as
+    t -> t + 0.2 t (1 - t), t in [0, 1] across the span: same ends, unequal steps."""
+    rho = reduced_density(compute_jsa(PUMP, CRYSTAL, 12.0, GridSpec(512, 80.0)), "idler")
+    lo, span = rho.axis[0], rho.axis[-1] - rho.axis[0]
+    t = (rho.axis - lo) / span
+    return SpectralDensity(axis=lo + span * (t + 0.2 * t * (1 - t)), mat=rho.mat)
+
+
+def _spectrum_of(points):
+    return SpectralDensity(axis=SPECTRUM.axis[:points], mat=np.eye(points) / max(points, 1))
+
+
+def _counts_csv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text(text)
+        return records_from_csv(path)
+
+
+def _counts_with_pairs(mean_pairs):
+    return simulate_counts(werner_state(0.9), projector_set(16), mean_pairs, seed=1)
+
+
 def _metric_with_samples(n_samples):
     records = simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1)
     return monte_carlo_metric(records, purity, n_samples, seed=2)
@@ -29,11 +66,7 @@ def _metric_with_samples(n_samples):
 
 def _records_from_line(line):
     """Read a counts CSV whose second record is ``line``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "counts.csv"
-        path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
-                        f"H,H,3,1.0\n{line}\n")
-        return records_from_csv(path)
+    return _counts_csv(f"proj_a_spec,proj_b_spec,counts,integration_time_s\nH,H,3,1.0\n{line}\n")
 
 
 ESCAPES = {
@@ -65,6 +98,49 @@ ESCAPES = {
     "refractive_index-nan": (
         lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], float("nan"), 25.0), OutOfRange),
     "phase_mismatch-nan": (lambda: phase_mismatch(CRYSTAL, float("nan"), 1e15), OutOfRange),
+    "purity-overflow": (lambda: purity([[HUGE, 0], [0, 0]]), InvalidState),
+    "vwp_transform-overflow": (lambda: vwp_transform([HUGE, 0]), NotNormalized),
+    "check_drive-overflow": (lambda: check_drive([[HUGE, 0], [0, 0]]), NotNormalized),
+    "MeasurementSetting-overflow": (lambda: MeasurementSetting([HUGE, 0], [1, 0]),
+                                    NotNormalized),
+    "vwp_transform-column": (lambda: vwp_transform([[1.0], [0.0]]), NotNormalized),
+    "vwp_transform-row": (lambda: vwp_transform([[1.0, 0.0]]), NotNormalized),
+    "MeasurementSetting-column": (lambda: MeasurementSetting([1, 0], [[1], [0]]), NotNormalized),
+    "MeasurementSetting-row": (lambda: MeasurementSetting([[1, 0]], [1, 0]), NotNormalized),
+    "hg_mode_probabilities-warped-axis": (
+        lambda: hg_mode_probabilities(_warped_type1_density(), 220.0, 10), OutOfRange),
+    "pump_overlap-warped-axis": (lambda: pump_overlap(_warped_type1_density(), PUMP),
+                                 OutOfRange),
+    "hg_mode_probabilities-1-point": (lambda: hg_mode_probabilities(_spectrum_of(1), 220.0, 1),
+                                      OutOfRange),
+    "hg_mode_probabilities-0-points": (
+        lambda: hg_mode_probabilities(_spectrum_of(0), 220.0, 1), OutOfRange),
+    "temporal_intensity-1-point": (lambda: temporal_intensity(_spectrum_of(1), T_S),
+                                   OutOfRange),
+    "temporal_intensity-0-points": (lambda: temporal_intensity(_spectrum_of(0), T_S),
+                                    OutOfRange),
+    "simulate_counts-pairs-str": (lambda: _counts_with_pairs("abc"), OutOfRange),
+    "simulate_counts-pairs-list": (lambda: _counts_with_pairs([1e3]), OutOfRange),
+    "simulate_counts-pairs-complex": (lambda: _counts_with_pairs(1e3 + 0j), OutOfRange),
+    "simulate_counts-pairs-overflow": (lambda: _counts_with_pairs(HUGE), OutOfRange),
+    "simulate_counts-pairs-None": (lambda: _counts_with_pairs(None), OutOfRange),
+    "chsh_sweep-pairs-str": (lambda: chsh_sweep(werner_state(0.9), [0.0], "abc", 1),
+                             OutOfRange),
+    "chsh_sweep-pairs-list": (lambda: chsh_sweep(werner_state(0.9), [0.0], [1e3], 1),
+                              OutOfRange),
+    "chsh_sweep-pairs-complex": (lambda: chsh_sweep(werner_state(0.9), [0.0], 1e3 + 0j, 1),
+                                 OutOfRange),
+    "chsh_sweep-pairs-overflow": (lambda: chsh_sweep(werner_state(0.9), [0.0], HUGE, 1),
+                                  OutOfRange),
+    "records_from_csv-other-header": (
+        lambda: _counts_csv("a,b,counts,integration_time_s\nH,H,3,1.0\n"), InvalidState),
+    "records_from_csv-no-counts": (
+        lambda: _counts_csv("proj_a_spec,proj_b_spec,integration_time_s\nH,H,1.0\n"),
+        InvalidState),
+    "records_from_csv-empty-file": (lambda: _counts_csv(""), InvalidState),
+    "records_from_csv-short-row": (
+        lambda: _counts_csv("counts,integration_time_s,proj_a_spec,proj_b_spec\n3,1.0,H\n"),
+        InvalidState),
 }
 
 
@@ -91,3 +167,104 @@ def test_n_samples_is_checked_before_any_solve(monkeypatch):
 def test_finite_drive_concurrence_is_still_clamped():
     assert drive_singular_values(1.5) == drive_singular_values(1.0)
     assert drive_singular_values(-0.5) == drive_singular_values(0.0)
+
+
+@pytest.mark.parametrize("column", ["proj_a_spec", "proj_b_spec", "counts",
+                                    "integration_time_s"])
+def test_missing_csv_column_is_named(column):
+    header = ",".join(c for c in ("proj_a_spec", "proj_b_spec", "counts", "integration_time_s")
+                      if c != column)
+    with pytest.raises(InvalidState, match=f"no '{column}' column"):
+        _counts_csv(f"{header}\nH,H,3\n")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: werner_state(np.float64("nan")),
+    lambda: drive_singular_values(np.float64("nan")),
+    lambda: check_seed(np.float64(1.5)),
+    lambda: _metric_with_samples(np.float64(2.5)),
+    lambda: ChannelSpec(a=DRIVE, kt=np.float64(-1.0)),
+    lambda: _counts_with_pairs(np.float64("nan")),
+])
+def test_numpy_scalar_is_described_as_str_prints_it(call):
+    with pytest.raises(QfcError) as err:
+        call()
+    assert "np." not in str(err.value)
+    assert str(err.value).endswith(("got nan", "got 1.5", "got 2.5", "got -1.0"))
+
+
+@pytest.mark.parametrize("call,shape,twice_unit", [
+    (check_drive, (2, 2), [[2, 0], [0, 0]]),
+    (vwp_transform, (2,), [2, 0]),
+    (lambda v: MeasurementSetting(v, [1, 0]), (2,), [2, 0]),
+])
+def test_unit_norm_messages_share_one_wording(call, shape, twice_unit):
+    with pytest.raises(NotNormalized, match="must be numeric, got str$"):
+        call("ab")
+    with pytest.raises(NotNormalized, match=rf"must have shape {re.escape(str(shape))}, "
+                                            r"got \(3,\)$"):
+        call(np.zeros(3))
+    with pytest.raises(NotNormalized, match="has norm 2.0, expected 1$"):
+        call(twice_unit)
+
+
+# the numbers, strings and containers a caller might pass where one number or
+# vector is expected
+_ANY_SCALAR = st.one_of(
+    st.floats(), st.integers(), st.complex_numbers(), st.text(max_size=3), st.none(),
+    st.booleans(), st.sampled_from([HUGE, -HUGE, np.float64("nan"), np.int64(7)]))
+
+
+@st.composite
+def _vector_like(draw):
+    """A nested list or array of a shape near (2,) or (2, 2), often of unit norm."""
+    shape = draw(st.one_of(st.sampled_from([(2,), (2, 2)]),
+                           st.sampled_from([(2, 1), (1, 2), (4,), (3,), (1,), (0,), ()])))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.one_of(st.floats(-10, 10), _ANY_SCALAR),
+                           min_size=size, max_size=size))
+    try:
+        arr = np.asarray(values, dtype=complex).reshape(shape)
+    except (TypeError, ValueError, OverflowError):
+        return draw(st.sampled_from([values, "ab", None]))
+    norm = np.linalg.norm(arr)
+    if draw(st.booleans()) and 0 < norm < np.inf:
+        arr = arr / norm
+    return draw(st.sampled_from([arr, arr.tolist()]))
+
+
+def _is_unit_of_shape(x, shape):
+    try:
+        arr = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return arr.shape == shape and abs(np.linalg.norm(arr) - 1.0) <= 1e-10
+
+
+class TestContractFuzz:
+    # a finite vector of norm beyond ~1e154 overflows in numpy's norm
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(x=_vector_like())
+    def test_unit_norm_entry_points_accept_only_their_shape_at_unit_norm(self, x):
+        for call, shape in ((check_drive, (2, 2)), (vwp_transform, (2,)),
+                            (lambda v: MeasurementSetting(v, [1, 0]), (2,))):
+            try:
+                call(x)
+            except NotNormalized as exc:
+                assert len(str(exc).splitlines()) == 1
+            else:
+                assert _is_unit_of_shape(x, shape)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(x=st.one_of(_ANY_SCALAR, st.lists(st.floats(), max_size=2),
+                       st.floats(min_value=1e-300, max_value=2 * MAX_MEAN_PAIRS)))
+    def test_mean_pairs_is_a_bounded_positive_float_or_a_qfc_error(self, x):
+        try:
+            mean_pairs = check_mean_pairs(x)
+        except (OutOfRange, InvalidState) as exc:
+            assert len(str(exc).splitlines()) == 1
+        else:
+            assert type(mean_pairs) is float and 0 < mean_pairs <= MAX_MEAN_PAIRS
