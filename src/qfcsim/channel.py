@@ -27,9 +27,8 @@ import numpy as np
 
 from .drive import check_drive, coherence_matrix
 from .errors import OutOfRange, ZeroConversionProbability
-from .linalg import dagger, partial_trace, svd
-from .states import (I2, _describe, _finite_real, _one_matrix, assert_density_matrix,
-                     bell_state, concurrence)
+from .linalg import _describe, _finite_real, dagger, partial_trace, svd
+from .states import I2, _one_matrix, assert_density_matrix, bell_state, concurrence
 
 # success probabilities at or below this are treated as zero conversion
 PROB_FLOOR = 1e-15

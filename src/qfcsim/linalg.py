@@ -1,10 +1,31 @@
-"""Complex arrays: conversion, the unit-norm check, SVD and the two-qubit partial trace."""
+"""Argument checks (finite reals, complex arrays, unit norm), SVD and the
+two-qubit partial trace."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from .errors import InvalidState, NoConvergence, NotNormalized, ShapeMismatch
+
+
+def _finite_real(x) -> bool:
+    """True for a finite real number; False for NaN, +-inf, arrays and other types."""
+    try:
+        return isinstance(x, numbers.Real) and bool(np.isfinite(float(x)))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _describe(x) -> str:
+    """One-line description of a rejected argument: a string's or None's repr,
+    another scalar as str prints it (nan, not np.float64(nan)), else its type."""
+    if x is None or isinstance(x, str):
+        return repr(x)
+    if isinstance(x, numbers.Integral) and not _finite_real(x):
+        return type(x).__name__  # beyond the float range; str raises past 4300 digits
+    return str(x) if np.isscalar(x) else type(x).__name__
 
 
 def as_complex(m) -> np.ndarray:

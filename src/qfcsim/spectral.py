@@ -18,14 +18,32 @@ Conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
                      ShapeMismatch)
+from .linalg import _describe, _finite_real
 
 C_M_S = 299792458.0  # speed of light, m/s
+
+
+def _positive(x) -> bool:
+    return _finite_real(x) and x > 0
+
+
+def _integer(x, low: int) -> bool:
+    # by type, as monte_carlo_metric takes n_samples; within the float range
+    return isinstance(x, numbers.Integral) and _finite_real(x) and x >= low
+
+
+def _real_array(x, what: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRange(f"{what} must be real numbers, got {_describe(x)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +81,7 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
     ``wavelength_um`` may be a scalar or an ndarray; raises OutOfRange when
     any wavelength falls outside the model's validity window.
     """
-    lam = np.asarray(wavelength_um, dtype=float)
+    lam = _real_array(wavelength_um, "wavelengths")
     lo, hi = model.valid_um
     if not (lo <= np.min(lam) and np.max(lam) <= hi):  # NaN fails too
         raise OutOfRange(
@@ -71,8 +89,8 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
             f"validity [{lo}, {hi}] um of model {model.name}")
     a1, a2, a3, a4, a5, a6 = model.sellmeier
     b1, b2, b3, b4 = model.thermo
-    if not np.isfinite(temperature_c):
-        raise OutOfRange(f"temperature must be finite, got {temperature_c}")
+    if not _finite_real(temperature_c):
+        raise OutOfRange(f"temperature must be finite, got {_describe(temperature_c)}")
     f = (temperature_c - 24.5) * (temperature_c + 570.82)
     try:
         pole = (a3 + b3 * f) ** 2
@@ -107,10 +125,12 @@ class CrystalSpec:
     interaction: str  # "type0_eee" (all extraordinary) or "type1_ooe" (pair ordinary, pump extraordinary)
 
     def __post_init__(self):
-        if not (0 < self.length_mm < np.inf and 0 < self.poling_period_um < np.inf):
-            raise OutOfRange("crystal length and poling period must be positive and finite")
-        if not np.isfinite(self.temperature_c):
-            raise OutOfRange(f"crystal temperature must be finite, got {self.temperature_c}")
+        if not (_positive(self.length_mm) and _positive(self.poling_period_um)):
+            raise OutOfRange(f"crystal length and poling period must be positive and finite, got "
+                             f"{_describe(self.length_mm)} and {_describe(self.poling_period_um)}")
+        if not _finite_real(self.temperature_c):
+            raise OutOfRange(f"crystal temperature must be finite, "
+                             f"got {_describe(self.temperature_c)}")
         if self.interaction not in INTERACTIONS:
             raise OutOfRange(f"interaction must be one of {INTERACTIONS}")
 
@@ -127,8 +147,10 @@ class PumpSpec:
     duration_fs: float
 
     def __post_init__(self):
-        if not (0 < self.duration_fs < np.inf and 0 < self.center_wavelength_nm < np.inf):
-            raise OutOfRange("pump duration and wavelength must be positive and finite")
+        if not (_positive(self.duration_fs) and _positive(self.center_wavelength_nm)):
+            raise OutOfRange(f"pump duration and wavelength must be positive and finite, got "
+                             f"{_describe(self.duration_fs)} and "
+                             f"{_describe(self.center_wavelength_nm)}")
         # a subnormal wavelength underflows to 0 m or gives an infinite frequency
         if not (self.center_wavelength_nm * 1e-9 > 0 and self.omega_rad_s < np.inf):
             raise OutOfRange(f"pump wavelength {self.center_wavelength_nm} nm is too small "
@@ -146,7 +168,15 @@ class GridSpec:
     points: int = 512
     span_nm: float = 80.0
 
+    def __post_init__(self):
+        if not (_integer(self.points, 0) and _positive(self.span_nm)):
+            raise OutOfRange(f"grid points must be a non-negative integer and the span positive "
+                             f"and finite, got {_describe(self.points)} and "
+                             f"{_describe(self.span_nm)}")
+
     def axis(self, center_nm: float) -> np.ndarray:
+        if not _finite_real(center_nm):
+            raise OutOfRange(f"center wavelength must be finite, got {_describe(center_nm)}")
         lam_lo = (center_nm - self.span_nm / 2) * 1e-9
         lam_hi = (center_nm + self.span_nm / 2) * 1e-9
         if not lam_lo > 0:
@@ -206,8 +236,8 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
     grating component whose sign best compensates the material mismatch
     (a poled crystal provides both +-1 orders).
     """
-    omega_s = np.asarray(omega_s, dtype=float)
-    omega_i = np.asarray(omega_i, dtype=float)
+    omega_s = _real_array(omega_s, "frequencies")
+    omega_i = _real_array(omega_i, "frequencies")
     if np.any(omega_s <= 0) or np.any(omega_i <= 0):
         raise OutOfRange("frequencies must be positive")
     pair_pol = "o" if crystal.interaction == "type1_ooe" else "e"
@@ -215,9 +245,7 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
               - _wavevector(crystal, omega_s, pair_pol)
               - _wavevector(crystal, omega_i, pair_pol))
     grating = 2 * np.pi / (crystal.poling_period_um * 1e-6)
-    plus = dk_mat - grating
-    minus = dk_mat + grating
-    out = np.where(np.abs(plus) <= np.abs(minus), plus, minus)
+    out = dk_mat - np.copysign(grating, dk_mat)
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,13 +255,14 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     on a grid centered on the degenerate wavelength 2 lambda_pump."""
     if grid.points < 64:
         raise GridTooCoarse(f"need at least 64 points per axis, got {grid.points}")
-    if not 0 < filter_fwhm_nm < np.inf:
-        raise OutOfRange(f"filter FWHM must be positive and finite, got {filter_fwhm_nm}")
+    if not _positive(filter_fwhm_nm):
+        raise OutOfRange(f"filter FWHM must be positive and finite, "
+                         f"got {_describe(filter_fwhm_nm)}")
     center_nm = 2 * pump.center_wavelength_nm
     # +-3 sigma of the amplitude filter must fit on the grid
     sigma_nm = filter_fwhm_nm / (2 * np.sqrt(np.log(2)))
-    if not 6 * sigma_nm <= grid.span_nm < np.inf:
-        raise OutOfRange(f"grid span {grid.span_nm} nm must be finite and cover +-3 filter "
+    if not 6 * sigma_nm <= grid.span_nm:
+        raise OutOfRange(f"grid span {grid.span_nm} nm must cover +-3 filter "
                          f"sigma ({6 * sigma_nm:.1f} nm)")
 
     w_ax = grid.axis(center_nm)
@@ -245,16 +274,13 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     except OverflowError:  # Python float power
         raise OutOfRange(f"an input is too large to compute with: pump duration "
                          f"{pump.duration_fs} fs") from None
+    # no other n x n array is alive through the Sellmeier terms, which set the peak
+    pm = np.sinc(phase_mismatch(crystal, ws, wi) * (crystal.length_mm * 1e-3 / 2.0) / np.pi)
     envelope = np.exp(-t_pump2 * (ws + wi - pump.omega_rad_s) ** 2 / 4.0)
 
-    dk = phase_mismatch(crystal, ws, wi)
-    pm = np.sinc(dk * (crystal.length_mm * 1e-3 / 2.0) / np.pi)
-
-    lam_s_nm = 2 * np.pi * C_M_S / ws * 1e9
-    lam_i_nm = 2 * np.pi * C_M_S / wi * 1e9
-    log2 = np.log(2)
-    filt = (np.exp(-2 * log2 * ((lam_s_nm - center_nm) / filter_fwhm_nm) ** 2)
-            * np.exp(-2 * log2 * ((lam_i_nm - center_nm) / filter_fwhm_nm) ** 2))
+    filt = np.exp(-2 * np.log(2) * ((2 * np.pi * C_M_S / w_ax * 1e9 - center_nm)
+                                    / filter_fwhm_nm) ** 2)
+    filt = filt[:, None] * filt[None, :]
 
     # every factor is real: a transform-limited pump, sinc phase matching
     # and real filters give a real JSA
@@ -398,7 +424,7 @@ def _check_mode_resolution(rho: SpectralDensity, tau_s: float, n_modes: int) -> 
         raise GridTooCoarse("grid spacing too coarse for the requested mode duration")
     # mode n extends to its classical turning point sqrt(2n+1) sigma
     span = rho.axis[-1] - rho.axis[0]
-    if span < 2 * sigma * np.sqrt(2 * n_modes):
+    if span < 2 * sigma * np.sqrt(2.0 * n_modes):
         raise GridTooCoarse("grid span too narrow for the requested mode set")
 
 
@@ -411,8 +437,9 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
     tau = duration / sqrt(2), matching the envelope convention above.
     Raises OutOfRange for fewer than two or non-uniform frequencies.
     """
-    if not (mode_duration_fs > 0 and n_modes >= 1):  # NaN fails too
-        raise OutOfRange("mode duration must be positive and n_modes >= 1")
+    if not (_positive(mode_duration_fs) and _integer(n_modes, 1)):
+        raise OutOfRange(f"mode duration must be positive and finite and n_modes an integer >= 1, "
+                         f"got {_describe(mode_duration_fs)} and {_describe(n_modes)}")
     tau_s = mode_duration_fs * 1e-15 / np.sqrt(2)
     _check_mode_resolution(rho, tau_s, n_modes)
     modes = _hg_modes(rho.axis, n_modes, tau_s, _central_frequency(rho))
@@ -482,17 +509,16 @@ def _lag_sum(rho: SpectralDensity, t_s, lag_weight=None) -> np.ndarray:
     the sum over d is a chirp-z transform. Raises OutOfRange for fewer than
     two or non-uniform frequencies or time points.
     """
-    t = np.asarray(t_s, dtype=float)
+    t = _real_array(t_s, "time points")
     if t.ndim != 1 or len(t) < 2:
         raise OutOfRange("temporal_intensity needs at least 2 time points in a 1-D array")
     n = len(rho.axis)
     dw = _uniform_step(rho.axis, "frequency axis")
     dt = _uniform_step(t, "time points")
-    j = np.arange(n)
-    lag = (j[:, None] - j[None, :] + n - 1).ravel()
-    flat = rho.mat.ravel()
-    c = (np.bincount(lag, flat.real, 2 * n - 1)
-         + 1j * np.bincount(lag, flat.imag, 2 * n - 1))
+    # rows of length 2n - 1 over the zero-padded, column-reversed rows shift
+    # row j right by j, so rho_jl lands in column n - 1 + (j - l)
+    c = np.pad(rho.mat[:, ::-1], ((0, 0), (0, n))).ravel()[:n * (2 * n - 1)].reshape(
+        n, 2 * n - 1).sum(axis=0)
     d = np.arange(1 - n, n)
     if lag_weight is not None:
         c = c * lag_weight(d * dw)
@@ -543,15 +569,15 @@ def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
     eta = 2 r_up eta_snspd / (r_herald eta_apd); the factor 2 undoes the
     50% loss of projecting the upconverted polarization.
     """
+    for name, val, top in (("r_up_hz", r_up_hz, np.inf), ("r_herald_hz", r_herald_hz, np.inf),
+                           ("eta_snspd", eta_snspd, 1.0), ("eta_apd", eta_apd, 1.0)):
+        zero_ok = name in ("r_herald_hz", "eta_apd")  # the DivisionByZero below
+        if not (_finite_real(val) and (0 < val or zero_ok and val == 0) and val <= top):
+            rule = "positive and finite" if top == np.inf else "in (0, 1]"
+            raise OutOfRange(f"{name} must be {rule}, got {_describe(val)}")
     denom = r_herald_hz * eta_apd
     if denom == 0:
         raise DivisionByZero("herald rate times APD efficiency is zero")
-    for name, val in (("r_up_hz", r_up_hz), ("r_herald_hz", r_herald_hz)):
-        if not 0 < val < np.inf:
-            raise OutOfRange(f"{name} must be positive and finite, got {val}")
-    for name, val in (("eta_snspd", eta_snspd), ("eta_apd", eta_apd)):
-        if not 0 < val <= 1:
-            raise OutOfRange(f"{name} must be in (0, 1], got {val}")
     return 2.0 * r_up_hz * eta_snspd / denom
 
 

@@ -6,13 +6,12 @@ with two-qubit indices ordered as 2*q1 + q2 (qubit 1 major).
 
 from __future__ import annotations
 
-import numbers
 import operator
 
 import numpy as np
 
 from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from .linalg import as_complex, dagger
+from .linalg import _describe, _finite_real, as_complex, dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,22 +102,6 @@ def check_mean_pairs(mean_pairs) -> float:
     if mean_pairs <= 0:
         raise InvalidState(f"mean_pairs must be positive, got {mean_pairs}")
     return float(mean_pairs)
-
-
-def _finite_real(x) -> bool:
-    """True for a finite real number; False for NaN, +-inf, arrays and other types."""
-    try:
-        return isinstance(x, numbers.Real) and bool(np.isfinite(float(x)))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _describe(x) -> str:
-    """One-line description of a rejected argument: a string's or None's repr,
-    another scalar as str prints it (nan, not np.float64(nan)), else its type."""
-    if x is None or isinstance(x, str):
-        return repr(x)
-    return str(x) if np.isscalar(x) else type(x).__name__
 
 
 def _seed_word(x) -> int:

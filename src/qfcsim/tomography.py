@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, NoConvergence, NotInformationallyComplete, ShapeMismatch
-from .linalg import unit_norm
-from .states import (_describe, _one_matrix, assert_density_matrix, born_probabilities,
-                     check_mean_pairs, check_seed)
+from .linalg import _describe, unit_norm
+from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
+                     check_seed)
 
 STATE_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),

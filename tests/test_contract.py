@@ -14,10 +14,10 @@ from qfcsim.bell import chsh_sweep
 from qfcsim.channel import ChannelSpec, converted_marginal_is_mixed, drive_singular_values
 from qfcsim.drive import check_drive, coherence_matrix, drive_concurrence, vwp_transform
 from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError
-from qfcsim.spectral import (LITHIUM_NIOBATE, CrystalSpec, GridSpec, PumpSpec,
-                             SpectralDensity, compute_jsa, hg_mode_probabilities,
-                             phase_mismatch, pump_overlap, reduced_density, refractive_index,
-                             temporal_intensity)
+from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, PumpSpec,
+                             SpectralDensity, compute_jsa, estimate_efficiency,
+                             hg_mode_probabilities, phase_mismatch, pump_overlap,
+                             reduced_density, refractive_index, temporal_intensity)
 from qfcsim.states import MAX_MEAN_PAIRS, check_mean_pairs, check_seed, purity, werner_state
 from qfcsim.tomography import (MeasurementSetting, monte_carlo_metric, projector_set,
                                records_from_csv, simulate_counts)
@@ -31,6 +31,7 @@ SPECTRUM = SpectralDensity(axis=2.4e15 + 1e12 * np.arange(-32, 32), mat=np.eye(6
 
 PUMP = PumpSpec(center_wavelength_nm=780.0, duration_fs=220.0)
 HUGE = 10 ** 400  # an int beyond the float range
+LONG = 10 ** 5000  # an int whose str exceeds Python's 4300-digit limit
 T_S = np.linspace(-2e-12, 2e-12, 101)
 
 
@@ -62,6 +63,10 @@ def _counts_with_pairs(mean_pairs):
 def _metric_with_samples(n_samples):
     records = simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1)
     return monte_carlo_metric(records, purity, n_samples, seed=2)
+
+
+def _jsa_with(crystal=CRYSTAL, filter_fwhm_nm=12.0, grid=(128, 80.0)):
+    return compute_jsa(PUMP, crystal, filter_fwhm_nm, GridSpec(*grid))
 
 
 def _records_from_line(line):
@@ -141,6 +146,43 @@ ESCAPES = {
     "records_from_csv-short-row": (
         lambda: _counts_csv("counts,integration_time_s,proj_a_spec,proj_b_spec\n3,1.0,H\n"),
         InvalidState),
+    "PumpSpec-wavelength-str": (lambda: PumpSpec("x", 1.0), OutOfRange),
+    "PumpSpec-duration-overflow": (lambda: PumpSpec(780.0, HUGE), OutOfRange),
+    "CrystalSpec-length-str": (lambda: CrystalSpec("x", 20.0, 25.0, "type0_eee"), OutOfRange),
+    "compute_jsa-filter-str": (lambda: _jsa_with(filter_fwhm_nm="12"), OutOfRange),
+    "compute_jsa-filter-overflow": (lambda: _jsa_with(filter_fwhm_nm=HUGE), OutOfRange),
+    "compute_jsa-span-str": (lambda: _jsa_with(grid=(128, "80")), OutOfRange),
+    "compute_jsa-length-overflow": (
+        lambda: _jsa_with(crystal=CrystalSpec(HUGE, 20.3, 25.5, "type1_ooe")), OutOfRange),
+    "estimate_efficiency-str": (lambda: estimate_efficiency("1", 1, 0.5, 0.5), OutOfRange),
+    "estimate_efficiency-overflow": (lambda: estimate_efficiency(HUGE, 1, 0.5, 0.5),
+                                     OutOfRange),
+    "hg_mode_probabilities-duration-str": (lambda: hg_mode_probabilities(SPECTRUM, "220", 3),
+                                           OutOfRange),
+    "hg_mode_probabilities-modes-float": (
+        lambda: hg_mode_probabilities(SPECTRUM, 220.0, 2.5), OutOfRange),
+    "hg_mode_probabilities-modes-overflow": (
+        lambda: hg_mode_probabilities(SPECTRUM, 220.0, HUGE), OutOfRange),
+    "hg_mode_probabilities-modes-uint64": (
+        lambda: hg_mode_probabilities(SPECTRUM, 220.0, 2 ** 64), QfcError),
+    "hg_mode_probabilities-modes-int64-max": (
+        lambda: hg_mode_probabilities(SPECTRUM, 220.0, np.int64(np.iinfo(np.int64).max)),
+        QfcError),
+    "refractive_index-wavelength-str": (
+        lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], "abc", 25.0), OutOfRange),
+    "refractive_index-wavelength-overflow": (
+        lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], HUGE, 25.0), OutOfRange),
+    "phase_mismatch-str": (lambda: phase_mismatch(CRYSTAL, "abc", 1e15), OutOfRange),
+    "phase_mismatch-overflow": (lambda: phase_mismatch(CRYSTAL, HUGE, 1e15), OutOfRange),
+    "refractive_index-temperature-str": (
+        lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], 1.5, "20"), OutOfRange),
+    "GridSpec-points-float": (lambda: GridSpec(100.5, 80.0).axis(1560.0), OutOfRange),
+    "GridSpec-points-negative": (lambda: GridSpec(-5, 80.0).axis(1560.0), OutOfRange),
+    "GridSpec-points-overflow": (lambda: GridSpec(HUGE, 80.0).axis(1560.0), OutOfRange),
+    "GridSpec-center-str": (lambda: GridSpec(128, 80.0).axis("1560"), OutOfRange),
+    "temporal_intensity-str": (lambda: temporal_intensity(SPECTRUM, "abc"), OutOfRange),
+    "werner_state-long-int": (lambda: werner_state(LONG), OutOfRange),
+    "check_mean_pairs-long-int": (lambda: check_mean_pairs(LONG), OutOfRange),
 }
 
 
@@ -151,6 +193,10 @@ def test_malformed_argument_raises_one_line_qfc_error(name):
         call()
     assert isinstance(err.value, QfcError)
     assert len(str(err.value).splitlines()) == 1
+
+
+def test_seed_beyond_the_float_range_is_valid():
+    assert check_seed(LONG) == LONG
 
 
 def test_n_samples_is_checked_before_any_solve(monkeypatch):
@@ -268,3 +314,25 @@ class TestContractFuzz:
             assert len(str(exc).splitlines()) == 1
         else:
             assert type(mean_pairs) is float and 0 < mean_pairs <= MAX_MEAN_PAIRS
+
+    # every scalar a caller might pass, and an int beyond the float range
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(pump=st.tuples(_ANY_SCALAR, _ANY_SCALAR),
+           crystal=st.tuples(_ANY_SCALAR, _ANY_SCALAR, _ANY_SCALAR,
+                             st.one_of(st.sampled_from(INTERACTIONS), _ANY_SCALAR)),
+           grid=st.tuples(_ANY_SCALAR, _ANY_SCALAR),
+           rates=st.tuples(_ANY_SCALAR, _ANY_SCALAR, _ANY_SCALAR, _ANY_SCALAR))
+    def test_spectral_scalars_are_accepted_or_raise_one_line_qfc_error(self, pump, crystal,
+                                                                      grid, rates):
+        def axis(points, span_nm):
+            spec = GridSpec(points, span_nm)
+            # the library has no cap on grid points; allocate only small axes
+            return spec.axis(1560.0) if spec.points <= 4096 else None
+
+        for call, args in ((PumpSpec, pump), (CrystalSpec, crystal), (axis, grid),
+                           (estimate_efficiency, rates)):
+            try:
+                call(*args)
+            except QfcError as exc:
+                assert len(str(exc).splitlines()) == 1

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -501,9 +502,10 @@ class TestTemporalIntensity:
     def test_type0_equals_direct_double_sum(self, jsa_type0):
         self.assert_matches_direct_sum(reduced_density(jsa_type0, "idler"))
 
-    def test_complex_hermitian_equals_direct_double_sum(self, jsa_type1):
+    # 2 and 3 are the smallest reshapes of the padded rows in _lag_sum
+    @pytest.mark.parametrize("n", [96, 2, 3])
+    def test_complex_hermitian_equals_direct_double_sum(self, jsa_type1, n):
         rng = np.random.default_rng(3)
-        n = 96
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         mat = g @ g.conj().T
         axis = jsa_type1.idler_axis[::4][:n]
@@ -529,6 +531,33 @@ class TestTemporalIntensity:
         t_s[7] += 1e-6 * (t_s[1] - t_s[0])
         with pytest.raises(OutOfRange, match="time points"):
             temporal_intensity(rho, t_s)
+
+
+def peak_in_grids(call, n):
+    """Peak memory that ``call`` allocates, in n x n float64 arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
+class TestPeakMemory:
+    """Peaks in n x n float64 grids at 512 points: 6.00 for compute_jsa, whose
+    Sellmeier terms run with no other grid alive, and 2.05 for the delay
+    width, which holds only the zero-padded rows of rho."""
+
+    def test_compute_jsa(self):
+        call = lambda: compute_jsa(PUMP, TYPE1, 12.0, GridSpec(512, 80.0))  # noqa: E731
+        assert peak_in_grids(call, 512) <= 6.5
+
+    def test_coincidence_delay_width(self, jsa_type1):
+        rho = reduced_density(jsa_type1, "idler")
+        assert peak_in_grids(lambda: coincidence_delay_width(rho, PUMP), 512) <= 2.5
 
 
 class TestEfficiency:
