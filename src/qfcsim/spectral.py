@@ -4,7 +4,10 @@ Builds the JSA of a pulse-pumped, periodically poled crystal,
 pump_envelope * sinc(dk L / 2) * filter(w_s) * filter(w_i), and derives
 from it the Schmidt decomposition, heralded spectral purity, temporal
 Hermite-Gauss mode content, pump overlap, and the coincidence-delay
-profile against the drive pulse.
+profile against the drive pulse. On the uniform grid w_s + w_i takes only
+2n - 1 values, so the pump envelope and the pump wavevector are evaluated
+there once and read as Hankel views; the amplitude is the one n x n array
+the JSA keeps.
 
 Conventions:
   * Frequency grids are uniform in angular frequency (rad/s).
@@ -22,6 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
                      ShapeMismatch)
@@ -161,6 +165,10 @@ class PumpSpec:
         return 2 * np.pi * C_M_S / (self.center_wavelength_nm * 1e-9)
 
 
+# grid points per axis, the config schema's cap: a 4096 x 4096 JSA holds 134 MB
+MAX_GRID_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform angular-frequency grid of ``span_nm`` around a center wavelength."""
@@ -169,9 +177,10 @@ class GridSpec:
     span_nm: float = 80.0
 
     def __post_init__(self):
-        if not (_integer(self.points, 0) and _positive(self.span_nm)):
-            raise OutOfRange(f"grid points must be a non-negative integer and the span positive "
-                             f"and finite, got {_describe(self.points)} and "
+        if not (_integer(self.points, 0) and self.points <= MAX_GRID_POINTS
+                and _positive(self.span_nm)):
+            raise OutOfRange(f"grid points must be an integer in [0, {MAX_GRID_POINTS}] and the "
+                             f"span positive and finite, got {_describe(self.points)} and "
                              f"{_describe(self.span_nm)}")
 
     def axis(self, center_nm: float) -> np.ndarray:
@@ -229,6 +238,14 @@ def _wavevector(crystal: CrystalSpec, omega, pol: str):
     return n * np.asarray(omega, dtype=float) / C_M_S  # rad/m
 
 
+def _subtract_grating_order(dk, crystal: CrystalSpec):
+    """dk - copysign(2 pi / poling period, dk), in place for an array: the
+    first-order grating component whose sign best compensates the material
+    mismatch (a poled crystal provides both +-1 orders)."""
+    dk -= np.copysign(2 * np.pi / (crystal.poling_period_um * 1e-6), dk)
+    return dk
+
+
 def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
     """Quasi-phase-matched wavevector mismatch in rad/m.
 
@@ -244,8 +261,7 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
     dk_mat = (_wavevector(crystal, omega_s + omega_i, "e")
               - _wavevector(crystal, omega_s, pair_pol)
               - _wavevector(crystal, omega_i, pair_pol))
-    grating = 2 * np.pi / (crystal.poling_period_um * 1e-6)
-    out = dk_mat - np.copysign(grating, dk_mat)
+    out = _subtract_grating_order(dk_mat, crystal)
     return float(out) if out.ndim == 0 else out
 
 
@@ -266,31 +282,41 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
                          f"sigma ({6 * sigma_nm:.1f} nm)")
 
     w_ax = grid.axis(center_nm)
-    ws = w_ax[:, None]
-    wi = w_ax[None, :]
-
+    n = len(w_ax)
     try:
         t_pump2 = (pump.duration_fs * 1e-15) ** 2
     except OverflowError:  # Python float power
         raise OutOfRange(f"an input is too large to compute with: pump duration "
                          f"{pump.duration_fs} fs") from None
-    # no other n x n array is alive through the Sellmeier terms, which set the peak
-    pm = np.sinc(phase_mismatch(crystal, ws, wi) * (crystal.length_mm * 1e-3 / 2.0) / np.pi)
-    envelope = np.exp(-t_pump2 * (ws + wi - pump.omega_rad_s) ** 2 / 4.0)
-
-    filt = np.exp(-2 * np.log(2) * ((2 * np.pi * C_M_S / w_ax * 1e9 - center_nm)
-                                    / filter_fwhm_nm) ** 2)
-    filt = filt[:, None] * filt[None, :]
+    # on the uniform axis w_s + w_i takes the 2n - 1 values w_sum[j + l], so
+    # the factors of the pump frequency are 1-D, read as Hankel views [j, l]
+    w_sum = np.linspace(2 * w_ax[0], 2 * w_ax[-1], 2 * n - 1)
+    pair_pol = "o" if crystal.interaction == "type1_ooe" else "e"
+    k_pair = _wavevector(crystal, w_ax, pair_pol)
+    x = sliding_window_view(_wavevector(crystal, w_sum, "e"), n) - k_pair[:, None]
+    x -= k_pair
+    _subtract_grating_order(x, crystal)
+    x *= crystal.length_mm * 1e-3 / 2.0
+    # sinc(x) = sin(x) / x, 1 at x == 0; x and amp are the only n x n arrays
+    amp = np.sin(x)
+    np.divide(amp, x, out=amp, where=x != 0)
+    amp[x == 0] = 1.0
+    del x
 
     # every factor is real: a transform-limited pump, sinc phase matching
     # and real filters give a real JSA
-    amp = envelope * pm * filt
+    amp *= sliding_window_view(np.exp(-t_pump2 * (w_sum - pump.omega_rad_s) ** 2 / 4.0), n)
+    filt = np.exp(-2 * np.log(2) * ((2 * np.pi * C_M_S / w_ax * 1e9 - center_nm)
+                                    / filter_fwhm_nm) ** 2)
+    amp *= filt[:, None]
+    amp *= filt
     norm = np.linalg.norm(amp)
     if norm == 0:
         raise OutOfRange("JSA vanished on the grid; check phase matching")
     if not np.isfinite(norm):
         raise OutOfRange("JSA is not finite on the grid; an input is too large to compute with")
-    return JSAGrid(signal_axis=w_ax, idler_axis=w_ax.copy(), amp=amp / norm)
+    amp /= norm
+    return JSAGrid(signal_axis=w_ax, idler_axis=w_ax.copy(), amp=amp)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +396,21 @@ def heralded_purity(decomp: SchmidtDecomposition) -> float:
 
 def reduced_density(grid: JSAGrid, which: str = "idler") -> SpectralDensity:
     """Single-photon spectral density matrix from the JSA."""
+    # contiguous (a no-op for compute_jsa's grids), so that numpy's product
+    # A^T A of a real float A is one BLAS triangle and its mirror: symmetric
+    # to the bit, and only a complex or integer product is symmetrised below
+    amp = np.ascontiguousarray(grid.amp)
     if which == "idler":
-        mat = grid.amp.T @ grid.amp.conj()
+        mat = amp.T @ amp.conj()
         axis = grid.idler_axis
     elif which == "signal":
-        mat = grid.amp @ grid.amp.conj().T
+        mat = amp @ amp.conj().T
         axis = grid.signal_axis
     else:
         raise ShapeMismatch(f"which must be 'signal' or 'idler', got {which!r}")
-    mat = (mat + mat.conj().T) / 2
-    mat = mat / np.trace(mat).real
+    if mat.dtype.kind != "f":
+        mat = (mat + mat.conj().T) / 2
+    mat /= np.trace(mat).real
     return SpectralDensity(axis=axis, mat=mat)
 
 
@@ -426,6 +457,12 @@ def _check_mode_resolution(rho: SpectralDensity, tau_s: float, n_modes: int) -> 
     span = rho.axis[-1] - rho.axis[0]
     if span < 2 * sigma * np.sqrt(2.0 * n_modes):
         raise GridTooCoarse("grid span too narrow for the requested mode set")
+    # mode n_modes - 1 oscillates at up to sqrt(2 n_modes - 1) tau rad per
+    # rad/s of frequency; its phase step per grid step must stay within pi
+    nyquist = np.sqrt(2.0 * n_modes - 1) * tau_s * dw
+    if nyquist > np.pi:
+        raise GridTooCoarse(f"grid spacing too coarse for {n_modes} modes: the highest "
+                            f"needs sqrt(2 n_modes - 1) tau dw <= pi, got {nyquist:.3g}")
 
 
 def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
@@ -515,10 +552,11 @@ def _lag_sum(rho: SpectralDensity, t_s, lag_weight=None) -> np.ndarray:
     n = len(rho.axis)
     dw = _uniform_step(rho.axis, "frequency axis")
     dt = _uniform_step(t, "time points")
-    # rows of length 2n - 1 over the zero-padded, column-reversed rows shift
-    # row j right by j, so rho_jl lands in column n - 1 + (j - l)
-    c = np.pad(rho.mat[:, ::-1], ((0, 0), (0, n))).ravel()[:n * (2 * n - 1)].reshape(
-        n, 2 * n - 1).sum(axis=0)
+    # column-reversed row j added at offset j puts rho_jl at n - 1 + (j - l),
+    # row by row in the order of a sum over axis 0 of the shifted rows
+    c = np.zeros(2 * n - 1, dtype=rho.mat.dtype)
+    for j, row in enumerate(rho.mat[:, ::-1]):
+        c[j:j + n] += row
     d = np.arange(1 - n, n)
     if lag_weight is not None:
         c = c * lag_weight(d * dw)
@@ -551,11 +589,26 @@ def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec) -> float:
     intensity's Fourier transform is proportional to exp(-w^2 D^2 / 8), so
     the cross-correlation is I(tau) with each lag term c_d weighted by
     exp(-(d dw D)^2 / 8), up to a constant factor the FWHM ignores.
+    Raises GridTooCoarse when a half-maximum crossing falls outside the
+    delays, naming the frequency step when the profile's period 2 pi / dw
+    is shorter than the +-12 ps window.
     """
     t = np.arange(-6000, 6001) * 2.0 * 1e-15
     d = drive.duration_fs * 1e-15
     cc = _lag_sum(rho, t, lambda w: np.exp(-(w * d) ** 2 / 8.0))
-    return _fwhm(t, cc) / 1e-15
+    try:
+        return _fwhm(t, cc) / 1e-15
+    except GridTooCoarse:
+        # the lag sum repeats in t every 2 pi / dw; a shorter period than the
+        # window lifts the window's edges with aliased copies of the profile
+        dw = abs(_uniform_step(rho.axis, "frequency axis"))
+        period = 2 * np.pi / dw
+        if period < t[-1] - t[0]:
+            raise GridTooCoarse(
+                f"frequency step {dw:.4g} rad/s repeats the delay profile "
+                f"every {period / 1e-12:.3g} ps, less than the {(t[-1] - t[0]) / 1e-12:.3g} "
+                f"ps delay window; use a finer frequency grid") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

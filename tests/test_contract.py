@@ -179,6 +179,7 @@ ESCAPES = {
     "GridSpec-points-float": (lambda: GridSpec(100.5, 80.0).axis(1560.0), OutOfRange),
     "GridSpec-points-negative": (lambda: GridSpec(-5, 80.0).axis(1560.0), OutOfRange),
     "GridSpec-points-overflow": (lambda: GridSpec(HUGE, 80.0).axis(1560.0), OutOfRange),
+    "GridSpec-points-above-cap": (lambda: GridSpec(10 ** 12, 80.0).axis(1560.0), OutOfRange),
     "GridSpec-center-str": (lambda: GridSpec(128, 80.0).axis("1560"), OutOfRange),
     "temporal_intensity-str": (lambda: temporal_intensity(SPECTRUM, "abc"), OutOfRange),
     "werner_state-long-int": (lambda: werner_state(LONG), OutOfRange),

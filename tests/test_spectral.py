@@ -9,6 +9,7 @@ import pytest
 from scipy.special import eval_hermite, gammaln
 
 from qfcsim import spectral as spectral_mod
+from qfcsim.cli import _schema
 from qfcsim.errors import DivisionByZero, GridTooCoarse, OutOfRange
 from qfcsim.spectral import (C_M_S, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SpectralDensity, _fwhm, _hg_modes,
@@ -181,10 +182,36 @@ class TestComputeJsa:
             compute_jsa(pump, TYPE1, 12.0, GridSpec(128, 80.0))
 
     def test_non_finite_jsa_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral_mod, "phase_mismatch",
-                            lambda crystal, ws, wi: np.full(np.broadcast(ws, wi).shape, np.nan))
+        monkeypatch.setattr(spectral_mod, "_wavevector",
+                            lambda crystal, omega, pol: np.full(np.shape(omega), np.nan))
         with pytest.raises(OutOfRange, match="not finite"):
             compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 80.0))
+
+    @pytest.mark.parametrize("points", [128, 512])
+    @pytest.mark.parametrize("crystal", [TYPE1, TYPE0], ids=["type1", "type0"])
+    def test_sum_frequency_factors_equal_direct_grid_formula(self, crystal, points):
+        # the pump factors on the full (w_s, w_i) grid, with np.sinc and an
+        # outer-product filter, against their 2n - 1 sum-frequency values
+        axis = GridSpec(points, 80.0).axis(2 * PUMP.center_wavelength_nm)
+        ws, wi = axis[:, None], axis[None, :]
+        pm = np.sinc(phase_mismatch(crystal, ws, wi) * crystal.length_mm * 1e-3 / 2 / np.pi)
+        envelope = np.exp(-(PUMP.duration_fs * 1e-15) ** 2
+                          * (ws + wi - PUMP.omega_rad_s) ** 2 / 4)
+        filt = np.exp(-2 * np.log(2) * ((2 * np.pi * C_M_S / axis * 1e9 - 1560.0) / 12.0) ** 2)
+        direct = envelope * pm * np.outer(filt, filt)
+        direct /= np.linalg.norm(direct)
+        grid = compute_jsa(PUMP, crystal, 12.0, GridSpec(points, 80.0))
+        assert np.array_equal(grid.signal_axis, axis)
+        assert np.max(np.abs(grid.amp - direct)) <= 1e-11
+
+
+class TestGridSpec:
+    def test_points_cap_is_the_config_schema_maximum(self):
+        grid = _schema("config.schema.json")["properties"]["jsa"]["properties"]["grid"]
+        cap = grid["properties"]["points"]["maximum"]
+        assert GridSpec(cap, 80.0).points == cap
+        with pytest.raises(OutOfRange, match=f"integer in \\[0, {cap}\\]"):
+            GridSpec(cap + 1, 80.0)
 
 
 def jsa_with(field, value):
@@ -378,6 +405,15 @@ class TestReducedDensity:
         assert np.linalg.norm(rho.mat - rho.mat.conj().T) < 1e-12
         assert np.linalg.eigvalsh(rho.mat)[0] > -1e-12
 
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_real_density_is_exactly_symmetric(self, jsa_type0, step):
+        # step 3 is a column-strided view, which numpy multiplies without BLAS
+        grid = JSAGrid(signal_axis=jsa_type0.signal_axis,
+                       idler_axis=jsa_type0.idler_axis[::step], amp=jsa_type0.amp[:, ::step])
+        for which in ("idler", "signal"):
+            mat = reduced_density(grid, which).mat
+            assert np.array_equal(mat, mat.T)
+
     def test_rank1_jsa_gives_pure_state(self):
         rho = reduced_density(gaussian_mode_grid(), "idler")
         assert abs(spectral_purity(rho) - 1.0) < 1e-10
@@ -407,6 +443,19 @@ class TestHgModes:
         rho = reduced_density(jsa_type1, "idler")
         with pytest.raises(GridTooCoarse):
             hg_mode_probabilities(rho, 5000.0, 10)  # modes unresolvable on grid
+
+    @pytest.mark.parametrize("n_modes", [100, 512, 1000])
+    def test_modes_past_the_grid_nyquist_limit_raise(self, jsa_type1, n_modes):
+        # at 2908 fs the fundamental spans 4.01 grid steps; sqrt(2n - 1) tau dw
+        # reads 1.12 pi at 100 modes, where the modes stop being orthonormal
+        rho = reduced_density(jsa_type1, "idler")
+        with pytest.raises(GridTooCoarse, match="sqrt\\(2 n_modes - 1\\) tau dw <= pi"):
+            hg_mode_probabilities(rho, 2908.0, n_modes)
+
+    def test_modes_within_the_grid_nyquist_limit_sum_below_one(self, jsa_type1):
+        rho = reduced_density(jsa_type1, "idler")
+        probs = hg_mode_probabilities(rho, 2908.0, 64)  # 0.894 pi
+        assert 0.9 <= probs.sum() <= 1 + 1e-8
 
     def test_modes_match_scipy_hermite_oracle(self):
         axis = GridSpec(512, 80.0).axis(1560.0)
@@ -463,6 +512,16 @@ class TestDelayWidth:
         rho = reduced_density(gaussian_mode_grid(duration_fs=220.0), "idler")
         assert abs(coincidence_delay_width(rho, PUMP) - convolved_delay_width(rho, PUMP)) < 1e-6
 
+    def test_aliased_lag_sum_names_the_frequency_step(self):
+        # 2 pi / dw = 12.9 ps at 128 points, shorter than the 24 ps delay window
+        rho = reduced_density(compute_jsa(PUMP, TYPE0, 12.0, GridSpec(128, 80.0)), "idler")
+        with pytest.raises(GridTooCoarse, match="repeats the delay profile every 12.9 ps"):
+            coincidence_delay_width(rho, PUMP)
+
+    def test_type1_on_the_coarse_grid_keeps_its_width(self):
+        rho = reduced_density(compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 80.0)), "idler")
+        assert abs(coincidence_delay_width(rho, PUMP) - 478.09) < 0.01
+
     def test_width_monotone_in_inverse_bandwidth(self):
         # narrower filter -> narrower photon spectrum -> wider time profile
         widths = []
@@ -502,7 +561,7 @@ class TestTemporalIntensity:
     def test_type0_equals_direct_double_sum(self, jsa_type0):
         self.assert_matches_direct_sum(reduced_density(jsa_type0, "idler"))
 
-    # 2 and 3 are the smallest reshapes of the padded rows in _lag_sum
+    # 2 and 3 are the smallest overlaps of the shifted rows in _lag_sum
     @pytest.mark.parametrize("n", [96, 2, 3])
     def test_complex_hermitian_equals_direct_double_sum(self, jsa_type1, n):
         rng = np.random.default_rng(3)
@@ -547,17 +606,20 @@ def peak_in_grids(call, n):
 
 
 class TestPeakMemory:
-    """Peaks in n x n float64 grids at 512 points: 6.00 for compute_jsa, whose
-    Sellmeier terms run with no other grid alive, and 2.05 for the delay
-    width, which holds only the zero-padded rows of rho."""
+    """Peaks in n x n float64 grids at 512 points: 2.13 for compute_jsa, whose
+    sinc holds the phase and the amplitude, 1.00 for reduced_density, and
+    0.7 for the delay width, which holds no n x n array."""
 
     def test_compute_jsa(self):
         call = lambda: compute_jsa(PUMP, TYPE1, 12.0, GridSpec(512, 80.0))  # noqa: E731
-        assert peak_in_grids(call, 512) <= 6.5
+        assert peak_in_grids(call, 512) <= 2.5
+
+    def test_reduced_density(self, jsa_type1):
+        assert peak_in_grids(lambda: reduced_density(jsa_type1, "idler"), 512) <= 1.25
 
     def test_coincidence_delay_width(self, jsa_type1):
         rho = reduced_density(jsa_type1, "idler")
-        assert peak_in_grids(lambda: coincidence_delay_width(rho, PUMP), 512) <= 2.5
+        assert peak_in_grids(lambda: coincidence_delay_width(rho, PUMP), 512) <= 1.0
 
 
 class TestEfficiency:
