@@ -28,7 +28,7 @@ def _angles(phi) -> np.ndarray:
     """``phi`` as a float array; OutOfRange unless every entry is a finite number."""
     try:
         phi = np.asarray(phi, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OutOfRange(f"angle phi must be a real number or an array of them, "
                          f"got {type(phi).__name__}: {exc}") from None
     finite = np.isfinite(phi)
@@ -46,7 +46,19 @@ def _correlations(n: np.ndarray) -> np.ndarray:
 
 
 def chsh_polynomial(e_ab, e_abp, e_apb, e_apbp):
-    """|E(a,b) - E(a,b') + E(a',b) + E(a',b')|, elementwise for arrays."""
+    """|E(a,b) - E(a,b') + E(a',b) + E(a',b')|, elementwise for arrays.
+
+    OutOfRange unless each correlation is a finite real number or an array
+    of them.
+    """
+    try:
+        es = [np.asarray(e, dtype=float) for e in (e_ab, e_abp, e_apb, e_apbp)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise OutOfRange(f"correlations must be real numbers or arrays of them: "
+                         f"{exc}") from None
+    if not all(np.isfinite(e).all() for e in es):
+        raise OutOfRange("correlations must be finite")
+    e_ab, e_abp, e_apb, e_apbp = es
     return abs(e_ab - e_abp + e_apb + e_apbp)
 
 

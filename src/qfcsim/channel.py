@@ -21,7 +21,7 @@ A = U diag(s+, s-) V^dag, which stays regular when A is singular:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,27 @@ PROB_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Drive matrix plus dimensionless interaction strength kt."""
+    """Drive matrix plus dimensionless interaction strength kt.
+
+    ``a`` is kept as a read-only copy of the drive, so that a later change
+    to the caller's array cannot reach the channel, and its SVD is taken
+    once here for the kernels below.
+    """
 
     a: np.ndarray
     kt: float
+    _svd: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", check_drive(self.a))
+        a = check_drive(self.a).copy()
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
         if not _finite_real(self.kt) or self.kt < 0:
             raise OutOfRange(f"kt must be finite and >= 0, got {_describe(self.kt)}")
+        factors = svd(a)
+        for factor in factors:
+            factor.flags.writeable = False
+        object.__setattr__(self, "_svd", factors)
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,7 @@ class ModeTransfer:
 
 def kraus_from_drive(spec: ChannelSpec) -> np.ndarray:
     """Kraus matrix K of the conversion channel, K^dag = U sin(kt S) V^dag."""
-    u, s, v = svd(spec.a)
+    u, s, v = spec._svd
     k_dag = (u * np.sin(spec.kt * s)) @ dagger(v)
     return dagger(k_dag)
 
@@ -88,7 +100,7 @@ def mode_transfer(spec: ChannelSpec) -> ModeTransfer:
     (row-vector form); the assembled 4x4 matrix equals
     expm(t [[0, -kappa A], [kappa A^dag, 0]]) and is unitary.
     """
-    u, s, v = svd(spec.a)
+    u, s, v = spec._svd
     cos_s = np.cos(spec.kt * s)
     sin_s = np.sin(spec.kt * s)
     return ModeTransfer(
@@ -150,7 +162,7 @@ def choi_concurrence_closed(spec: ChannelSpec) -> float:
     through the drive concurrence (see drive_singular_values) is exact but
     loses precision near a maximally non-separable drive.
     """
-    _, s, _ = svd(spec.a)
+    _, s, _ = spec._svd
     sp = np.sin(s[0] * spec.kt)
     sm = np.sin(s[1] * spec.kt)
     denom = sp ** 2 + sm ** 2

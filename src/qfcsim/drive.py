@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import unit_norm
+from .errors import OutOfRange
+from .linalg import _describe, _finite_real, unit_norm
 from .states import assert_density_matrix
 
 
@@ -23,8 +24,11 @@ def qwp_jones(theta: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate with fast axis at ``theta``.
 
     R(theta) diag(1, i) R(-theta); the global phase is fixed by the
-    diag(1, i) convention.
+    diag(1, i) convention.  OutOfRange unless ``theta`` is a finite real number.
     """
+    if not _finite_real(theta):
+        raise OutOfRange(f"QWP angle theta must be a finite real number, "
+                         f"got {_describe(theta)}")
     return _rotation(theta) @ np.diag([1.0, 1.0j]) @ _rotation(-theta)
 
 

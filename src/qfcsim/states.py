@@ -50,18 +50,25 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[-1] != dim:
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[-1]}")
-    # ndarray methods rather than np.* functions: this runs thousands of times
-    # per sweep on single 4x4 matrices; initial=0.0 lets an empty stack pass
+    # ndarray methods rather than np.* functions, and Python scalars for one
+    # matrix: this runs thousands of times per sweep on single 4x4 matrices;
+    # initial=0.0 lets an empty stack pass
     if not np.isfinite(rho).all():
         raise InvalidState("density matrix has non-finite entries")
     rho_dag = rho.conj().swapaxes(-1, -2)
     if np.abs(rho - rho_dag).max(initial=0.0) > _TOL:
         raise InvalidState("density matrix is not Hermitian")
-    tr = rho.trace(axis1=-2, axis2=-1)
-    bad = (abs(tr.real - 1.0) > _TOL) | (abs(tr.imag) > _TOL)
-    if bad.any():
-        raise InvalidState(f"trace is {np.ravel(tr)[np.argmax(bad)]}, expected 1")
-    w = np.linalg.eigvalsh((rho + rho_dag) / 2)[..., 0].min(initial=0.0)
+    if rho.ndim == 2:
+        tr = complex(rho.trace())
+        if abs(tr.real - 1.0) > _TOL or abs(tr.imag) > _TOL:
+            raise InvalidState(f"trace is {tr}, expected 1")
+        w = float(np.linalg.eigvalsh((rho + rho_dag) / 2)[0])
+    else:
+        tr = rho.trace(axis1=-2, axis2=-1)
+        bad = (abs(tr.real - 1.0) > _TOL) | (abs(tr.imag) > _TOL)
+        if bad.any():
+            raise InvalidState(f"trace is {np.ravel(tr)[np.argmax(bad)]}, expected 1")
+        w = np.linalg.eigvalsh((rho + rho_dag) / 2)[..., 0].min(initial=0.0)
     if w < -_TOL:
         raise InvalidState(f"density matrix has eigenvalue {w} < -{_TOL}")
     return rho

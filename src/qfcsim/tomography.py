@@ -8,6 +8,7 @@ H=(1,0), V=(0,1), D=(H+V)/sqrt2, A=(H-V)/sqrt2, R=(H-iV)/sqrt2, L=(H+iV)/sqrt2.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import numbers
 import operator
@@ -126,6 +127,31 @@ def _kets(records) -> np.ndarray:
     return np.array([rec.setting.ket for rec in records])
 
 
+@functools.lru_cache(maxsize=4)
+def _setup(kets_bytes: bytes) -> tuple:
+    """Tables of ``_start`` and ``_mle_stack`` for one projector set, read-only.
+
+    ``kets_bytes`` is ``kets.tobytes()`` of a complex (K, 4) ket array.
+    Returns the linear-inversion factors (U / s, V^T) of the design matrix
+    D_kj = <psi_k|B_j|psi_k> and the (K, 16, 16) tensor A with
+    q_k = t^T A_k t.  Raises NotInformationallyComplete if D has rank < 16;
+    ``lru_cache`` keeps no exception, so such a set raises on every call.
+    """
+    kets = np.frombuffer(kets_bytes, dtype=complex).reshape(-1, 4).copy()
+    design = np.einsum("ki,jil,kl->kj", kets.conj(), _HERM, kets).real
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(s > 1e-10))
+    if rank < 16:
+        raise NotInformationallyComplete(
+            f"projector set spans only {rank}/16 operator dimensions")
+    m = np.einsum("jrc,kc->krj", _BASIS, kets)              # T psi_k = M_k t
+    a = np.einsum("krj,krl->kjl", m.conj(), m).real         # (K, 16, 16)
+    tables = (u / s, vt, a)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Starting parameters t of ``_mle_stack`` for a (B, K) count stack.
 
@@ -140,12 +166,7 @@ def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Raises NotInformationallyComplete if D has rank < 16 and NoConvergence
     for a row without counts.
     """
-    design = np.einsum("ki,jil,kl->kj", kets.conj(), _HERM, kets).real
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(s > 1e-10))
-    if rank < 16:
-        raise NotInformationallyComplete(
-            f"projector set spans only {rank}/16 operator dimensions")
+    u_s, vt, _ = _setup(kets.tobytes())
     n_tot = counts.sum(axis=1)
     if np.any(n_tot <= 0):
         raise NoConvergence("all counts are zero; likelihood is flat")
@@ -155,7 +176,7 @@ def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # Tr(Pi_k X) sum to N > 0.  sum_k Pi_k is positive semidefinite, so X
     # has a positive eigenvalue and the clipped spectrum never sums to zero;
     # no fallback start is needed.
-    x = counts @ (u / s) @ vt
+    x = counts @ u_s @ vt
     lam, vec = np.linalg.eigh(np.einsum("bj,jrc->brc", x, _HERM))
     lam = np.maximum(lam, 0.0)
     lam = (1 - _START_MIX) * lam / lam.sum(axis=1, keepdims=True) + _START_MIX / 4
@@ -196,48 +217,62 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
     """
     counts = np.asarray(counts, dtype=float)
     t = _start(kets, counts)
-    n_tot = counts.sum(axis=1)
     n_set = counts.shape[1]
-    m = np.einsum("jrc,kc->krj", _BASIS, kets)              # T psi_k = M_k t
-    a = np.einsum("krj,krl->kjl", m.conj(), m).real         # (K, 16, 16)
+    a = _setup(kets.tobytes())[2]
     a_rows = a.reshape(n_set * 16, 16)
     a_flat = a.reshape(n_set, 256)
-    n_safe = np.maximum(counts, 1.0)  # n log(q/n) is 0 where n = 0
 
     def evaluate(t, n, ns):
         at = (t @ a_rows.T).reshape(len(t), n_set, 16)      # rows A_k t
         q = np.einsum("bki,bi->bk", at, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.sum(q - n - n * np.log(q / ns), axis=1)
+            f = (q - n - n * np.log(q / ns)).sum(axis=1)
         return f, at, q
 
-    active = np.arange(len(counts))
-    f, at, q = evaluate(t, counts, n_safe)
+    # the rows still iterating: their indices into t, counts, counts with
+    # zeros raised to 1 (n log(q/n) is 0 where n = 0), parameters and stop
+    # thresholds; the stack shrinks only at a step where some row stops
+    active, n, ta = np.arange(len(counts)), counts, t
+    ns = np.maximum(counts, 1.0)
+    stop = tol * counts.sum(axis=1)
+    f, at, q = evaluate(ta, n, ns)
     for step_no in range(max_iter + 1):
-        n, ns, ta = counts[active], n_safe[active], t[active]
         w = 1.0 - n / q
         grad = 2 * np.einsum("bk,bki->bi", w, at)
         hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
-                + 4 * np.swapaxes(at * (n / q ** 2)[:, :, None], 1, 2) @ at)
+                + 4 * (at * (n / q ** 2)[:, :, None]).swapaxes(1, 2) @ at)
         lam, vec = np.linalg.eigh(hess)
         # |eigenvalues|, floored where a rank-deficient T leaves flat directions
         lam = np.abs(lam)
         lam = np.maximum(lam, 1e-14 * lam[:, -1:])
         g_eig = np.einsum("bij,bi->bj", vec, grad)
-        decrement = np.sum(g_eig ** 2 / lam, axis=1)
-        done = decrement <= tol * n_tot[active]
-        if np.all(done):
+        decrement = (g_eig ** 2 / lam).sum(axis=1)
+        done = decrement <= stop
+        if done.all():
             break
         if step_no == max_iter:
             raise NoConvergence(f"MLE did not converge in {max_iter} Newton steps")
-        keep = ~done
-        active, n, ns, ta = active[keep], n[keep], ns[keep], ta[keep]
-        f, at, q = f[keep], at[keep], q[keep]
-        step = -np.einsum("bij,bj->bi", vec[keep], g_eig[keep] / lam[keep])
-        slope = -decrement[keep]
+        if done.any():
+            t[active] = ta
+            keep = ~done
+            active, n, ns, ta, stop = active[keep], n[keep], ns[keep], ta[keep], stop[keep]
+            f, at, q = f[keep], at[keep], q[keep]
+            vec, g_eig, lam, decrement = vec[keep], g_eig[keep], lam[keep], decrement[keep]
+        step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
+        slope = -decrement
+        # a full step first, for every row; then halvings for the rows it
+        # did not decrease enough
+        t_try = ta + step
+        f_try, at_try, q_try = evaluate(t_try, n, ns)
+        ok = f_try <= f + _ARMIJO * slope
+        if ok.all():
+            ta, f, at, q = t_try, f_try, at_try, q_try
+            continue
+        ta[ok], f[ok], at[ok], q[ok] = t_try[ok], f_try[ok], at_try[ok], q_try[ok]
         alpha = np.ones(len(active))
-        todo = np.arange(len(active))
-        for _ in range(_MAX_HALVINGS):
+        todo = np.flatnonzero(~ok)
+        for _ in range(_MAX_HALVINGS - 1):
+            alpha[todo] /= 2
             t_try = ta[todo] + alpha[todo, None] * step[todo]
             f_try, at_try, q_try = evaluate(t_try, n[todo], ns[todo])
             ok = f_try <= f[todo] + _ARMIJO * alpha[todo] * slope[todo]
@@ -246,10 +281,9 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
             todo = todo[~ok]
             if not len(todo):
                 break
-            alpha[todo] /= 2
         else:
             raise NoConvergence("MLE line search found no decrease")
-        t[active] = ta
+    t[active] = ta
     mats = np.einsum("bj,jrc->brc", t, _BASIS)
     rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
     rhos = (rhos + np.swapaxes(rhos.conj(), 1, 2)) / 2

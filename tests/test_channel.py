@@ -238,6 +238,30 @@ class TestChoi:
             choi_concurrence_closed(ChannelSpec(a=np.eye(2) / RT2, kt=np.pi * RT2))
 
 
+class TestSpecOwnsItsDrive:
+    def _outputs(self, spec):
+        rho, p = one_sided_apply(werner_state(0.9), spec)
+        transfer = mode_transfer(spec).matrix
+        return [kraus_from_drive(spec), transfer, rho, np.array(p),
+                np.array(choi_concurrence_closed(spec))]
+
+    def test_caller_mutation_changes_no_output(self):
+        rng = np.random.default_rng(41)
+        a = random_drive(rng)
+        spec = ChannelSpec(a=a, kt=0.7)
+        before = self._outputs(spec)
+        a[:] = drive_from_theta(np.pi / 4)
+        assert all(np.array_equal(x, y) for x, y in zip(self._outputs(spec), before))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(self._outputs(ChannelSpec(a=spec.a, kt=0.7)), before))
+
+    def test_drive_is_read_only(self):
+        spec = ChannelSpec(a=drive_from_theta(0.3), kt=0.5)
+        assert not spec.a.flags.writeable
+        with pytest.raises(ValueError):
+            spec.a[0, 0] = 1.0
+
+
 class TestKonrad:
     def test_bell_input_theta_sweep_traces_cos2theta(self):
         rho0 = bell_state("phi+")

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qfcsim.bell import chsh_sweep
+from qfcsim.bell import chsh_polynomial, chsh_sweep, rotation_r
 from qfcsim.channel import ChannelSpec, converted_marginal_is_mixed, drive_singular_values
-from qfcsim.drive import check_drive, coherence_matrix, drive_concurrence, vwp_transform
+from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
+                          qwp_jones, vwp_transform)
 from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, PumpSpec,
                              SpectralDensity, compute_jsa, estimate_efficiency,
@@ -184,6 +185,19 @@ ESCAPES = {
     "temporal_intensity-str": (lambda: temporal_intensity(SPECTRUM, "abc"), OutOfRange),
     "werner_state-long-int": (lambda: werner_state(LONG), OutOfRange),
     "check_mean_pairs-long-int": (lambda: check_mean_pairs(LONG), OutOfRange),
+    "drive_from_theta-str": (lambda: drive_from_theta("x"), OutOfRange),
+    "drive_from_theta-nan": (lambda: drive_from_theta(float("nan")), OutOfRange),
+    "drive_from_theta-inf": (lambda: drive_from_theta(float("inf")), OutOfRange),
+    "drive_from_theta-None": (lambda: drive_from_theta(None), OutOfRange),
+    "drive_from_theta-overflow": (lambda: drive_from_theta(HUGE), OutOfRange),
+    "drive_from_theta-array": (lambda: drive_from_theta(np.zeros(3)), OutOfRange),
+    "qwp_jones-str": (lambda: qwp_jones("x"), OutOfRange),
+    "qwp_jones-nan": (lambda: qwp_jones(np.float64("nan")), OutOfRange),
+    "chsh_polynomial-str": (lambda: chsh_polynomial("a", 1, 1, 1), OutOfRange),
+    "chsh_polynomial-None": (lambda: chsh_polynomial(1, None, 1, 1), OutOfRange),
+    "chsh_polynomial-nan": (lambda: chsh_polynomial(1, 1, float("nan"), 1), OutOfRange),
+    "chsh_polynomial-overflow": (lambda: chsh_polynomial(1, 1, 1, HUGE), OutOfRange),
+    "rotation_r-overflow": (lambda: rotation_r(HUGE), OutOfRange),
 }
 
 
@@ -232,6 +246,7 @@ def test_missing_csv_column_is_named(column):
     lambda: _metric_with_samples(np.float64(2.5)),
     lambda: ChannelSpec(a=DRIVE, kt=np.float64(-1.0)),
     lambda: _counts_with_pairs(np.float64("nan")),
+    lambda: drive_from_theta(np.float64("nan")),
 ])
 def test_numpy_scalar_is_described_as_str_prints_it(call):
     with pytest.raises(QfcError) as err:
@@ -327,9 +342,7 @@ class TestContractFuzz:
     def test_spectral_scalars_are_accepted_or_raise_one_line_qfc_error(self, pump, crystal,
                                                                       grid, rates):
         def axis(points, span_nm):
-            spec = GridSpec(points, span_nm)
-            # the library has no cap on grid points; allocate only small axes
-            return spec.axis(1560.0) if spec.points <= 4096 else None
+            return GridSpec(points, span_nm).axis(1560.0)
 
         for call, args in ((PumpSpec, pump), (CrystalSpec, crystal), (axis, grid),
                            (estimate_efficiency, rates)):

@@ -3,14 +3,15 @@ import pytest
 import scipy.linalg
 
 from qfcsim.bell import chsh_sweep
-from qfcsim.channel import ChannelSpec, one_sided_apply
+from qfcsim.channel import (ChannelSpec, choi_concurrence_closed, kraus_from_drive,
+                            mode_transfer, one_sided_apply)
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
 from qfcsim.linalg import partial_trace
 from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _sqrt_psd, assert_density_matrix,
                            bell_state, born_probabilities, check_mean_pairs, chsh_max,
                            concurrence, fidelity, pauli_correlations, purity, werner_state)
-from qfcsim.tomography import mle_reconstruct, projector_set, simulate_counts
+from qfcsim.tomography import _setup, mle_reconstruct, projector_set, simulate_counts
 
 from helpers import (pure_state_concurrence_from_marginal, random_density_matrix,
                      random_pure_state, random_unitary)
@@ -256,6 +257,112 @@ class TestNoKronOnHotPath:
         mle_reconstruct(records)
         one_sided_apply(rho, spec)
         chsh_max(rho)
+
+
+class TestNoRepeatedSetupOnHotPath:
+    def test_channel_kernels_reuse_the_drive_svd(self, monkeypatch):
+        # the drive is decomposed once, when the spec is built
+        rho = werner_state(0.9)
+        spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called after the ChannelSpec was built")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        kraus_from_drive(spec)
+        mode_transfer(spec)
+        choi_concurrence_closed(spec)
+        one_sided_apply(rho, spec)
+
+    def test_second_mle_on_a_projector_set_builds_no_tables(self, monkeypatch):
+        records = simulate_counts(werner_state(0.9), projector_set(36), 1e4, seed=2)
+        mle_reconstruct(records)
+        hits, misses = _setup.cache_info().hits, _setup.cache_info().misses
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("design matrix decomposed again")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        mle_reconstruct(records)
+        assert _setup.cache_info().misses == misses
+        assert _setup.cache_info().hits > hits
+
+
+def reference_assert_density_matrix(rho, dim=None):
+    """The validation rules of ``assert_density_matrix`` written out with
+    array operations only, every check over the whole array in turn."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
+    if dim is not None and rho.shape[-1] != dim:
+        raise InvalidState(f"expected dimension {dim}, got {rho.shape[-1]}")
+    if not np.isfinite(rho).all():
+        raise InvalidState("density matrix has non-finite entries")
+    rho_dag = np.swapaxes(rho.conj(), -1, -2)
+    if np.abs(rho - rho_dag).max(initial=0.0) > 1e-10:
+        raise InvalidState("density matrix is not Hermitian")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    bad = (np.abs(tr.real - 1.0) > 1e-10) | (np.abs(tr.imag) > 1e-10)
+    if bad.any():
+        raise InvalidState(f"trace is {np.ravel(tr)[np.argmax(bad)]}, expected 1")
+    w = np.linalg.eigvalsh((rho + rho_dag) / 2)[..., 0].min(initial=0.0)
+    if w < -1e-10:
+        raise InvalidState(f"density matrix has eigenvalue {w} < -1e-10")
+    return rho
+
+
+def _with(rho, index, value):
+    rho = rho.copy()
+    rho[index] = value
+    return rho
+
+
+_W = werner_state(0.9)
+# one faulty matrix for each check and non-finite entry
+_FAULTY = {
+    "nan-diagonal": _with(_W, (1, 1), np.nan),
+    "nan-off-diagonal": _with(_W, (0, 3), np.nan),
+    "nan-imaginary": _with(_W, (2, 1), complex(0.0, np.nan)),
+    "inf-diagonal": _with(_W, (2, 2), np.inf),
+    "minus-inf-diagonal": _with(_W, (0, 0), -np.inf),
+    "inf-off-diagonal": _with(_with(_W, (0, 3), np.inf), (3, 0), np.inf),
+    "minus-inf-off-diagonal": _with(_W, (1, 2), -np.inf),
+    "non-hermitian": _with(_W, (0, 1), 1e-3),
+    "trace-real": 1.2 * _W,
+    # each diagonal entry within the Hermiticity tolerance, their sum beyond it
+    "trace-imaginary": _W + 0.4e-10j * np.eye(4),
+    "trace-small": 0.5 * _W,
+    "negative-eigenvalue": np.diag([0.7, 0.4, 0.0, -0.1]).astype(complex),
+}
+
+
+class TestValidationMatchesReference:
+    @pytest.mark.parametrize("name", sorted(_FAULTY))
+    def test_same_error_on_a_matrix_and_a_stack(self, name):
+        rho = _FAULTY[name]
+        good = np.array([_W, bell_state("psi-")])
+        for arg in (rho, np.array([good[0], rho, good[1]]), np.array([[rho], [good[0]]])):
+            with pytest.raises(InvalidState) as expected:
+                reference_assert_density_matrix(arg, dim=4)
+            with pytest.raises(InvalidState) as got:
+                assert_density_matrix(arg, dim=4)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_same_result_on_valid_and_empty_input(self):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_density_matrix(rng, 4, rank=r) for r in (1, 2, 4)])
+        for arg in (stack[0], stack, np.zeros((0, 4, 4)), np.zeros((2, 0, 4, 4))):
+            assert np.array_equal(assert_density_matrix(arg, dim=4),
+                                  reference_assert_density_matrix(arg, dim=4))
+
+    def test_rounding_noise_passes_as_before(self):
+        # a trace or a negative eigenvalue just inside the tolerance passes
+        # on one matrix and in a stack alike
+        inside = np.diag([0.5 + 0.9e-10, 0.5, 0.0, -0.9e-10]).astype(complex)
+        for arg in (inside, inside[None]):
+            assert np.array_equal(assert_density_matrix(arg, dim=4),
+                                  reference_assert_density_matrix(arg, dim=4))
 
 
 class TestValidation:

@@ -14,7 +14,7 @@ from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComple
 from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity, purity,
                            werner_state)
 from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
-                               _kets, _mle_stack, _resampled_mle, _start,
+                               _kets, _mle_stack, _resampled_mle, _setup, _start,
                                mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
@@ -167,8 +167,9 @@ class TestMle:
         settings = [MeasurementSetting.from_names(a, b)
                     for a in "HV" for b in "HV"]
         records = exact_records(bell_state("phi+"), settings, 1e5)
-        with pytest.raises(NotInformationallyComplete):
-            mle_reconstruct(records)
+        for _ in range(2):  # a failed table build is not kept
+            with pytest.raises(NotInformationallyComplete):
+                mle_reconstruct(records)
 
     def test_output_is_physical(self):
         from qfcsim.states import assert_density_matrix
@@ -251,15 +252,30 @@ class TestOptimality:
 
 
 class TestStack:
-    def test_stack_equals_rows_alone(self):
+    def test_stack_equals_rows_alone(self, monkeypatch):
+        # and a row in a stack takes the steps it takes alone: the stack
+        # iterates as long as its slowest row (one 16x16 eigh per step)
+        eigh, steps = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.shape(a)[-1] == 16:
+                steps[-1] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         records = simulate_counts(_converted_state(), projector_set(36), 1e4, seed=8)
         kets = _kets(records)
         observed = np.array([rec.counts for rec in records])
         stack = np.array([np.random.default_rng([4, i]).poisson(observed)
                           for i in range(12)], dtype=float)
+        steps.append(0)
         together = _mle_stack(kets, stack, 1000, 1e-12)
-        alone = np.array([_mle_stack(kets, row[None], 1000, 1e-12)[0] for row in stack])
-        assert np.max(np.abs(together - alone)) <= 1e-10
+        alone = []
+        for row in stack:
+            steps.append(0)
+            alone.append(_mle_stack(kets, row[None], 1000, 1e-12)[0])
+        assert np.max(np.abs(together - np.array(alone))) <= 1e-10
+        assert steps[0] == max(steps[1:])
 
     def test_zero_count_resample_raises(self):
         settings = projector_set(16)
@@ -308,6 +324,34 @@ class TestStart:
             calls.clear()
             mle_reconstruct(records)
             assert len(calls) <= 8
+
+
+class TestTablesBuiltOnce:
+    @pytest.mark.parametrize("n_settings", [16, 36])
+    def test_cached_tables_give_the_fresh_table_solve(self, n_settings):
+        records = simulate_counts(_converted_state(), projector_set(n_settings), 1e4, seed=5)
+        other_set = projector_set(36 if n_settings == 16 else 16)
+        other = simulate_counts(werner_state(0.9), other_set, 1e4, seed=6)
+
+        def solve():
+            tomo_mod._last_resample = None
+            mc = monte_carlo_metric(records, concurrence, n_samples=12, seed=7)
+            return mle_reconstruct(records), _resampled_mle(records, 12, 7), mc
+
+        _setup.cache_clear()
+        rho, stack, mc = solve()
+        assert _setup.cache_info().misses == 1
+        mle_reconstruct(other)  # a second projector set in the cache
+        again, stack_again, mc_again = solve()
+        assert _setup.cache_info().misses == 2
+        assert np.array_equal(again, rho)
+        assert np.array_equal(stack_again, stack)
+        assert (mc_again.value, mc_again.std) == (mc.value, mc.std)
+
+    def test_tables_are_read_only(self):
+        kets = _kets(simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1))
+        for table in _setup(kets.tobytes()):
+            assert not table.flags.writeable
 
 
 class TestMonteCarlo:
