@@ -34,18 +34,18 @@ from .states import I2, _one_matrix, assert_density_matrix, bell_state, concurre
 PROB_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """Drive matrix plus dimensionless interaction strength kt.
 
     ``a`` is kept as a read-only copy of the drive, so that a later change
     to the caller's array cannot reach the channel, and its SVD is taken
-    once here for the kernels below.
+    once here for the kernels below.  Specs compare and hash by identity.
     """
 
     a: np.ndarray
     kt: float
-    _svd: tuple = field(init=False, repr=False, compare=False)
+    _svd: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         a = check_drive(self.a).copy()
@@ -194,6 +194,8 @@ def konrad_check(rho0, spec: ChannelSpec):
 
 
 def converted_marginal_is_mixed(rho0, tol: float = 1e-10) -> bool:
-    """True when the qubit-2 marginal equals I/2 within ``tol``."""
+    """True when the qubit-2 marginal equals I/2 within ``tol``, a finite real >= 0."""
+    if not _finite_real(tol) or tol < 0:
+        raise OutOfRange(f"tol must be finite and >= 0, got {_describe(tol)}")
     reduced = partial_trace(assert_density_matrix(_one_matrix(rho0), dim=4), keep=2)
     return bool(np.max(np.abs(reduced - I2 / 2)) <= tol)

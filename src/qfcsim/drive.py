@@ -23,7 +23,7 @@ def _rotation(theta: float) -> np.ndarray:
 def qwp_jones(theta: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate with fast axis at ``theta``.
 
-    R(theta) diag(1, i) R(-theta); the global phase is fixed by the
+    R(theta) diag(1, i) R(-theta); the overall phase is fixed by the
     diag(1, i) convention.  OutOfRange unless ``theta`` is a finite real number.
     """
     if not _finite_real(theta):

@@ -84,4 +84,4 @@ def partial_trace(rho, keep: int) -> np.ndarray:
         return np.trace(r, axis1=1, axis2=3)
     if keep == 2:
         return np.trace(r, axis1=0, axis2=2)
-    raise ShapeMismatch(f"keep must be 1 or 2, got {keep}")
+    raise ShapeMismatch(f"keep must be 1 or 2, got {_describe(keep)}")

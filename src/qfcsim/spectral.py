@@ -660,9 +660,22 @@ def jsa_to_binary(grid: JSAGrid, path) -> None:
 
 
 def jsa_from_binary(path) -> JSAGrid:
-    with open(path, "rb") as fh:
-        ns, ni = (int(x) for x in np.fromfile(fh, dtype="<i4", count=2))
-        sig = np.fromfile(fh, dtype="<f8", count=ns)
-        idl = np.fromfile(fh, dtype="<f8", count=ni)
-        amp = np.fromfile(fh, dtype="<c16", count=ns * ni).reshape(ns, ni)
-    return JSAGrid(signal_axis=sig, idler_axis=idl, amp=amp)
+    """Read a ``jsa_to_binary`` file.  A file shorter or longer than its two
+    axis lengths call for raises ShapeMismatch; a missing file raises the OS
+    error, as ``tomography.records_from_csv`` does."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if len(raw) < 8:
+        raise ShapeMismatch(f"JSA binary header: expected 2 int32 axis lengths, "
+                            f"read {len(raw) // 4}")
+    ns, ni = (int(x) for x in raw[:8].view("<i4"))
+    if ns < 0 or ni < 0:
+        raise ShapeMismatch(f"JSA binary axis lengths must be >= 0, got ({ns}, {ni})")
+    n_values = ns + ni + 2 * ns * ni  # float64 values after the header
+    n_bytes = len(raw) - 8
+    if n_bytes != 8 * n_values:
+        got = n_bytes // 8 if n_bytes % 8 == 0 else f"{n_bytes} bytes"
+        raise ShapeMismatch(f"JSA binary of axis lengths ({ns}, {ni}): expected {n_values} "
+                            f"float64 values after the header, read {got}")
+    body = raw[8:].view("<f8")
+    return JSAGrid(signal_axis=body[:ns], idler_axis=body[ns:ns + ni],
+                   amp=body[ns + ni:].view("<c16").reshape(ns, ni))

@@ -31,13 +31,14 @@ STATE_VECTORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
-    """Projector states for qubit 1 and qubit 2, and their product ket."""
+    """Projector states for qubit 1 and qubit 2, and their product ket;
+    settings compare and hash by identity."""
 
     proj_a: np.ndarray
     proj_b: np.ndarray
-    ket: np.ndarray = field(init=False, repr=False, compare=False)
+    ket: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "proj_a", unit_norm(self.proj_a, (2,), "proj_a"))
@@ -77,7 +78,7 @@ def projector_set(kind: int) -> list:
     elif kind == 36:
         names = ("H", "V", "D", "A", "R", "L")
     else:
-        raise ShapeMismatch(f"kind must be 16 or 36, got {kind}")
+        raise ShapeMismatch(f"kind must be 16 or 36, got {_describe(kind)}")
     return [MeasurementSetting.from_names(a, b)
             for a, b in itertools.product(names, names)]
 
@@ -313,28 +314,6 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     with the same records, ``n_samples`` and ``seed`` (another metric, say)
     reuses that stack, which ``metric`` receives read-only.
     """
-    rhos = _resampled_mle(records, n_samples, seed)
-    values = np.array([metric(rho) for rho in rhos])
-    return MetricWithError(value=float(values.mean()),
-                           std=float(values.std(ddof=1)),
-                           n_samples=len(rhos))
-
-
-# (key, stack) of the last stack _resampled_mle solved, stored and read in
-# one assignment so that a key is never paired with another call's stack
-_last_resample = None
-
-
-def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
-    """The read-only (n_samples, 4, 4) MLE stack behind ``monte_carlo_metric``.
-
-    The last stack solved is kept, keyed by the kets, the observed counts,
-    ``n_samples`` and ``seed``; a call with the same key returns that same
-    array.  One entry is enough for the metrics evaluated on one resampling,
-    and a call with other inputs solves anew.  A solve that raises keeps
-    nothing.
-    """
-    global _last_resample
     if not isinstance(n_samples, numbers.Integral):
         raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")
     if n_samples < 2:
@@ -342,15 +321,29 @@ def _resampled_mle(records, n_samples: int, seed: int) -> np.ndarray:
     seed = check_seed(seed)
     kets = _kets(records)
     observed = np.array([rec.counts for rec in records], dtype=float)
-    key = (kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
-    last = _last_resample
-    if last is not None and last[0] == key:
-        return last[1]
+    rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
+    values = np.array([metric(rho) for rho in rhos])
+    return MetricWithError(value=float(values.mean()),
+                           std=float(values.std(ddof=1)),
+                           n_samples=len(rhos))
+
+
+@functools.lru_cache(maxsize=1)
+def _resampled_mle(kets_bytes: bytes, observed_bytes: bytes, n_samples: int,
+                   seed: int) -> np.ndarray:
+    """The read-only (n_samples, 4, 4) MLE stack behind ``monte_carlo_metric``.
+
+    ``kets_bytes`` and ``observed_bytes`` are ``tobytes()`` of the complex
+    (K, 4) kets and the float (K,) observed counts.  The one cache entry
+    serves the metrics evaluated on one resampling; a solve that raises is
+    not cached and leaves the entry before it in place.
+    """
+    kets = np.frombuffer(kets_bytes, dtype=complex).reshape(-1, 4)
+    observed = np.frombuffer(observed_bytes, dtype=float)
     resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
                           for i in range(n_samples)], dtype=float)
     rhos = _mle_stack(kets, resampled, _MAX_ITER, _TOL)
     rhos.flags.writeable = False
-    _last_resample = (key, rhos)
     return rhos
 
 

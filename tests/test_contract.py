@@ -14,11 +14,13 @@ from qfcsim.bell import chsh_polynomial, chsh_sweep, rotation_r
 from qfcsim.channel import ChannelSpec, converted_marginal_is_mixed, drive_singular_values
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
-from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError
-from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, PumpSpec,
-                             SpectralDensity, compute_jsa, estimate_efficiency,
-                             hg_mode_probabilities, phase_mismatch, pump_overlap,
-                             reduced_density, refractive_index, temporal_intensity)
+from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError, ShapeMismatch
+from qfcsim.linalg import partial_trace
+from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
+                             PumpSpec, SpectralDensity, compute_jsa, estimate_efficiency,
+                             hg_mode_probabilities, jsa_from_binary, jsa_to_binary,
+                             phase_mismatch, pump_overlap, reduced_density, refractive_index,
+                             temporal_intensity)
 from qfcsim.states import MAX_MEAN_PAIRS, check_mean_pairs, check_seed, purity, werner_state
 from qfcsim.tomography import (MeasurementSetting, monte_carlo_metric, projector_set,
                                records_from_csv, simulate_counts)
@@ -57,6 +59,16 @@ def _counts_csv(text):
         return records_from_csv(path)
 
 
+def _jsa_binary(keep):
+    """Read back the first ``keep`` fraction of the bytes of a 3x4 ``jsa.bin``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "jsa.bin"
+        jsa_to_binary(JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((3, 4))), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * keep)])
+        return jsa_from_binary(path)
+
+
 def _counts_with_pairs(mean_pairs):
     return simulate_counts(werner_state(0.9), projector_set(16), mean_pairs, seed=1)
 
@@ -93,6 +105,8 @@ ESCAPES = {
                                         InvalidState),
     "converted_marginal_is_mixed-nan": (
         lambda: converted_marginal_is_mixed(np.full((4, 4), np.nan)), InvalidState),
+    "converted_marginal_is_mixed-tol-nan": (
+        lambda: converted_marginal_is_mixed(werner_state(0.9), tol=float("nan")), OutOfRange),
     "monte_carlo_metric-float": (lambda: _metric_with_samples(2.5), InvalidState),
     "monte_carlo_metric-str": (lambda: _metric_with_samples("3"), InvalidState),
     "records_from_csv-counts": (lambda: _records_from_line("H,H,abc,1.0"), InvalidState),
@@ -147,6 +161,8 @@ ESCAPES = {
     "records_from_csv-short-row": (
         lambda: _counts_csv("counts,integration_time_s,proj_a_spec,proj_b_spec\n3,1.0,H\n"),
         InvalidState),
+    "jsa_from_binary-empty-file": (lambda: _jsa_binary(0.0), ShapeMismatch),
+    "jsa_from_binary-half-length": (lambda: _jsa_binary(0.5), ShapeMismatch),
     "PumpSpec-wavelength-str": (lambda: PumpSpec("x", 1.0), OutOfRange),
     "PumpSpec-duration-overflow": (lambda: PumpSpec(780.0, HUGE), OutOfRange),
     "CrystalSpec-length-str": (lambda: CrystalSpec("x", 20.0, 25.0, "type0_eee"), OutOfRange),
@@ -223,6 +239,29 @@ def test_n_samples_is_checked_before_any_solve(monkeypatch):
     monkeypatch.setattr(tomo_mod, "_mle_stack", no_solve)
     with pytest.raises(InvalidState):
         _metric_with_samples(2.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: projector_set("16"), "kind must be 16 or 36, got '16'"),
+    (lambda: projector_set(17), "kind must be 16 or 36, got 17"),
+    (lambda: partial_trace(np.eye(4), "2"), "keep must be 1 or 2, got '2'"),
+    (lambda: partial_trace(np.eye(4), 3), "keep must be 1 or 2, got 3"),
+], ids=["projector_set-str", "projector_set-int", "partial_trace-str", "partial_trace-int"])
+def test_rejected_choice_is_quoted_when_a_string(call, message):
+    with pytest.raises(ShapeMismatch) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make", [lambda: ChannelSpec(a=DRIVE, kt=0.5),
+                                  lambda: MeasurementSetting([1, 0], [0, 1])],
+                         ids=["ChannelSpec", "MeasurementSetting"])
+def test_array_dataclasses_compare_and_hash_by_identity(make):
+    x, y = make(), make()
+    assert x == x
+    assert x != y  # equal values; comparing their arrays would raise
+    assert hash(x) == hash(x)
+    assert len({x, y}) == 2
 
 
 def test_finite_drive_concurrence_is_still_clamped():

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -18,6 +19,14 @@ def test_package_data_globs_match_the_data_files():
     data_files = {p for p in (PACKAGE / "data").rglob("*") if p.is_file()}
     installed = set().union(*matched.values())
     assert data_files <= installed, sorted(str(p) for p in data_files - installed)
+
+
+def test_no_function_rebinds_module_state():
+    # state a function keeps in a module global hides between calls; a cache
+    # belongs in functools.lru_cache, which callers can inspect and clear
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)]
+    assert not found
 
 
 def test_numpy_is_the_only_runtime_dependency():

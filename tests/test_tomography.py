@@ -35,6 +35,12 @@ def solves(monkeypatch):
     return calls
 
 
+def resampled_stack(records, n_samples, seed):
+    """The cached Monte-Carlo stack ``monte_carlo_metric`` uses for these inputs."""
+    observed = np.array([rec.counts for rec in records], dtype=float)
+    return _resampled_mle(_kets(records).tobytes(), observed.tobytes(), n_samples, seed)
+
+
 def exact_records(rho, settings, mean_pairs):
     """Noiseless records: counts = rounded expected means."""
     return [CountRecord(setting=s,
@@ -334,9 +340,9 @@ class TestTablesBuiltOnce:
         other = simulate_counts(werner_state(0.9), other_set, 1e4, seed=6)
 
         def solve():
-            tomo_mod._last_resample = None
+            _resampled_mle.cache_clear()
             mc = monte_carlo_metric(records, concurrence, n_samples=12, seed=7)
-            return mle_reconstruct(records), _resampled_mle(records, 12, 7), mc
+            return mle_reconstruct(records), resampled_stack(records, 12, 7), mc
 
         _setup.cache_clear()
         rho, stack, mc = solve()
@@ -365,7 +371,7 @@ class TestMonteCarlo:
     def test_bit_reproducible_at_100_samples(self, solves):
         records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=23)
         a = monte_carlo_metric(records, concurrence, n_samples=100, seed=29)
-        tomo_mod._last_resample = None  # compare two solves, not a kept stack
+        _resampled_mle.cache_clear()  # compare two solves, not a cached stack
         b = monte_carlo_metric(records, concurrence, n_samples=100, seed=29)
         assert solves == [100, 100]
         assert a.value == b.value
@@ -388,7 +394,7 @@ class TestMonteCarlo:
         with pytest.raises(InvalidState):
             monte_carlo_metric(records, concurrence, n_samples=1, seed=2)
 
-    # one kept resample stack behind monte_carlo_metric
+    # one cached resample stack behind monte_carlo_metric
 
     @staticmethod
     def records():
@@ -399,9 +405,9 @@ class TestMonteCarlo:
         c = monte_carlo_metric(records, concurrence, n_samples=20, seed=5)
         p = monte_carlo_metric(records, purity, n_samples=20, seed=5)
         assert solves == [20]
-        tomo_mod._last_resample = None
+        _resampled_mle.cache_clear()
         assert monte_carlo_metric(records, concurrence, n_samples=20, seed=5) == c
-        tomo_mod._last_resample = None
+        _resampled_mle.cache_clear()
         assert monte_carlo_metric(records, purity, n_samples=20, seed=5) == p
         assert solves == [20, 20, 20]
 
@@ -426,14 +432,15 @@ class TestMonteCarlo:
         for records in (a, b, a):
             monte_carlo_metric(records, purity, n_samples=8, seed=5)
         assert solves == [8, 8, 8]
+        assert _resampled_mle.cache_info().currsize == 1
 
     def test_stack_is_read_only(self):
         records = self.records()
-        rhos = _resampled_mle(records, 8, 5)
+        rhos = resampled_stack(records, 8, 5)
         assert not rhos.flags.writeable
         with pytest.raises(ValueError):
             rhos[0, 0, 0] = 0.0
-        assert _resampled_mle(records, 8, 5) is rhos
+        assert resampled_stack(records, 8, 5) is rhos
 
     def test_writing_metric_raises_and_the_stack_survives(self, solves):
         records = self.records()
@@ -448,32 +455,33 @@ class TestMonteCarlo:
         assert monte_carlo_metric(records, purity, n_samples=8, seed=5) == ref
         assert solves == [8]
 
-    def test_failed_solve_keeps_nothing(self, monkeypatch):
+    def test_failed_solve_keeps_nothing(self, monkeypatch, solves):
         records = self.records()
         with pytest.raises(InvalidState):
             monte_carlo_metric(records, purity, n_samples=1, seed=5)
-        assert tomo_mod._last_resample is None
+        assert _resampled_mle.cache_info().currsize == 0
         monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
         slow = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
         with pytest.raises(NoConvergence):
             monte_carlo_metric(slow, purity, n_samples=8, seed=5)
-        assert tomo_mod._last_resample is None
-        # nor does it evict the stack kept before it
+        assert _resampled_mle.cache_info().currsize == 0
+        # nor does it evict the stack cached before it
         monkeypatch.setattr(tomo_mod, "_MAX_ITER", 1000)
-        monte_carlo_metric(records, purity, n_samples=8, seed=5)
-        kept = tomo_mod._last_resample
+        kept = resampled_stack(records, 8, 5)
         monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
         with pytest.raises(NoConvergence):
             monte_carlo_metric(slow, purity, n_samples=8, seed=5)
-        assert tomo_mod._last_resample is kept
+        assert _resampled_mle.cache_info().currsize == 1
+        assert resampled_stack(records, 8, 5) is kept
+        assert solves == [8, 8, 8]
 
     def test_concurrent_callers_get_their_own_stack(self):
-        # threads that replace each other's kept stack still each get the
+        # threads that replace each other's cached stack still each get the
         # values of a fresh solve of their own inputs
         records = self.records()
         refs = []
         for seed in range(4):
-            tomo_mod._last_resample = None
+            _resampled_mle.cache_clear()
             refs.append(monte_carlo_metric(records, purity, n_samples=4, seed=seed))
         results = []
 
