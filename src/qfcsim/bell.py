@@ -82,8 +82,9 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     Exact mode (mean_pairs is None) evaluates the four correlations
     directly from rho.  Sampled mode draws Poisson coincidence counts with
     the given expected total per basis pair; each (phi, basis-pair) uses an
-    independent generator derived from (seed, indices).  Returns a list of
-    (phi, B) tuples, or (phi, B, B_std) in sampled mode with a
+    independent generator derived from (seed, indices).  Sampled mode needs
+    a seed, as every sampler does; exact mode ignores it.  Returns a list
+    of (phi, B) tuples, or (phi, B, B_std) in sampled mode with a
     Poisson-propagated standard deviation.
     """
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
@@ -94,7 +95,7 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     if mean_pairs is None:
         b_vals = chsh_polynomial(*np.moveaxis(_correlations(probs), -1, 0))
         return [(float(phi), float(b)) for phi, b in zip(phis, b_vals)]
-    seed = check_seed(0 if seed is None else seed)
+    seed = check_seed(seed)
     counts = np.array([[np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
                         for i_pair, p in enumerate(pair_probs)]
                        for i_phi, pair_probs in enumerate(probs)],

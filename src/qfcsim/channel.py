@@ -59,7 +59,7 @@ class ChannelSpec:
         object.__setattr__(self, "_svd", factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTransfer:
     """Blocks of the unitary mapping (a^dag, b^dag)(0) -> (a^dag, b^dag)(t).
 

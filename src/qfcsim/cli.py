@@ -3,9 +3,9 @@
 Subcommands: drive, sweep-theta, choi, jsa, tomo, bell, efficiency.
 Config-driven commands are the entries of qfcsim/data/config.schema.json;
 each takes a strict JSON config validated once against its entry, and
---seed and --exact/--sampled reach those whose entry declares a seed or a
-mode.  Every run writes a JSON summary validated against the schema shipped
-in qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
+--seed reaches those whose entry declares a seed.  Every run writes a JSON
+summary validated against the schema shipped in
+qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
 checks use qfcsim.schema, the in-repo validator for the draft-07 subset
 these schemas use, so that a command does not pay for importing
 jsonschema.  Angles are accepted in degrees and converted internally.
@@ -114,8 +114,7 @@ def _angle_grid(grid: dict, where: str) -> np.ndarray:
 def _state_from_config(cfg: dict) -> np.ndarray:
     if cfg["kind"] == "bell":
         return states_mod.bell_state(cfg["label"])
-    p = cfg["p"] if "p" in cfg else (2 * cfg["concurrence"] + 1) / 3
-    return states_mod.werner_state(float(p))
+    return states_mod.werner_state((2 * cfg["concurrence"] + 1) / 3)
 
 
 def _drive_from_config(cfg: dict) -> np.ndarray:
@@ -339,20 +338,13 @@ def _build_parser(configs: dict) -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed for stochastic commands")
-    parser.set_defaults(mode=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_drive = sub.add_parser("drive", help="drive matrix and concurrence for a QWP angle")
     p_drive.add_argument("--theta", type=float, required=True, help="QWP angle in degrees")
 
-    for name, schema in configs.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        if "mode" in schema["properties"]:
-            mode = p.add_mutually_exclusive_group()
-            for value in ("exact", "sampled"):
-                mode.add_argument(f"--{value}", dest="mode", action="store_const", const=value,
-                                  help=f"override the config mode to {value}")
+    for name in configs:
+        sub.add_parser(name).add_argument("--config", required=True, help="JSON config path")
 
     p_eff = sub.add_parser("efficiency", help="upconversion efficiency from rates")
     p_eff.add_argument("r_up", type=float, help="upconverted singles rate (Hz)")
@@ -370,11 +362,11 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         cfg, sha, declared = vars(args), None, {}
         if args.command in configs:
-            # --seed and --exact/--sampled reach the configs whose schema has the key
+            # --seed reaches the configs whose schema has the key
             declared = configs[args.command]["properties"]
             cfg, sha = _load_config(args.config)
-            cfg.update((key, value) for key, value in (("mode", args.mode), ("seed", args.seed))
-                       if value is not None and key in declared)
+            if args.seed is not None and "seed" in declared:
+                cfg["seed"] = args.seed
             _validate_config(cfg, args.command)
         results, outputs = _COMMANDS[args.command](cfg, out_dir)
         seed = cfg.get("seed") if "seed" in declared else None

@@ -31,15 +31,14 @@ class ValidationError(Exception):
 
     ``path`` holds the keys and indices from the root of the validated
     document to ``instance``; ``validator`` is the keyword, ``validator_value``
-    its value and ``schema`` the (sub)schema that holds it.  A ``oneOf`` that
-    no branch satisfies lists the errors of its branches in ``context``.
+    its value and ``schema`` the (sub)schema that holds it.
     """
 
-    def __init__(self, path, validator, validator_value, instance, schema, context=()):
+    def __init__(self, path, validator, validator_value, instance, schema):
         where = ".".join(map(str, path)) or "instance"
         super().__init__(f"{where}: {validator} {validator_value!r}")
         self.path, self.validator, self.validator_value = path, validator, validator_value
-        self.instance, self.schema, self.context = instance, schema, list(context)
+        self.instance, self.schema = instance, schema
 
 
 _TYPES = {
@@ -117,20 +116,6 @@ def _all_of(value, x, schema, path, root):
         yield from _errors(x, sub, root, path)
 
 
-def _one_of(value, x, schema, path, root):
-    subs = iter(value)
-    context = []
-    for sub in subs:
-        errors = list(_errors(x, sub, root, path))
-        if not errors:
-            break
-        context += errors
-    else:
-        yield ValidationError(path, "oneOf", value, x, schema, context)
-    if any(_valid(x, sub, root, path) for sub in subs):
-        yield ValidationError(path, "oneOf", value, x, schema)
-
-
 def _if(value, x, schema, path, root):
     branch = "then" if _valid(x, value, root, path) else "else"
     if branch in schema:
@@ -159,7 +144,6 @@ KEYWORDS = {
     "additionalProperties": _additional_properties,
     "items": _items,
     "allOf": _all_of,
-    "oneOf": _one_of,
     "if": _if,
     "$ref": _ref,
     **dict.fromkeys(["then", "else", "definitions", "$schema", "$id", "title",
@@ -194,28 +178,17 @@ def iter_errors(instance, schema, root=None):
 
 
 def _relevance(error):
-    # jsonschema's by_relevance(): shallower errors rank higher, then later
-    # paths, then any keyword but anyOf/oneOf, then an instance that is not
-    # of the type its (sub)schema names
+    # jsonschema's by_relevance() over the keywords above, none of them
+    # weak: shallower errors rank higher, then later paths, then an
+    # instance that is not of the type its (sub)schema names
     schema = error.schema
     matches_type = "type" in schema and _is_type(error.instance, schema["type"])
-    return (-len(error.path), error.path, error.validator not in ("anyOf", "oneOf"),
-            not matches_type)
+    return -len(error.path), error.path, not matches_type
 
 
 def best_match(errors):
-    """The error that jsonschema 4's ``best_match`` picks, or None if there is none.
-
-    The most relevant error wins; a ``oneOf`` then descends into the least
-    relevant error of its branches, unless two of them tie.
-    """
-    best = max(errors, key=_relevance, default=None)
-    while best is not None and best.context:
-        smallest = sorted(best.context, key=_relevance)[:2]
-        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
-            return best
-        best = smallest[0]
-    return best
+    """The error that jsonschema 4's ``best_match`` picks, or None if there is none."""
+    return max(errors, key=_relevance, default=None)
 
 
 def validate(instance, schema) -> None:

@@ -196,7 +196,7 @@ class GridSpec:
         return np.linspace(w_lo, w_hi, self.points)
 
 
-@dataclass
+@dataclass(eq=False)
 class JSAGrid:
     """Discretized joint spectral amplitude, rows = signal, cols = idler."""
 
@@ -212,14 +212,14 @@ class JSAGrid:
                 raise OutOfRange("frequency axes must be strictly increasing")
 
 
-@dataclass
+@dataclass(eq=False)
 class SchmidtDecomposition:
     """Schmidt weights of a JSA, as ``schmidt`` returns them."""
 
     probabilities: np.ndarray       # min(ns, ni) weights, descending, sum 1; 0 past the sketch
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralDensity:
     """Single-photon spectral density matrix on a frequency axis."""
 

@@ -286,20 +286,6 @@ class TestBell:
         assert header == ["phi_deg", "B", "B_std_if_sampled"]
         assert rows[0][2] == ""  # exact mode leaves the std column empty
 
-    def test_exact_flag_overrides_mode(self, tmp_path):
-        cfg = tmp_path / "bell.json"
-        cfg.write_text(json.dumps({
-            "state": {"kind": "bell", "label": "phi+"},
-            "phi_deg": {"start": 0.0, "stop": 45.0, "step": 22.5},
-            "mode": "sampled",
-            "mean_pairs": 100.0,
-            "seed": 4,
-        }))
-        assert main(["--out", str(tmp_path), "bell", "--config", str(cfg),
-                     "--exact"]) == 0
-        summary = read_summary(tmp_path, "bell")
-        assert summary["results"]["mode"] == "exact"
-
     def test_sampled_mode(self, tmp_path):
         cfg = tmp_path / "bell.json"
         cfg.write_text(json.dumps({
@@ -354,15 +340,13 @@ SMALL_CONFIGS = _small_configs()
 
 
 class TestSchemaDerivedFlags:
-    """--seed and --exact/--sampled reach the commands whose config schema
-    declares a seed and a mode, and no others."""
+    """--seed reaches the commands whose config schema declares a seed, and
+    no others; every other value comes from the config alone."""
 
     def test_schema_declarations(self):
         assert sorted(SMALL_CONFIGS) == sorted(SCHEMA_PROPERTIES)
         assert sorted(c for c, props in SCHEMA_PROPERTIES.items()
                       if "seed" in props) == ["bell", "sweep-theta", "tomo"]
-        assert sorted(c for c, props in SCHEMA_PROPERTIES.items()
-                      if "mode" in props) == ["bell", "sweep-theta"]
 
     @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
     def test_seed_flag_reaches_exactly_the_seeded_configs(self, tmp_path, command):
@@ -379,21 +363,18 @@ class TestSchemaDerivedFlags:
         assert main(["--out", str(tmp_path), "--seed", "5"] + argv) == 0
         assert read_summary(tmp_path, argv[0])["seed"] is None
 
-    @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+    @pytest.mark.parametrize("argv", [[command, "--config", "cfg.json"]
+                                      for command in sorted(SMALL_CONFIGS)]
+                             + [["drive", "--theta", "10"],
+                                ["efficiency", "100", "60000", "0.8", "0.6"]],
+                             ids=lambda argv: argv[0])
     @pytest.mark.parametrize("flag", ["--exact", "--sampled"])
-    def test_mode_flags_exist_exactly_for_configs_with_a_mode(self, tmp_path, capsys,
-                                                              command, flag):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMALL_CONFIGS[command]))
-        argv = ["--out", str(tmp_path), command, "--config", str(cfg), flag]
-        if "mode" in SCHEMA_PROPERTIES[command]:
-            assert main(argv) == 0
-            assert read_summary(tmp_path, command)["results"]["mode"] == flag[2:]
-        else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    def test_no_command_takes_a_mode_flag(self, tmp_path, capsys, argv, flag):
+        # argparse rejects the flag before the config is read
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), *argv, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestConfigValidation:
@@ -503,10 +484,26 @@ class TestConfigValidation:
     ])
     def test_sampled_without_mean_pairs_is_a_config_error(self, tmp_path, capsys,
                                                           command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads((CONFIGS / config).read_text()),
+                                    "mode": "sampled"}))
         assert main(["--out", str(tmp_path), "--seed", "1", command,
-                     "--config", str(CONFIGS / config), "--sampled"]) == 2
+                     "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "config error: missing key(s) ['mean_pairs'] in config\n"
+
+    @pytest.mark.parametrize("state,message", [
+        ({"kind": "werner", "p": 0.9}, "unknown key(s) ['p'] in state"),
+        ({"kind": "werner", "p": 0.9, "concurrence": 0.85}, "unknown key(s) ['p'] in state"),
+        ({"kind": "werner"}, "missing key(s) ['concurrence'] in state"),
+    ], ids=["p", "p-and-concurrence", "no-weight"])
+    def test_werner_state_is_given_by_its_concurrence_alone(self, tmp_path, capsys, state,
+                                                           message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**json.loads((CONFIGS / "tomo_rho0.json").read_text()),
+                                    "state": state}))
+        assert main(["--out", str(tmp_path), "tomo", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_bundled_configs_all_load(self, tmp_path):
         # every shipped config parses and passes strict validation
@@ -588,10 +585,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command,cfg,key,values,flags", [
         ("sweep-theta", {"theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0},
-                         "input_state": {"kind": "werner", "p": 0.9}, "mode": "exact"},
+                         "input_state": {"kind": "werner", "concurrence": 0.85},
+                         "mode": "exact"},
          "kt", [1, 1.0], []),
-        ("tomo", {"state": {"kind": "werner", "p": 0.9}, "settings": 16, "mean_pairs": 1e3,
-                  "mc_samples": 4},
+        ("tomo", {"state": {"kind": "werner", "concurrence": 0.85}, "settings": 16,
+                  "mean_pairs": 1e3, "mc_samples": 4},
          "seed", [7, 7.0, None], ["--seed", "7"]),
     ])
     def test_integral_numbers_give_byte_identical_outputs(self, tmp_path, command, cfg, key,
@@ -750,7 +748,7 @@ def _schema_keywords(node):
         yield key
         if key in ("properties", "definitions"):
             subschemas = value.values()
-        elif key in ("allOf", "oneOf"):
+        elif key == "allOf":
             subschemas = value
         elif key in ("items", "additionalProperties", "if", "then", "else"):
             subschemas = [value] if isinstance(value, dict) else []
@@ -785,9 +783,11 @@ class TestSchemaValidator:
         command, cfg = case
         assert _config_message(cfg, command) == jsonschema_config_message(cfg, command)
 
-    @pytest.mark.parametrize("name", ["config.schema.json", "run_summary.schema.json"])
-    def test_schemas_use_only_supported_keywords(self, name):
-        assert set(_schema_keywords(_schema(name))) <= set(schema_mod.KEYWORDS)
+    def test_schemas_use_exactly_the_supported_keywords(self):
+        # no keyword code outlives the last rule of a shipped schema that needs it
+        used = {key for name in ("config.schema.json", "run_summary.schema.json")
+                for key in _schema_keywords(_schema(name))}
+        assert used == set(schema_mod.KEYWORDS)
 
     @pytest.mark.parametrize("schema,instance", [
         ({"type": "object", "minProperties": 1}, {}),
@@ -795,6 +795,7 @@ class TestSchemaValidator:
         ({"items": [{"type": "number"}]}, [1]),
         ({"$ref": "#/properties/a", "properties": {"a": {}}}, 1),
         ({"oneOf": [{"not": {"type": "string"}}]}, 1),
+        ({"oneOf": [{"type": "integer"}]}, 1),
     ])
     def test_unsupported_schema_raises(self, schema, instance):
         with pytest.raises(schema_mod.SchemaError):

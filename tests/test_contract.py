@@ -11,16 +11,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfcsim.bell import chsh_polynomial, chsh_sweep, rotation_r
-from qfcsim.channel import ChannelSpec, converted_marginal_is_mixed, drive_singular_values
+from qfcsim.channel import (ChannelSpec, converted_marginal_is_mixed, drive_singular_values,
+                            mode_transfer)
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
 from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError, ShapeMismatch
 from qfcsim.linalg import partial_trace
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
-                             PumpSpec, SpectralDensity, compute_jsa, estimate_efficiency,
-                             hg_mode_probabilities, jsa_from_binary, jsa_to_binary,
-                             phase_mismatch, pump_overlap, reduced_density, refractive_index,
-                             temporal_intensity)
+                             PumpSpec, SchmidtDecomposition, SpectralDensity, compute_jsa,
+                             estimate_efficiency, hg_mode_probabilities, jsa_from_binary,
+                             jsa_to_binary, phase_mismatch, pump_overlap, reduced_density,
+                             refractive_index, temporal_intensity)
 from qfcsim.states import MAX_MEAN_PAIRS, check_mean_pairs, check_seed, purity, werner_state
 from qfcsim.tomography import (MeasurementSetting, monte_carlo_metric, projector_set,
                                records_from_csv, simulate_counts)
@@ -253,9 +254,17 @@ def test_rejected_choice_is_quoted_when_a_string(call, message):
     assert str(err.value) == message
 
 
+AXIS = np.linspace(1.0, 2.0, 4)
+
+
 @pytest.mark.parametrize("make", [lambda: ChannelSpec(a=DRIVE, kt=0.5),
-                                  lambda: MeasurementSetting([1, 0], [0, 1])],
-                         ids=["ChannelSpec", "MeasurementSetting"])
+                                  lambda: mode_transfer(ChannelSpec(a=DRIVE, kt=0.5)),
+                                  lambda: MeasurementSetting([1, 0], [0, 1]),
+                                  lambda: JSAGrid(AXIS, AXIS, np.eye(4)),
+                                  lambda: SchmidtDecomposition(np.full(4, 0.25)),
+                                  lambda: SpectralDensity(AXIS, np.eye(4))],
+                         ids=["ChannelSpec", "ModeTransfer", "MeasurementSetting", "JSAGrid",
+                              "SchmidtDecomposition", "SpectralDensity"])
 def test_array_dataclasses_compare_and_hash_by_identity(make):
     x, y = make(), make()
     assert x == x

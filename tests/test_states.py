@@ -485,13 +485,15 @@ class TestSeed:
         assert isinstance(err.value, QfcError)
         assert len(str(err.value).splitlines()) == 1
 
-    @pytest.mark.parametrize("caller", ["simulate_counts", "monte_carlo_metric"])
-    def test_no_seed_is_rejected_where_none_has_no_default(self, caller):
+    @pytest.mark.parametrize("caller", sorted(SEEDED))
+    def test_no_seed_is_rejected_by_every_sampler(self, caller):
         with pytest.raises(InvalidSeed, match="got None$"):
             SEEDED[caller](None)
 
-    def test_sampled_chsh_sweep_defaults_to_seed_zero(self):
-        assert SEEDED["chsh_sweep"](None) == SEEDED["chsh_sweep"](0)
+    def test_exact_chsh_sweep_ignores_the_seed(self):
+        rho, phis = werner_state(0.9), [0.0, 0.4]
+        assert chsh_sweep(rho, phis) == chsh_sweep(rho, phis, seed=None) == \
+            chsh_sweep(rho, phis, seed=3)
 
     @pytest.mark.parametrize("caller", sorted(SEEDED))
     def test_numpy_integer_and_sequence_seeds(self, caller):
