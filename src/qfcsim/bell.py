@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRange, ZeroTotalCounts
-from .states import (I2, SY, _one_matrix, assert_density_matrix, born_probabilities,
-                     check_mean_pairs, check_seed)
+from .states import (I2, STREAM_CHSH, SY, _one_matrix, assert_density_matrix,
+                     born_probabilities, check_mean_pairs, check_seed, child_rng)
 
 
 def rotation_r(phi) -> np.ndarray:
@@ -81,11 +81,13 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
 
     Exact mode (mean_pairs is None) evaluates the four correlations
     directly from rho.  Sampled mode draws Poisson coincidence counts with
-    the given expected total per basis pair; each (phi, basis-pair) uses an
-    independent generator derived from (seed, indices).  Sampled mode needs
-    a seed, as every sampler does; exact mode ignores it.  Returns a list
-    of (phi, B) tuples, or (phi, B, B_std) in sampled mode with a
-    Poisson-propagated standard deviation.
+    the given expected total per basis pair, all in one draw over the
+    (n_phi, 4, 2, 2) means from the child stream ``child_rng(seed,
+    STREAM_CHSH)``, which differs from the root and ``[seed, i]`` streams
+    (see ``states.child_rng``).  Sampled mode needs a seed, as every
+    sampler does; exact mode ignores it.  Returns a list of (phi, B)
+    tuples, or (phi, B, B_std) in sampled mode with a Poisson-propagated
+    standard deviation.
     """
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
     if mean_pairs is not None:
@@ -95,11 +97,7 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     if mean_pairs is None:
         b_vals = chsh_polynomial(*np.moveaxis(_correlations(probs), -1, 0))
         return [(float(phi), float(b)) for phi, b in zip(phis, b_vals)]
-    seed = check_seed(seed)
-    counts = np.array([[np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
-                        for i_pair, p in enumerate(pair_probs)]
-                       for i_phi, pair_probs in enumerate(probs)],
-                      dtype=float).reshape(probs.shape)
+    counts = child_rng(check_seed(seed), STREAM_CHSH).poisson(mean_pairs * probs).astype(float)
     es = _correlations(counts)
     totals = counts.sum(axis=(-2, -1))
     # float_power rounds as Python's float ** 2 does (libm pow, not x * x),

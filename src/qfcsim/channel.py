@@ -27,7 +27,7 @@ import numpy as np
 
 from .drive import check_drive, coherence_matrix
 from .errors import OutOfRange, ZeroConversionProbability
-from .linalg import _describe, _finite_real, dagger, partial_trace, svd
+from .linalg import _describe, _finite_real, _finite_svd, dagger, partial_trace
 from .states import I2, _one_matrix, assert_density_matrix, bell_state, concurrence
 
 # success probabilities at or below this are treated as zero conversion
@@ -53,7 +53,7 @@ class ChannelSpec:
         object.__setattr__(self, "a", a)
         if not _finite_real(self.kt) or self.kt < 0:
             raise OutOfRange(f"kt must be finite and >= 0, got {_describe(self.kt)}")
-        factors = svd(a)
+        factors = _finite_svd(a)  # check_drive has rejected a non-finite drive
         for factor in factors:
             factor.flags.writeable = False
         object.__setattr__(self, "_svd", factors)
@@ -81,16 +81,19 @@ class ModeTransfer:
         return np.vstack([top, bot])
 
 
+def _kraus_dagger(spec: ChannelSpec) -> np.ndarray:
+    u, s, v = spec._svd
+    return (u * np.sin(spec.kt * s)) @ dagger(v)
+
+
 def kraus_from_drive(spec: ChannelSpec) -> np.ndarray:
     """Kraus matrix K of the conversion channel, K^dag = U sin(kt S) V^dag."""
-    u, s, v = spec._svd
-    k_dag = (u * np.sin(spec.kt * s)) @ dagger(v)
-    return dagger(k_dag)
+    return dagger(_kraus_dagger(spec))
 
 
 def _conversion_operator(spec: ChannelSpec) -> np.ndarray:
-    # spatial <- polarization matrix; see module docstring for the transpose
-    return kraus_from_drive(spec).conj()
+    # spatial <- polarization matrix conj(K) = (K^dag)^T; see module docstring
+    return _kraus_dagger(spec).T
 
 
 def mode_transfer(spec: ChannelSpec) -> ModeTransfer:

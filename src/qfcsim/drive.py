@@ -39,14 +39,17 @@ def vwp_transform(e) -> np.ndarray:
     HG00*y -> (HG01*x - HG10*y)/sqrt(2), so an input (ex, ey) gives
     A = [[ex, ey], [-ey, ex]] / sqrt(2).
     """
-    ex, ey = unit_norm(e, (2,), "Jones vector")
+    return _vwp(*unit_norm(e, (2,), "Jones vector"))
+
+
+def _vwp(ex, ey) -> np.ndarray:
     return np.array([[ex, ey], [-ey, ex]], dtype=complex) / np.sqrt(2)
 
 
 def drive_from_theta(theta: float) -> np.ndarray:
     """Drive matrix for QWP angle ``theta`` (radians) and x-polarized input."""
-    e = qwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)
-    return vwp_transform(e)
+    # a unitary plate keeps the input's unit norm, so the vector skips unit_norm
+    return _vwp(*(qwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)))
 
 
 def check_drive(a) -> np.ndarray:

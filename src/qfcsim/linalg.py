@@ -63,6 +63,11 @@ def svd(m):
     m = as_complex(m)
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix contains non-finite entries")
+    return _finite_svd(m)
+
+
+def _finite_svd(m: np.ndarray):
+    """``svd`` of a complex array the caller has already found finite."""
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:

@@ -30,6 +30,9 @@ _TOL = 1e-10
 # rejects means above ~9.2e18, so the cap stays well below that.
 MAX_MEAN_PAIRS = 1e15
 
+# spawn-key purpose code of each sampler that draws from a child_rng stream
+STREAM_CHSH = 1
+
 _BELL_KETS = {
     "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
     "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
@@ -131,14 +134,34 @@ def check_seed(seed):
     A seed is a non-negative Python or numpy integer, or a non-empty flat
     sequence of them. A negative integer or an empty sequence raises
     OutOfRange; bool, float and any other type raise InvalidSeed.
-    ``numpy.random.default_rng`` flattens a returned seed nested in
-    ``[seed, i]``, so callers derive independent streams that way.
+
+    Appending an index, ``default_rng([seed, i])``, does not give an
+    independent stream: ``SeedSequence`` pads its entropy with zero words,
+    so ``[7]`` and ``[7, 0]``, or ``[7, 3]`` and ``[7, 3, 0]``, draw the
+    same numbers. ``simulate_counts`` draws from the root
+    ``default_rng(seed)`` and sampled ``chsh_sweep`` from ``child_rng``.
+    ``monte_carlo_metric`` (resample i) and the sampled ``sweep-theta``
+    command (point i) still draw from ``[seed, i]``, so MC resample 0
+    repeats the counts of ``simulate_counts`` with the same seed; they move
+    to ``child_rng`` together with the benchmark's pinned Werner MC std,
+    which was read from the ``[seed, i]`` stream.
     """
     if isinstance(seed, (list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim == 1):
         if len(seed) == 0:
             raise OutOfRange("seed sequence must not be empty")
         return tuple(_seed_word(x) for x in seed)
     return _seed_word(seed)
+
+
+def child_rng(seed, purpose: int) -> np.random.Generator:
+    """Generator on the spawn-key child ``SeedSequence(seed, spawn_key=(purpose,))``
+    of a ``check_seed`` value, with one ``purpose`` code per sampler.
+
+    The child pads the seed to four 32-bit words and appends the key, so
+    for a shorter seed it differs from ``default_rng(seed)``, ``[seed, i]``
+    and ``[seed, i, j]``.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose,)))
 
 
 def bell_state(label: str) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, NoConvergence, NotInformationallyComplete, ShapeMismatch
+from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, ShapeMismatch,
+                     UnknownLabel)
 from .linalg import _describe, unit_norm
 from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
                      check_seed)
@@ -47,6 +48,11 @@ class MeasurementSetting:
 
     @classmethod
     def from_names(cls, name_a: str, name_b: str) -> "MeasurementSetting":
+        """Setting from two STATE_VECTORS names; UnknownLabel for any other value."""
+        for name in (name_a, name_b):
+            if not (isinstance(name, str) and name in STATE_VECTORS):
+                raise UnknownLabel(f"unknown projector name {_describe(name)}; "
+                                   f"use one of {sorted(STATE_VECTORS)}")
         return cls(STATE_VECTORS[name_a], STATE_VECTORS[name_b])
 
 
@@ -309,10 +315,11 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
 
     Each sample redraws every record's counts as Poisson(observed counts),
     re-runs the MLE, and evaluates ``metric`` on the result.  Sample i uses
-    an independent generator derived from (seed, i), so evaluation order
-    does not matter; all samples are solved as one stack.  A second call
-    with the same records, ``n_samples`` and ``seed`` (another metric, say)
-    reuses that stack, which ``metric`` receives read-only.
+    its own generator ``default_rng([seed, i])``, so evaluation order does
+    not matter (sample 0 shares the stream of ``simulate_counts`` with
+    ``seed``; see ``check_seed``); all samples are solved as one stack.  A
+    second call with the same records, ``n_samples`` and ``seed`` (another
+    metric, say) reuses that stack, which ``metric`` receives read-only.
     """
     if not isinstance(n_samples, numbers.Integral):
         raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")

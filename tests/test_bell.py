@@ -3,7 +3,7 @@ import pytest
 
 from qfcsim.bell import _correlations, chsh_polynomial, chsh_sweep, rotation_r
 from qfcsim.errors import InvalidState, OutOfRange, ZeroTotalCounts
-from qfcsim.states import bell_state, chsh_max, werner_state
+from qfcsim.states import STREAM_CHSH, bell_state, chsh_max, werner_state
 
 from helpers import chsh_bases, random_density_matrix
 
@@ -152,23 +152,57 @@ class TestBatchedSweep:
                 assert phi_out == phi
                 assert abs(b - chsh_polynomial(*e)) <= 1e-12
 
-    def test_sampled_matches_per_pair_draws(self):
-        # one generator per (seed, phi index, pair index), drawn pair by pair;
-        # checked on the last 40 points, where point 698 has an e with
-        # e ** 2 != e * e in the last bit
+    def test_sampled_matches_one_child_draw(self):
+        # one Poisson draw over (phi, pair, i, j) from the one child stream
+        # SeedSequence(seed, spawn_key=(STREAM_CHSH,)); checked on the last
+        # 40 points, where some e has e ** 2 != e * e in the last bit (point
+        # 700 on this stream), so B_std must round as the scalar formula does
         rho = werner_state(0.9)
         phis = np.deg2rad(np.arange(0.0, 180.0, 0.25))
         seed, mean_pairs, first = 7, 300.0, 680
-        expected = []
-        for i_phi, phi in enumerate(phis[first:], start=first):
+        probs = np.array([reference_pair_probabilities(rho, phi) for phi in phis])
+        child = np.random.SeedSequence(seed, spawn_key=(STREAM_CHSH,))
+        counts = np.random.default_rng(child).poisson(mean_pairs * probs)
+        expected, squares_differ = [], []
+        for i_phi in range(first, len(phis)):
             es, var = [], 0.0
-            for i_pair, p in enumerate(reference_pair_probabilities(rho, phi)):
-                counts = np.random.default_rng([seed, i_phi, i_pair]).poisson(mean_pairs * p)
-                e = correlation(counts)
+            for pair_counts in counts[i_phi]:
+                e = correlation(pair_counts)
                 es.append(e)
-                var += max(1.0 - e ** 2, 1.0 / counts.sum()) / counts.sum()
-            expected.append((float(phi), chsh_polynomial(*es), float(np.sqrt(var))))
+                var += max(1.0 - e ** 2, 1.0 / pair_counts.sum()) / pair_counts.sum()
+                squares_differ.append(e ** 2 != e * e)
+            expected.append((float(phis[i_phi]), chsh_polynomial(*es), float(np.sqrt(var))))
+        assert any(squares_differ)
         assert chsh_sweep(rho, phis, mean_pairs=mean_pairs, seed=seed)[first:] == expected
+
+    def test_sampled_call_builds_one_child_generator(self, monkeypatch):
+        built, default_rng = [], np.random.default_rng
+
+        def recording_default_rng(*args, **kwargs):
+            built.append(default_rng(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+        seed, phis = 7, np.deg2rad(np.arange(0.0, 180.0, 0.25))
+        chsh_sweep(werner_state(0.9), phis, mean_pairs=300.0, seed=seed)
+        assert len(built) == 1
+        words = built[0].bit_generator.seed_seq.generate_state(4)
+        # the root stream, and every stream that appending phi and pair
+        # indices to the seed gives
+        others = ([seed] + [[seed, i] for i in range(len(phis))]
+                  + [[seed, i, j] for i in range(len(phis)) for j in range(4)])
+        for other in others:
+            assert not np.array_equal(words, np.random.SeedSequence(other).generate_state(4))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_sampled_werner_within_six_sigma(self, seed):
+        # the benchmark's check: every sampled B of the Werner state with
+        # C = 0.919 lies within 6 of its own sigma of p 2 sqrt2 |sin(2 phi + pi/4)|
+        p = (2 * 0.919 + 1) / 3
+        phis = np.deg2rad(np.arange(0.0, 180.0, 0.25))
+        rows = np.array(chsh_sweep(werner_state(p), phis, mean_pairs=1e4, seed=seed))
+        exact = p * 2 * RT2 * np.abs(np.sin(2 * phis + np.pi / 4))
+        assert np.all(np.abs(rows[:, 1] - exact) <= 6.0 * rows[:, 2])
 
     def test_scalar_phi_list(self):
         assert chsh_sweep(bell_state("phi+"), [np.pi / 8]) == \

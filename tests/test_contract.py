@@ -15,7 +15,8 @@ from qfcsim.channel import (ChannelSpec, converted_marginal_is_mixed, drive_sing
                             mode_transfer)
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
-from qfcsim.errors import InvalidState, NotNormalized, OutOfRange, QfcError, ShapeMismatch
+from qfcsim.errors import (InvalidState, NotNormalized, OutOfRange, QfcError, ShapeMismatch,
+                           UnknownLabel)
 from qfcsim.linalg import partial_trace
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SchmidtDecomposition, SpectralDensity, compute_jsa,
@@ -128,6 +129,14 @@ ESCAPES = {
     "vwp_transform-row": (lambda: vwp_transform([[1.0, 0.0]]), NotNormalized),
     "MeasurementSetting-column": (lambda: MeasurementSetting([1, 0], [[1], [0]]), NotNormalized),
     "MeasurementSetting-row": (lambda: MeasurementSetting([[1, 0]], [1, 0]), NotNormalized),
+    "MeasurementSetting.from_names-unknown": (
+        lambda: MeasurementSetting.from_names("X", "H"), UnknownLabel),
+    "MeasurementSetting.from_names-lowercase": (
+        lambda: MeasurementSetting.from_names("H", "v"), UnknownLabel),
+    "MeasurementSetting.from_names-None": (
+        lambda: MeasurementSetting.from_names(None, "H"), UnknownLabel),
+    "MeasurementSetting.from_names-list": (
+        lambda: MeasurementSetting.from_names(["H"], "H"), UnknownLabel),
     "hg_mode_probabilities-warped-axis": (
         lambda: hg_mode_probabilities(_warped_type1_density(), 220.0, 10), OutOfRange),
     "pump_overlap-warped-axis": (lambda: pump_overlap(_warped_type1_density(), PUMP),
