@@ -108,7 +108,8 @@ def _angle_grid(grid: dict, where: str) -> np.ndarray:
     n = (stop - start) / step  # inf when the span overflows
     if not n <= _MAX_ANGLE_POINTS - 1:
         raise ConfigError(f"{where}: more than {_MAX_ANGLE_POINTS} points")
-    return start + step * np.arange(int(round(n)) + 1)
+    # round down, but keep a last point that the division left just short
+    return start + step * np.arange(int(n + 1e-9) + 1)
 
 
 def _state_from_config(cfg: dict) -> np.ndarray:

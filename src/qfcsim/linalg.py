@@ -85,8 +85,8 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ShapeMismatch(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
     r = rho.reshape(2, 2, 2, 2)
-    if keep == 1:
+    if isinstance(keep, numbers.Integral) and keep == 1:
         return np.trace(r, axis1=1, axis2=3)
-    if keep == 2:
+    if isinstance(keep, numbers.Integral) and keep == 2:
         return np.trace(r, axis1=0, axis2=2)
     raise ShapeMismatch(f"keep must be 1 or 2, got {_describe(keep)}")

@@ -135,7 +135,7 @@ class CrystalSpec:
         if not _finite_real(self.temperature_c):
             raise OutOfRange(f"crystal temperature must be finite, "
                              f"got {_describe(self.temperature_c)}")
-        if self.interaction not in INTERACTIONS:
+        if not (isinstance(self.interaction, str) and self.interaction in INTERACTIONS):
             raise OutOfRange(f"interaction must be one of {INTERACTIONS}")
 
 
@@ -400,14 +400,15 @@ def reduced_density(grid: JSAGrid, which: str = "idler") -> SpectralDensity:
     # A^T A of a real float A is one BLAS triangle and its mirror: symmetric
     # to the bit, and only a complex or integer product is symmetrised below
     amp = np.ascontiguousarray(grid.amp)
-    if which == "idler":
+    key = which if isinstance(which, str) else None
+    if key == "idler":
         mat = amp.T @ amp.conj()
         axis = grid.idler_axis
-    elif which == "signal":
+    elif key == "signal":
         mat = amp @ amp.conj().T
         axis = grid.signal_axis
     else:
-        raise ShapeMismatch(f"which must be 'signal' or 'idler', got {which!r}")
+        raise ShapeMismatch(f"which must be 'signal' or 'idler', got {_describe(which)}")
     if mat.dtype.kind != "f":
         mat = (mat + mat.conj().T) / 2
     mat /= np.trace(mat).real

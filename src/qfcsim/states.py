@@ -168,7 +168,8 @@ def bell_state(label: str) -> np.ndarray:
     """Density matrix of one of the four Bell states ('phi+', 'phi-', 'psi+', 'psi-')."""
     key = label.lower() if isinstance(label, str) else None
     if key not in _BELL_KETS:
-        raise UnknownLabel(f"unknown Bell label {label!r}; use one of {sorted(_BELL_KETS)}")
+        raise UnknownLabel(f"unknown Bell label {_describe(label)}; "
+                           f"use one of {sorted(_BELL_KETS)}")
     ket = _BELL_KETS[key]
     return np.outer(ket, ket.conj())
 

@@ -66,6 +66,7 @@ class CountRecord:
                 or isinstance(self.counts, (float, np.floating))
                 and float(self.counts).is_integer()):
             raise InvalidState(f"counts must be a whole number, got {self.counts!r}")
+        object.__setattr__(self, "counts", int(self.counts))  # so that a CSV writes "5", not "5.0"
         if self.counts < 0:
             raise InvalidState(f"counts must be >= 0, got {self.counts}")
 
@@ -128,10 +129,12 @@ _MAX_HALVINGS = 60
 _START_MIX = 1e-3
 
 
-def _kets(records) -> np.ndarray:
+def _arrays(records) -> tuple:
+    """The complex (K, 4) projector kets and the float (K,) counts of the records."""
     if not records:
         raise NotInformationallyComplete("empty record list")
-    return np.array([rec.setting.ket for rec in records])
+    return (np.array([rec.setting.ket for rec in records]),
+            np.array([rec.counts for rec in records], dtype=float))
 
 
 @functools.lru_cache(maxsize=4)
@@ -200,8 +203,7 @@ def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return t
 
 
-def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
-               tol: float) -> np.ndarray:
+def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Maximum-likelihood density matrices for a (B, K) stack of count rows.
 
     Row b holds the counts n_k of the K settings with projector kets
@@ -214,11 +216,13 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
 
     Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
     with its eigenvalues replaced by their absolute values, so that steps
-    leave saddle points instead of converging to them, and Armijo
-    backtracking on the step length.  A row stops once its squared Newton
-    decrement g^T |H|^-1 g is at most ``tol`` * N and leaves the stack, so
+    leave saddle points instead of converging to them.  One backtracking
+    loop sets the step length alpha: every row tries alpha = 1, and a row
+    whose try fails the Armijo test halves alpha and tries again, up to
+    ``_MAX_HALVINGS`` tries in all.  A row stops once its squared Newton
+    decrement g^T |H|^-1 g is at most ``_TOL`` * N and leaves the stack, so
     slow rows do not keep the others iterating.  A row still running after
-    ``max_iter`` steps, or one whose line search finds no decrease, raises
+    ``_MAX_ITER`` steps, or one whose line search finds no decrease, raises
     NoConvergence.  Each row starts from its projected linear-inversion
     estimate (``_start``).
     """
@@ -241,9 +245,9 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
     # thresholds; the stack shrinks only at a step where some row stops
     active, n, ta = np.arange(len(counts)), counts, t
     ns = np.maximum(counts, 1.0)
-    stop = tol * counts.sum(axis=1)
+    stop = _TOL * counts.sum(axis=1)
     f, at, q = evaluate(ta, n, ns)
-    for step_no in range(max_iter + 1):
+    for step_no in range(_MAX_ITER + 1):
         w = 1.0 - n / q
         grad = 2 * np.einsum("bk,bki->bi", w, at)
         hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
@@ -257,8 +261,8 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
         done = decrement <= stop
         if done.all():
             break
-        if step_no == max_iter:
-            raise NoConvergence(f"MLE did not converge in {max_iter} Newton steps")
+        if step_no == _MAX_ITER:
+            raise NoConvergence(f"MLE did not converge in {_MAX_ITER} Newton steps")
         if done.any():
             t[active] = ta
             keep = ~done
@@ -267,27 +271,18 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray, max_iter: int,
             vec, g_eig, lam, decrement = vec[keep], g_eig[keep], lam[keep], decrement[keep]
         step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
         slope = -decrement
-        # a full step first, for every row; then halvings for the rows it
-        # did not decrease enough
-        t_try = ta + step
-        f_try, at_try, q_try = evaluate(t_try, n, ns)
-        ok = f_try <= f + _ARMIJO * slope
-        if ok.all():
-            ta, f, at, q = t_try, f_try, at_try, q_try
-            continue
-        ta[ok], f[ok], at[ok], q[ok] = t_try[ok], f_try[ok], at_try[ok], q_try[ok]
-        alpha = np.ones(len(active))
-        todo = np.flatnonzero(~ok)
-        for _ in range(_MAX_HALVINGS - 1):
-            alpha[todo] /= 2
-            t_try = ta[todo] + alpha[todo, None] * step[todo]
+        # the rows still searching share one step length alpha
+        alpha, todo = 1.0, np.arange(len(active))
+        for _ in range(_MAX_HALVINGS):
+            t_try = ta[todo] + alpha * step[todo]
             f_try, at_try, q_try = evaluate(t_try, n[todo], ns[todo])
-            ok = f_try <= f[todo] + _ARMIJO * alpha[todo] * slope[todo]
+            ok = f_try <= f[todo] + _ARMIJO * alpha * slope[todo]
             hit = todo[ok]
             ta[hit], f[hit], at[hit], q[hit] = t_try[ok], f_try[ok], at_try[ok], q_try[ok]
             todo = todo[~ok]
             if not len(todo):
                 break
+            alpha /= 2
         else:
             raise NoConvergence("MLE line search found no decrease")
     t[active] = ta
@@ -303,11 +298,10 @@ def mle_reconstruct(records) -> np.ndarray:
 
     The predicted mean for record k is s * <proj_k| rho |proj_k> with a free
     overall rate s, and rho = T^dag T / Tr(T^dag T) stays physical; see
-    ``_mle_stack`` for the solver, which runs with ``_MAX_ITER`` and ``_TOL``.
+    ``_mle_stack`` for the solver.
     """
-    kets = _kets(records)
-    counts = np.array([[rec.counts for rec in records]], dtype=float)
-    return _mle_stack(kets, counts, _MAX_ITER, _TOL)[0]
+    kets, counts = _arrays(records)
+    return _mle_stack(kets, counts[None])[0]
 
 
 def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWithError:
@@ -326,8 +320,7 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
     seed = check_seed(seed)
-    kets = _kets(records)
-    observed = np.array([rec.counts for rec in records], dtype=float)
+    kets, observed = _arrays(records)
     rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
     values = np.array([metric(rho) for rho in rhos])
     return MetricWithError(value=float(values.mean()),
@@ -349,7 +342,7 @@ def _resampled_mle(kets_bytes: bytes, observed_bytes: bytes, n_samples: int,
     observed = np.frombuffer(observed_bytes, dtype=float)
     resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
                           for i in range(n_samples)], dtype=float)
-    rhos = _mle_stack(kets, resampled, _MAX_ITER, _TOL)
+    rhos = _mle_stack(kets, resampled)
     rhos.flags.writeable = False
     return rhos
 

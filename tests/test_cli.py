@@ -18,7 +18,7 @@ from helpers import jsonschema_config_message
 from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
-from qfcsim.cli import main, _schema, _summary_schema, _validate_config
+from qfcsim.cli import main, _angle_grid, _schema, _summary_schema, _validate_config
 from qfcsim.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -246,9 +246,9 @@ class TestTomo:
         solves = []
         mle_stack = tomo_mod._mle_stack
 
-        def spy(kets, counts, max_iter, tol):
+        def spy(kets, counts):
             solves.append(len(counts))
-            return mle_stack(kets, counts, max_iter, tol)
+            return mle_stack(kets, counts)
 
         monkeypatch.setattr(tomo_mod, "_mle_stack", spy)
         assert main(["--out", str(tmp_path), "tomo", "--config", str(cfg)]) == 0
@@ -397,6 +397,12 @@ class TestConfigValidation:
         cfg.write_text("{not json")
         assert main(["--out", str(tmp_path), "choi", "--config", str(cfg)]) == 2
 
+    def test_non_object_root_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        assert main(["--out", str(tmp_path), "choi", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
     def test_missing_file_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path), "choi",
                      "--config", str(tmp_path / "nope.json")]) == 2
@@ -448,6 +454,15 @@ class TestConfigValidation:
             assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: an input is too large to compute with")
+        assert len(err.splitlines()) == 1
+
+    def test_integer_beyond_the_float_range_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = {**json.loads((CONFIGS / "fig_4_theta_sweep.json").read_text()), "kt": 10 ** 400}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), "sweep-theta", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an input is too large to compute with: ")
         assert len(err.splitlines()) == 1
 
     def test_infinite_poling_period_is_a_one_line_error(self, tmp_path, capsys):
@@ -582,6 +597,17 @@ class TestConfigValidation:
         assert main(["--out", str(tmp_path), "bell", "--config", str(path)]) == 0
         _, rows = read_csv(tmp_path / "bell_sweep.csv")
         assert len(rows) == 3601
+
+    @pytest.mark.parametrize("grid,points", [
+        ((0.0, 11.0, 3.0), [0.0, 3.0, 6.0, 9.0]),          # never past stop
+        ((0.0, 0.3, 0.1), [0.0, 0.1, 0.2, 0.3]),           # 0.3 / 0.1 < 3 in floats
+        ((0.0, 90.0, 1.0), list(np.arange(91.0))),         # the bundled grids
+        ((0.0, 180.0, 1.5), list(1.5 * np.arange(121))),
+    ])
+    def test_angle_grid_runs_from_start_to_stop_inclusive(self, grid, points):
+        thetas = _angle_grid(dict(zip(("start", "stop", "step"), grid)), "theta_deg")
+        assert len(thetas) == len(points)
+        assert np.allclose(thetas, points, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("command,cfg,key,values,flags", [
         ("sweep-theta", {"theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0},

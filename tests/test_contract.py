@@ -15,17 +15,19 @@ from qfcsim.channel import (ChannelSpec, converted_marginal_is_mixed, drive_sing
                             mode_transfer)
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
-from qfcsim.errors import (InvalidState, NotNormalized, OutOfRange, QfcError, ShapeMismatch,
-                           UnknownLabel)
+from qfcsim.errors import (InvalidState, NotInformationallyComplete, NotNormalized, OutOfRange,
+                           QfcError, ShapeMismatch, UnknownLabel)
 from qfcsim.linalg import partial_trace
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SchmidtDecomposition, SpectralDensity, compute_jsa,
                              estimate_efficiency, hg_mode_probabilities, jsa_from_binary,
                              jsa_to_binary, phase_mismatch, pump_overlap, reduced_density,
                              refractive_index, temporal_intensity)
-from qfcsim.states import MAX_MEAN_PAIRS, check_mean_pairs, check_seed, purity, werner_state
-from qfcsim.tomography import (MeasurementSetting, monte_carlo_metric, projector_set,
-                               records_from_csv, simulate_counts)
+from qfcsim.states import (MAX_MEAN_PAIRS, bell_state, check_mean_pairs, check_seed, purity,
+                           werner_state)
+from qfcsim.tomography import (CountRecord, MeasurementSetting, mle_reconstruct,
+                               monte_carlo_metric, projector_set, records_from_csv,
+                               simulate_counts)
 
 DRIVE = np.eye(2, dtype=complex) / np.sqrt(2)
 CRYSTAL = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
@@ -224,6 +226,15 @@ ESCAPES = {
     "chsh_polynomial-nan": (lambda: chsh_polynomial(1, 1, float("nan"), 1), OutOfRange),
     "chsh_polynomial-overflow": (lambda: chsh_polynomial(1, 1, 1, HUGE), OutOfRange),
     "rotation_r-overflow": (lambda: rotation_r(HUGE), OutOfRange),
+    "reduced_density-array": (
+        lambda: reduced_density(JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((3, 4))),
+                                np.eye(3)), ShapeMismatch),
+    "partial_trace-array": (lambda: partial_trace(werner_state(0.9), np.eye(3)), ShapeMismatch),
+    "CrystalSpec-interaction-array": (lambda: CrystalSpec(10.0, 20.3, 25.5, np.eye(3)),
+                                      OutOfRange),
+    "bell_state-array": (lambda: bell_state(np.eye(3)), UnknownLabel),
+    "mle_reconstruct-empty": (lambda: mle_reconstruct([]), NotInformationallyComplete),
+    "CountRecord-negative": (lambda: CountRecord(projector_set(16)[0], -1), InvalidState),
 }
 
 

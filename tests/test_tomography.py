@@ -14,7 +14,7 @@ from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComple
 from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity, purity,
                            werner_state)
 from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
-                               _kets, _mle_stack, _resampled_mle, _setup, _start,
+                               _arrays, _mle_stack, _resampled_mle, _setup, _start,
                                mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
@@ -27,9 +27,9 @@ def solves(monkeypatch):
     calls = []
     mle_stack = tomo_mod._mle_stack
 
-    def spy(kets, counts, max_iter, tol):
+    def spy(kets, counts):
         calls.append(len(counts))
-        return mle_stack(kets, counts, max_iter, tol)
+        return mle_stack(kets, counts)
 
     monkeypatch.setattr(tomo_mod, "_mle_stack", spy)
     return calls
@@ -37,8 +37,8 @@ def solves(monkeypatch):
 
 def resampled_stack(records, n_samples, seed):
     """The cached Monte-Carlo stack ``monte_carlo_metric`` uses for these inputs."""
-    observed = np.array([rec.counts for rec in records], dtype=float)
-    return _resampled_mle(_kets(records).tobytes(), observed.tobytes(), n_samples, seed)
+    kets, observed = _arrays(records)
+    return _resampled_mle(kets.tobytes(), observed.tobytes(), n_samples, seed)
 
 
 def exact_records(rho, settings, mean_pairs):
@@ -95,7 +95,8 @@ class TestCountRecord:
 
     @pytest.mark.parametrize("counts", [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
     def test_whole_counts_of_any_numeric_type(self, counts):
-        assert CountRecord(setting=projector_set(16)[0], counts=counts).counts == 3
+        stored = CountRecord(setting=projector_set(16)[0], counts=counts).counts
+        assert stored == 3 and type(stored) is int
 
 
 class TestSimulateCounts:
@@ -195,12 +196,12 @@ class TestMle:
         rec2 = mle_reconstruct(shuffled)
         assert np.linalg.norm(rec1 - rec2) < 1e-6
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
         records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
-        kets = _kets(records)
-        counts = np.array([[rec.counts for rec in records]], dtype=float)
+        kets, counts = _arrays(records)
         with pytest.raises(NoConvergence):
-            _mle_stack(kets, counts, 2, 1e-12)
+            _mle_stack(kets, counts[None])
 
     def test_fidelity_monotone_in_mean_pairs(self):
         rho = werner_state(0.9)
@@ -223,8 +224,7 @@ def kkt_residuals(records, rho):
     R = sum_k (n_k / p_k) Pi_k - (N / Tr F rho) F.  Returns ||R rho|| / N
     and lambda_max(R) / N.
     """
-    kets = np.array([rec.setting.ket for rec in records])
-    n = np.array([rec.counts for rec in records], dtype=float)
+    kets, n = _arrays(records)
     projs = np.einsum("ki,kj->kij", kets, kets.conj())
     p = np.einsum("kij,ji->k", projs, rho).real
     f_op = projs.sum(axis=0)
@@ -270,16 +270,15 @@ class TestStack:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         records = simulate_counts(_converted_state(), projector_set(36), 1e4, seed=8)
-        kets = _kets(records)
-        observed = np.array([rec.counts for rec in records])
+        kets, observed = _arrays(records)
         stack = np.array([np.random.default_rng([4, i]).poisson(observed)
                           for i in range(12)], dtype=float)
         steps.append(0)
-        together = _mle_stack(kets, stack, 1000, 1e-12)
+        together = _mle_stack(kets, stack)
         alone = []
         for row in stack:
             steps.append(0)
-            alone.append(_mle_stack(kets, row[None], 1000, 1e-12)[0])
+            alone.append(_mle_stack(kets, row[None])[0])
         assert np.max(np.abs(together - np.array(alone))) <= 1e-10
         assert steps[0] == max(steps[1:])
 
@@ -299,7 +298,8 @@ def _edge_rows():
     yield np.array([s.ket for s in projector_set(36)]), np.eye(36)[5:6]
     # noiseless rank-1 records
     records = exact_records(bell_state("phi+"), projector_set(36), 1e4)
-    yield _kets(records), np.array([[rec.counts for rec in records]], dtype=float)
+    kets, counts = _arrays(records)
+    yield kets, counts[None]
 
 
 class TestStart:
@@ -355,7 +355,7 @@ class TestTablesBuiltOnce:
         assert (mc_again.value, mc_again.std) == (mc.value, mc.std)
 
     def test_tables_are_read_only(self):
-        kets = _kets(simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1))
+        kets, _ = _arrays(simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1))
         for table in _setup(kets.tobytes()):
             assert not table.flags.writeable
 
@@ -544,12 +544,14 @@ class TestSerialization:
 
     def test_explicit_vector_roundtrip(self, tmp_path):
         v = np.array([np.cos(0.3), np.exp(1.2j) * np.sin(0.3)])
-        records = [CountRecord(setting=MeasurementSetting(v, STATE_VECTORS["H"]),
-                               counts=5)]
+        # whole-number float counts are written, and read back, as integers
+        records = [CountRecord(setting=MeasurementSetting(v, STATE_VECTORS["H"]), counts=counts)
+                   for counts in (5, 5.0, np.float64(5))]
         path = tmp_path / "counts.csv"
         records_to_csv(records, path)
         back = records_from_csv(path)
         assert np.allclose(back[0].setting.proj_a, v, atol=1e-12)
+        assert [rec.counts for rec in back] == [5, 5, 5]
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         records = simulate_counts(werner_state(0.8), projector_set(16), 1e4, seed=41)
