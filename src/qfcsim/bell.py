@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRange, ZeroTotalCounts
+from .errors import ZeroTotalCounts
+from .linalg import _real_array
 from .states import (I2, STREAM_CHSH, SY, _one_matrix, assert_density_matrix,
                      born_probabilities, check_mean_pairs, check_seed, child_rng)
 
@@ -20,21 +21,8 @@ def rotation_r(phi) -> np.ndarray:
 
     An array of angles gives a stack of rotations with shape (..., 2, 2).
     """
-    phi = _angles(phi)[..., None, None]
+    phi = _real_array(phi, "angles phi")[..., None, None]
     return np.cos(phi) * I2 + 1j * np.sin(phi) * SY
-
-
-def _angles(phi) -> np.ndarray:
-    """``phi`` as a float array; OutOfRange unless every entry is a finite number."""
-    try:
-        phi = np.asarray(phi, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OutOfRange(f"angle phi must be a real number or an array of them, "
-                         f"got {type(phi).__name__}: {exc}") from None
-    finite = np.isfinite(phi)
-    if not finite.all():
-        raise OutOfRange(f"angle phi must be finite, got {phi.flat[np.argmin(finite)]}")
-    return phi
 
 
 def _correlations(n: np.ndarray) -> np.ndarray:
@@ -49,16 +37,10 @@ def chsh_polynomial(e_ab, e_abp, e_apb, e_apbp):
     """|E(a,b) - E(a,b') + E(a',b) + E(a',b')|, elementwise for arrays.
 
     OutOfRange unless each correlation is a finite real number or an array
-    of them.
+    of them (``linalg._real_array``).
     """
-    try:
-        es = [np.asarray(e, dtype=float) for e in (e_ab, e_abp, e_apb, e_apbp)]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise OutOfRange(f"correlations must be real numbers or arrays of them: "
-                         f"{exc}") from None
-    if not all(np.isfinite(e).all() for e in es):
-        raise OutOfRange("correlations must be finite")
-    e_ab, e_abp, e_apb, e_apbp = es
+    e_ab, e_abp, e_apb, e_apbp = (_real_array(e, "correlations")
+                                  for e in (e_ab, e_abp, e_apb, e_apbp))
     return abs(e_ab - e_abp + e_apb + e_apbp)
 
 
@@ -92,7 +74,7 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     rho = assert_density_matrix(_one_matrix(rho), dim=4)
     if mean_pairs is not None:
         mean_pairs = check_mean_pairs(mean_pairs)
-    phis = _angles(phi_list).reshape(-1)
+    phis = _real_array(phi_list, "angles phi").reshape(-1)
     probs = born_probabilities(rho, _pair_kets(phis))         # (n_phi, 4, 2, 2)
     if mean_pairs is None:
         b_vals = chsh_polynomial(*np.moveaxis(_correlations(probs), -1, 0))

@@ -1,5 +1,5 @@
-"""Argument checks (finite reals, complex arrays, unit norm), SVD and the
-two-qubit partial trace."""
+"""The argument rules (finite reals, finite real arrays, complex arrays, unit
+norm, one rounding tolerance), SVD and the two-qubit partial trace."""
 
 from __future__ import annotations
 
@@ -7,7 +7,11 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidState, NoConvergence, NotNormalized, ShapeMismatch
+from .errors import InvalidState, NoConvergence, NotNormalized, OutOfRange, ShapeMismatch
+
+# Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
+# density matrix may carry as rounding noise; also |x|^2 - 1 for unit_norm
+_TOL = 1e-10
 
 
 def _finite_real(x) -> bool:
@@ -28,6 +32,19 @@ def _describe(x) -> str:
     return str(x) if np.isscalar(x) else type(x).__name__
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """``x`` as a float array of finite entries; OutOfRange otherwise, naming
+    ``what`` and either the rejected argument or its first NaN or +-inf entry."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
+        raise OutOfRange(f"{what} must be real numbers, got {_describe(x)}") from None
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise OutOfRange(f"{what} must be finite, got {arr.flat[np.argmin(finite)]}")
+    return arr
+
+
 def as_complex(m) -> np.ndarray:
     try:
         return np.asarray(m, dtype=complex)
@@ -37,8 +54,8 @@ def as_complex(m) -> np.ndarray:
 
 
 def unit_norm(x, shape: tuple, what: str) -> np.ndarray:
-    """``x`` as a complex array of exactly ``shape`` and 2-norm 1 within 1e-10
-    (Frobenius for a matrix; NaN fails); NotNormalized otherwise."""
+    """``x`` as a complex array of exactly ``shape`` with |x|^2 = Tr(x x^dag)
+    within ``_TOL`` of 1 (Frobenius for a matrix; NaN fails); NotNormalized otherwise."""
     try:
         arr = as_complex(x)
     except InvalidState:
@@ -46,7 +63,7 @@ def unit_norm(x, shape: tuple, what: str) -> np.ndarray:
     if arr.shape != shape:
         raise NotNormalized(f"{what} must have shape {shape}, got {arr.shape}")
     norm = np.linalg.norm(arr)
-    if not abs(norm - 1.0) <= 1e-10:
+    if not abs(norm * norm - 1.0) <= _TOL:
         raise NotNormalized(f"{what} has norm {norm}, expected 1")
     return arr
 

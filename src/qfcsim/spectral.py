@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
                      ShapeMismatch)
-from .linalg import _describe, _finite_real
+from .linalg import _describe, _finite_real, _real_array
 
 C_M_S = 299792458.0  # speed of light, m/s
 
@@ -41,13 +41,6 @@ def _positive(x) -> bool:
 def _integer(x, low: int) -> bool:
     # by type, as monte_carlo_metric takes n_samples; within the float range
     return isinstance(x, numbers.Integral) and _finite_real(x) and x >= low
-
-
-def _real_array(x, what: str) -> np.ndarray:
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRange(f"{what} must be real numbers, got {_describe(x)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +80,7 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
     """
     lam = _real_array(wavelength_um, "wavelengths")
     lo, hi = model.valid_um
-    if not (lo <= np.min(lam) and np.max(lam) <= hi):  # NaN fails too
+    if not (lo <= np.min(lam) and np.max(lam) <= hi):
         raise OutOfRange(
             f"wavelength range [{np.min(lam):.4g}, {np.max(lam):.4g}] um outside "
             f"validity [{lo}, {hi}] um of model {model.name}")

@@ -11,7 +11,7 @@ import operator
 import numpy as np
 
 from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from .linalg import _describe, _finite_real, as_complex, dagger
+from .linalg import _TOL, _describe, _finite_real, as_complex, dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -21,10 +21,6 @@ I2 = np.eye(2, dtype=complex)
 _SYSY = np.kron(SY, SY)
 # sigma_i x sigma_j for i, j in (x, y, z)
 _PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
-
-# Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
-# density matrix may carry as rounding noise
-_TOL = 1e-10
 
 # Largest expected pair count per measurement; numpy's Poisson sampler
 # rejects means above ~9.2e18, so the cap stays well below that.
@@ -175,9 +171,11 @@ def bell_state(label: str) -> np.ndarray:
 
 
 def werner_state(p: float) -> np.ndarray:
-    """p |phi+><phi+| + (1-p) I/4; OutOfRange unless p is a finite real number."""
-    if not _finite_real(p):
-        raise OutOfRange(f"Werner weight p must be a finite real number, got {_describe(p)}")
+    """p |phi+><phi+| + (1-p) I/4, of eigenvalues (1 + 3p)/4 and (1 - p)/4;
+    OutOfRange unless p is a finite real number in [-1/3, 1], where both are >= 0."""
+    if not (_finite_real(p) and -1 / 3 <= p <= 1):
+        raise OutOfRange(f"Werner weight p must be a finite real number in [-1/3, 1], "
+                         f"got {_describe(p)}")
     p = float(p)
     return p * bell_state("phi+") + (1 - p) * np.eye(4, dtype=complex) / 4
 

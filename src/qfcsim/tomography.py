@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, ShapeMismatch,
-                     UnknownLabel)
+from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, NotNormalized,
+                     OutOfRange, ShapeMismatch, UnknownLabel)
 from .linalg import _describe, unit_norm
 from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
                      check_seed)
@@ -127,6 +127,8 @@ _MAX_HALVINGS = 60
 # weight of I/4 mixed into the clipped linear-inversion start, which keeps
 # the start full rank so that its Cholesky factor exists
 _START_MIX = 1e-3
+# most resamples of one monte_carlo_metric call: the config schema's mc_samples maximum
+MAX_MC_SAMPLES = 1000
 
 
 def _arrays(records) -> tuple:
@@ -217,14 +219,14 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
     with its eigenvalues replaced by their absolute values, so that steps
     leave saddle points instead of converging to them.  One backtracking
-    loop sets the step length alpha: every row tries alpha = 1, and a row
-    whose try fails the Armijo test halves alpha and tries again, up to
-    ``_MAX_HALVINGS`` tries in all.  A row stops once its squared Newton
-    decrement g^T |H|^-1 g is at most ``_TOL`` * N and leaves the stack, so
-    slow rows do not keep the others iterating.  A row still running after
-    ``_MAX_ITER`` steps, or one whose line search finds no decrease, raises
-    NoConvergence.  Each row starts from its projected linear-inversion
-    estimate (``_start``).
+    loop over the whole stack sets each row's step length alpha: every row
+    tries alpha = 1, and a row whose try fails the Armijo test halves its
+    alpha, up to ``_MAX_HALVINGS`` tries in all.  A row stops once its
+    squared Newton decrement g^T |H|^-1 g is at most ``_TOL`` * N and leaves
+    the stack, so slow rows do not keep the others iterating.  A row still
+    running after ``_MAX_ITER`` steps, or one whose line search finds no
+    decrease, raises NoConvergence.  Each row starts from its projected
+    linear-inversion estimate (``_start``).
     """
     counts = np.asarray(counts, dtype=float)
     t = _start(kets, counts)
@@ -271,20 +273,18 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
             vec, g_eig, lam, decrement = vec[keep], g_eig[keep], lam[keep], decrement[keep]
         step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
         slope = -decrement
-        # the rows still searching share one step length alpha
-        alpha, todo = 1.0, np.arange(len(active))
+        # one step length per row; a row that has passed keeps its alpha
+        alpha, passed = np.ones(len(active)), np.zeros(len(active), dtype=bool)
         for _ in range(_MAX_HALVINGS):
-            t_try = ta[todo] + alpha * step[todo]
-            f_try, at_try, q_try = evaluate(t_try, n[todo], ns[todo])
-            ok = f_try <= f[todo] + _ARMIJO * alpha * slope[todo]
-            hit = todo[ok]
-            ta[hit], f[hit], at[hit], q[hit] = t_try[ok], f_try[ok], at_try[ok], q_try[ok]
-            todo = todo[~ok]
-            if not len(todo):
+            t_try = ta + alpha[:, None] * step
+            f_try, at_try, q_try = evaluate(t_try, n, ns)
+            passed |= f_try <= f + _ARMIJO * alpha * slope
+            if passed.all():
                 break
-            alpha /= 2
+            alpha[~passed] /= 2
         else:
             raise NoConvergence("MLE line search found no decrease")
+        ta, f, at, q = t_try, f_try, at_try, q_try
     t[active] = ta
     mats = np.einsum("bj,jrc->brc", t, _BASIS)
     rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
@@ -314,11 +314,15 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     ``seed``; see ``check_seed``); all samples are solved as one stack.  A
     second call with the same records, ``n_samples`` and ``seed`` (another
     metric, say) reuses that stack, which ``metric`` receives read-only.
+    ``n_samples`` is an integer from 2 (InvalidState otherwise) to
+    ``MAX_MC_SAMPLES`` (OutOfRange above it, before any draw).
     """
     if not isinstance(n_samples, numbers.Integral):
         raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
+    if n_samples > MAX_MC_SAMPLES:
+        raise OutOfRange(f"n_samples must be at most {MAX_MC_SAMPLES}, got {_describe(n_samples)}")
     seed = check_seed(seed)
     kets, observed = _arrays(records)
     rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
@@ -382,7 +386,8 @@ def records_to_csv(records, path) -> None:
 
 def records_from_csv(path) -> list:
     """Records of a ``records_to_csv`` file; InvalidState for a missing column or a
-    malformed row, and for a count time other than 1.0: the likelihood needs equal times."""
+    malformed row, and for a count time other than 1.0: the likelihood needs equal times.
+    A projector that is not a unit 2-vector raises NotNormalized; each starts "line N:"."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells
@@ -393,8 +398,11 @@ def records_from_csv(path) -> list:
             if row["integration_time_s"] != "1.0":
                 raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
                                    f"got {row['integration_time_s']!r}")
-            setting = MeasurementSetting(_parse_vector_spec(row["proj_a_spec"], reader.line_num),
-                                         _parse_vector_spec(row["proj_b_spec"], reader.line_num))
+            try:
+                setting = MeasurementSetting(*(_parse_vector_spec(row[column], reader.line_num)
+                                               for column in _CSV_COLUMNS[:2]))
+            except NotNormalized as exc:
+                raise NotNormalized(f"line {reader.line_num}: {exc}") from None
             try:
                 counts = int(row["counts"])
             except ValueError:

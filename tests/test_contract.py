@@ -3,6 +3,7 @@
 import functools
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,19 +16,19 @@ from qfcsim.channel import (ChannelSpec, converted_marginal_is_mixed, drive_sing
                             mode_transfer)
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
-from qfcsim.errors import (InvalidState, NotInformationallyComplete, NotNormalized, OutOfRange,
-                           QfcError, ShapeMismatch, UnknownLabel)
-from qfcsim.linalg import partial_trace
+from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
+                           NotNormalized, OutOfRange, QfcError, ShapeMismatch, UnknownLabel)
+from qfcsim.linalg import partial_trace, svd
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SchmidtDecomposition, SpectralDensity, compute_jsa,
                              estimate_efficiency, hg_mode_probabilities, jsa_from_binary,
                              jsa_to_binary, phase_mismatch, pump_overlap, reduced_density,
-                             refractive_index, temporal_intensity)
+                             refractive_index, schmidt, temporal_intensity)
 from qfcsim.states import (MAX_MEAN_PAIRS, bell_state, check_mean_pairs, check_seed, purity,
                            werner_state)
-from qfcsim.tomography import (CountRecord, MeasurementSetting, mle_reconstruct,
-                               monte_carlo_metric, projector_set, records_from_csv,
-                               simulate_counts)
+from qfcsim.tomography import (MAX_MC_SAMPLES, CountRecord, MeasurementSetting,
+                               mle_reconstruct, monte_carlo_metric, projector_set,
+                               records_from_csv, simulate_counts)
 
 DRIVE = np.eye(2, dtype=complex) / np.sqrt(2)
 CRYSTAL = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
@@ -69,7 +70,14 @@ def _jsa_binary(keep):
         path = Path(tmp) / "jsa.bin"
         jsa_to_binary(JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((3, 4))), path)
         data = path.read_bytes()
-        path.write_bytes(data[:int(len(data) * keep)])
+    return _jsa_binary_of(data[:int(len(data) * keep)])
+
+
+def _jsa_binary_of(data):
+    """Read a ``jsa.bin`` that holds the bytes ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "jsa.bin"
+        path.write_bytes(data)
         return jsa_from_binary(path)
 
 
@@ -235,6 +243,31 @@ ESCAPES = {
     "bell_state-array": (lambda: bell_state(np.eye(3)), UnknownLabel),
     "mle_reconstruct-empty": (lambda: mle_reconstruct([]), NotInformationallyComplete),
     "CountRecord-negative": (lambda: CountRecord(projector_set(16)[0], -1), InvalidState),
+    "werner_state-above-one": (lambda: werner_state(2.0), OutOfRange),
+    "werner_state-below-minus-third": (lambda: werner_state(-0.5), OutOfRange),
+    "records_from_csv-vector-length": (lambda: _records_from_line("H,1;0;0,5,1.0"),
+                                       NotNormalized),
+    "monte_carlo_metric-above-cap": (lambda: _metric_with_samples(MAX_MC_SAMPLES + 1),
+                                     OutOfRange),
+    "rotation_r-inf": (lambda: rotation_r([0.0, float("inf")]), OutOfRange),
+    "chsh_sweep-phi-nan": (lambda: chsh_sweep(werner_state(0.9), [0.0, float("nan")]),
+                           OutOfRange),
+    "chsh_polynomial-inf": (lambda: chsh_polynomial(1, [0.5, -float("inf")], 1, 1), OutOfRange),
+    "refractive_index-inf": (
+        lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], float("inf"), 25.0), OutOfRange),
+    "phase_mismatch-inf": (lambda: phase_mismatch(CRYSTAL, [float("inf")], [1.2e15]),
+                           OutOfRange),
+    "temporal_intensity-nan": (lambda: temporal_intensity(SPECTRUM, [0.0, float("nan"), 2e-15]),
+                               OutOfRange),
+    "svd-nan": (lambda: svd([[float("nan"), 0.0], [0.0, 1.0]]), InvalidState),
+    "JSAGrid-amp-shape": (lambda: JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((4, 3))),
+                          ShapeMismatch),
+    "JSAGrid-decreasing-axis": (
+        lambda: JSAGrid(np.arange(3.0)[::-1], np.arange(4.0), np.ones((3, 4))), OutOfRange),
+    "jsa_from_binary-negative-length": (
+        lambda: _jsa_binary_of(np.array([-1, 4], dtype="<i4").tobytes()), ShapeMismatch),
+    "schmidt-nan": (lambda: schmidt(JSAGrid(np.arange(64.0), np.arange(64.0),
+                                            np.full((64, 64), np.nan))), NoConvergence),
 }
 
 
@@ -251,15 +284,53 @@ def test_seed_beyond_the_float_range_is_valid():
     assert check_seed(LONG) == LONG
 
 
-def test_n_samples_is_checked_before_any_solve(monkeypatch):
+@pytest.mark.parametrize("n_samples,error", [(2.5, InvalidState),
+                                             (MAX_MC_SAMPLES + 1, OutOfRange)])
+def test_n_samples_is_checked_before_any_solve(monkeypatch, n_samples, error):
     import qfcsim.tomography as tomo_mod
 
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a stack for a malformed n_samples")
 
     monkeypatch.setattr(tomo_mod, "_mle_stack", no_solve)
-    with pytest.raises(InvalidState):
-        _metric_with_samples(2.5)
+    with pytest.raises(error):
+        _metric_with_samples(n_samples)
+
+
+# a NaN or +-inf entry in each kind of array argument, by the rule linalg._real_array
+NON_FINITE_ENTRY = {
+    "rotation_r-angles": lambda x: rotation_r([0.0, x]),
+    "chsh_sweep-angles": lambda x: chsh_sweep(werner_state(0.9), [0.0, x]),
+    "chsh_polynomial-correlations": lambda x: chsh_polynomial(1, 1, [0.5, x], 1),
+    "refractive_index-wavelengths": (
+        lambda x: refractive_index(LITHIUM_NIOBATE["mgcln_e"], [1.5, x], 25.0)),
+    "phase_mismatch-signal": lambda x: phase_mismatch(CRYSTAL, [1.2e15, x], 1.2e15),
+    "phase_mismatch-idler": lambda x: phase_mismatch(CRYSTAL, 1.2e15, [x]),
+    "temporal_intensity-time-points": lambda x: temporal_intensity(SPECTRUM, [0.0, x, 2e-15]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_ENTRY))
+def test_non_finite_array_entry_is_named_without_a_warning(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange) as err:
+            NON_FINITE_ENTRY[name](value)
+    assert re.fullmatch(rf"[a-z ]+ must be finite, got {value}", str(err.value))
+
+
+@pytest.mark.parametrize("line,error", [
+    ("H,H,abc,1.0", InvalidState),
+    ("1+0j;x,H,3,1.0", InvalidState),
+    ("H,1;0;0,5,1.0", NotNormalized),
+    ("H,nan+0j;1+0j,5,1.0", NotNormalized),
+    ("2;0,H,5,1.0", NotNormalized),
+], ids=["counts", "vector-spec", "vector-length", "vector-nan", "vector-norm"])
+def test_counts_csv_row_error_starts_with_its_line(line, error):
+    with pytest.raises(error, match="^line 3: ") as err:
+        _records_from_line(line)
+    assert len(str(err.value).splitlines()) == 1
 
 
 @pytest.mark.parametrize("call,message", [

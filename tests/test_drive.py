@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfcsim.channel import ChannelSpec
+from qfcsim.channel import ChannelSpec, duality_distance
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
 from qfcsim.errors import NotNormalized
@@ -100,6 +100,19 @@ class TestCoherenceMatrix:
     def test_unnormalized_drive_raises(self):
         with pytest.raises(NotNormalized):
             drive_concurrence(np.eye(2))
+
+    # |a|^2 is Tr(a a^dag), the trace that assert_density_matrix checks on the
+    # coherence matrix, so a drive check_drive accepts is one it accepts
+    @pytest.mark.parametrize("excess", [9e-11, -9e-11])
+    def test_norm_beyond_the_trace_tolerance_raises(self, excess):
+        with pytest.raises(NotNormalized, match="has norm .*, expected 1$"):
+            check_drive(np.eye(2) / np.sqrt(2) * (1 + excess))
+
+    @pytest.mark.parametrize("excess", [4.9e-11, -4.9e-11])
+    def test_norm_within_the_trace_tolerance_reaches_the_duality_check(self, excess):
+        a = np.eye(2) / np.sqrt(2) * (1 + excess)
+        assert abs(np.trace(coherence_matrix(a)) - 1.0) <= 1e-10
+        assert duality_distance(ChannelSpec(a=a, kt=1e-3)) < 1e-9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_drive_raises(self, bad):

@@ -518,6 +518,15 @@ class TestDelayWidth:
         with pytest.raises(GridTooCoarse, match="repeats the delay profile every 12.9 ps"):
             coincidence_delay_width(rho, PUMP)
 
+    def test_unaliased_window_keeps_the_crossing_message(self):
+        # 2 pi / dw = 62.8 ps exceeds the 24 ps window, and a 50 ps drive
+        # pulse puts both half-maximum crossings outside it
+        axis = 2.4e15 + 1e11 * np.arange(-32, 32)
+        amp = np.exp(-((axis - 2.4e15) / 1e12) ** 2)
+        rho = SpectralDensity(axis=axis, mat=np.outer(amp, amp) / (amp @ amp))
+        with pytest.raises(GridTooCoarse, match="^half-maximum crossings fall outside"):
+            coincidence_delay_width(rho, PumpSpec(780.0, 5e4))
+
     def test_type1_on_the_coarse_grid_keeps_its_width(self):
         rho = reduced_density(compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 80.0)), "idler")
         assert abs(coincidence_delay_width(rho, PUMP) - 478.09) < 0.01

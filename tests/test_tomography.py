@@ -8,14 +8,15 @@ import pytest
 import qfcsim.states
 import qfcsim.tomography as tomo_mod
 from qfcsim.channel import ChannelSpec, one_sided_apply
+from qfcsim.cli import _schema
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                            NotNormalized, OutOfRange, ShapeMismatch)
 from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity, purity,
                            werner_state)
-from qfcsim.tomography import (CountRecord, MeasurementSetting, STATE_VECTORS, _BASIS,
-                               _arrays, _mle_stack, _resampled_mle, _setup, _start,
-                               mle_reconstruct, monte_carlo_metric, projector_set,
+from qfcsim.tomography import (MAX_MC_SAMPLES, STATE_VECTORS, _BASIS, CountRecord,
+                               MeasurementSetting, _arrays, _mle_stack, _resampled_mle, _setup,
+                               _start, mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
 from helpers import random_density_matrix
@@ -196,11 +197,14 @@ class TestMle:
         rec2 = mle_reconstruct(shuffled)
         assert np.linalg.norm(rec1 - rec2) < 1e-6
 
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(tomo_mod, "_MAX_ITER", 2)
+    @pytest.mark.parametrize("cap,value,message", [
+        ("_MAX_ITER", 2, "^MLE did not converge in 2 Newton steps$"),
+        ("_MAX_HALVINGS", 0, "^MLE line search found no decrease$")])
+    def test_step_cap_raises(self, monkeypatch, cap, value, message):
+        monkeypatch.setattr(tomo_mod, cap, value)
         records = simulate_counts(werner_state(0.9), projector_set(16), 1e4, seed=3)
         kets, counts = _arrays(records)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(NoConvergence, match=message):
             _mle_stack(kets, counts[None])
 
     def test_fidelity_monotone_in_mean_pairs(self):
@@ -388,6 +392,10 @@ class TestMonteCarlo:
             stds.append(est.std)
         slope = np.polyfit(np.log10(scales), np.log10(stds), 1)[0]
         assert abs(slope + 0.5) < 0.1
+
+    def test_samples_cap_is_the_config_schema_maximum(self):
+        tomo = _schema("config.schema.json")["properties"]["tomo"]["properties"]
+        assert tomo["mc_samples"]["maximum"] == MAX_MC_SAMPLES
 
     def test_n_samples_validated(self):
         records = simulate_counts(bell_state("phi+"), projector_set(16), 1e3, seed=1)
