@@ -34,9 +34,15 @@ def _describe(x) -> str:
 
 def _real_array(x, what: str) -> np.ndarray:
     """``x`` as a float array of finite entries; OutOfRange otherwise, naming
-    ``what`` and either the rejected argument or its first NaN or +-inf entry."""
+    ``what`` and either the rejected argument or its first NaN or +-inf entry.
+    None, str and bytes are rejected as arguments and as entries."""
     try:
-        arr = np.asarray(x, dtype=float)
+        raw = np.asarray(x)
+        # float() would read None as NaN and a str or bytes as the number it spells
+        if raw.dtype.kind in "SU" or (raw.dtype.kind == "O" and any(
+                v is None or isinstance(v, (str, bytes)) for v in raw.flat)):
+            raise TypeError
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float
         raise OutOfRange(f"{what} must be real numbers, got {_describe(x)}") from None
     finite = np.isfinite(arr)
@@ -69,7 +75,8 @@ def unit_norm(x, shape: tuple, what: str) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., m, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def svd(m):

@@ -80,9 +80,10 @@ def refractive_index(model: DispersionModel, wavelength_um, temperature_c: float
     """
     lam = _real_array(wavelength_um, "wavelengths")
     lo, hi = model.valid_um
-    if not (lo <= np.min(lam) and np.max(lam) <= hi):
+    # an elementwise test, not min/max, which an empty array has none of
+    if not np.all((lo <= lam) & (lam <= hi)):
         raise OutOfRange(
-            f"wavelength range [{np.min(lam):.4g}, {np.max(lam):.4g}] um outside "
+            f"wavelength range [{lam.min():.4g}, {lam.max():.4g}] um outside "
             f"validity [{lo}, {hi}] um of model {model.name}")
     a1, a2, a3, a4, a5, a6 = model.sellmeier
     b1, b2, b3, b4 = model.thermo

@@ -54,7 +54,7 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     # initial=0.0 lets an empty stack pass
     if not np.isfinite(rho).all():
         raise InvalidState("density matrix has non-finite entries")
-    rho_dag = rho.conj().swapaxes(-1, -2)
+    rho_dag = dagger(rho)
     if np.abs(rho - rho_dag).max(initial=0.0) > _TOL:
         raise InvalidState("density matrix is not Hermitian")
     if rho.ndim == 2:
@@ -181,32 +181,39 @@ def werner_state(p: float) -> np.ndarray:
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    """sqrt(rho) of a validated density matrix; rounding-noise eigenvalues < 0 give 0."""
+    """sqrt(rho) of a validated density matrix or (..., d, d) stack of them;
+    rounding-noise eigenvalues < 0 give 0."""
     w, v = np.linalg.eigh(rho)
-    w, v = w[::-1], v[:, ::-1]
+    w, v = w[..., ::-1], v[..., ::-1]
     root = np.sqrt(np.clip(w, 0.0, None))
-    return (v * root) @ dagger(v)
+    return (v * root[..., None, :]) @ dagger(v)
 
 
-def purity(rho) -> float:
-    rho = assert_density_matrix(_one_matrix(rho))
-    return float(np.trace(rho @ rho).real)
+def purity(rho):
+    """Tr rho^2 of a density matrix (a float) or of each matrix of a
+    (..., d, d) stack (an array of the leading shape)."""
+    rho = assert_density_matrix(rho)
+    p = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return float(p) if rho.ndim == 2 else p
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit density matrix (a float) or of
+    each matrix of a (..., 4, 4) stack (an array of the leading shape).
 
     C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy); conjugation is
     element-wise in the computational basis.  The l_k are evaluated as the
     singular values of sqrt(rho) (sy x sy) sqrt(rho)^T, which avoids the
     square-root amplification of rounding noise near rank-deficient states.
+    A stack runs the same LAPACK and BLAS call on each matrix, so its values
+    equal those of the matrices one by one.
     """
-    rho = assert_density_matrix(_one_matrix(rho), dim=4)
+    rho = assert_density_matrix(rho, dim=4)
     sqrt_rho = _sqrt_psd(rho)
-    lam = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.T, compute_uv=False)
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(c, 0.0), 1.0))
+    lam = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.swapaxes(-1, -2), compute_uv=False)
+    c = np.minimum(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0), 1.0)
+    return float(c) if rho.ndim == 2 else c
 
 
 def fidelity(rho, sigma) -> float:
@@ -223,18 +230,21 @@ def fidelity(rho, sigma) -> float:
 
 
 def pauli_correlations(rho) -> np.ndarray:
-    """3x3 matrix T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    rho = assert_density_matrix(_one_matrix(rho), dim=4)
-    return np.trace(rho @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
+    """3x3 matrix T_ij = Tr[rho (sigma_i x sigma_j)] of a two-qubit density
+    matrix, or a (..., 3, 3) array of them for a (..., 4, 4) stack."""
+    rho = assert_density_matrix(rho, dim=4)
+    return np.trace(rho[..., None, None, :, :] @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
-def chsh_max(rho) -> float:
-    """Horodecki maximum of the CHSH polynomial: 2 sqrt(m1 + m2).
+def chsh_max(rho):
+    """Horodecki maximum of the CHSH polynomial: 2 sqrt(m1 + m2), a float
+    for one two-qubit density matrix and an array of the leading shape for
+    a (..., 4, 4) stack.
 
     m1 >= m2 are the two largest eigenvalues of T^T T with T the Pauli
     correlation matrix.
     """
     t = pauli_correlations(rho)
-    m = np.linalg.eigvalsh(t.T @ t)
-    return float(2.0 * np.sqrt(max(m[-1] + m[-2], 0.0)))
-
+    m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    value = 2.0 * np.sqrt(np.maximum(m[..., -1] + m[..., -2], 0.0))
+    return float(value) if t.ndim == 2 else value

@@ -307,13 +307,16 @@ def mle_reconstruct(records) -> np.ndarray:
 def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWithError:
     """Mean and standard deviation of a state metric under Poisson resampling.
 
-    Each sample redraws every record's counts as Poisson(observed counts),
-    re-runs the MLE, and evaluates ``metric`` on the result.  Sample i uses
-    its own generator ``default_rng([seed, i])``, so evaluation order does
-    not matter (sample 0 shares the stream of ``simulate_counts`` with
-    ``seed``; see ``check_seed``); all samples are solved as one stack.  A
-    second call with the same records, ``n_samples`` and ``seed`` (another
-    metric, say) reuses that stack, which ``metric`` receives read-only.
+    Each sample redraws every record's counts as Poisson(observed counts)
+    and re-runs the MLE.  Sample i uses its own generator
+    ``default_rng([seed, i])``, so evaluation order does not matter (sample
+    0 shares the stream of ``simulate_counts`` with ``seed``; see
+    ``check_seed``); all samples are solved as one stack.  ``metric`` is
+    called once, on that read-only (n_samples, 4, 4) stack, and returns the
+    n_samples values (ShapeMismatch otherwise): ``concurrence``, ``purity``
+    and ``chsh_max`` take stacks, and a function of one matrix is wrapped by
+    its caller.  A second call with the same records, ``n_samples`` and
+    ``seed`` (another metric, say) reuses that stack.
     ``n_samples`` is an integer from 2 (InvalidState otherwise) to
     ``MAX_MC_SAMPLES`` (OutOfRange above it, before any draw).
     """
@@ -326,7 +329,10 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     seed = check_seed(seed)
     kets, observed = _arrays(records)
     rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
-    values = np.array([metric(rho) for rho in rhos])
+    values = np.asarray(metric(rhos), dtype=float)
+    if values.shape != (len(rhos),):
+        raise ShapeMismatch(f"metric must return {len(rhos)} values for the "
+                            f"{rhos.shape} stack, got shape {values.shape}")
     return MetricWithError(value=float(values.mean()),
                            std=float(values.std(ddof=1)),
                            n_samples=len(rhos))

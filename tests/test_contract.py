@@ -234,6 +234,12 @@ ESCAPES = {
     "chsh_polynomial-nan": (lambda: chsh_polynomial(1, 1, float("nan"), 1), OutOfRange),
     "chsh_polynomial-overflow": (lambda: chsh_polynomial(1, 1, 1, HUGE), OutOfRange),
     "rotation_r-overflow": (lambda: rotation_r(HUGE), OutOfRange),
+    "rotation_r-None": (lambda: rotation_r(None), OutOfRange),
+    "rotation_r-numeric-str": (lambda: rotation_r("1.5"), OutOfRange),
+    "rotation_r-None-entry": (lambda: rotation_r([0.0, None]), OutOfRange),
+    "chsh_sweep-phi-numeric-str": (lambda: chsh_sweep(werner_state(0.9), ["0"]), OutOfRange),
+    "refractive_index-wavelength-numeric-str": (
+        lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], "1.5", 25.0), OutOfRange),
     "reduced_density-array": (
         lambda: reduced_density(JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((3, 4))),
                                 np.eye(3)), ShapeMismatch),

@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +88,17 @@ class TestDispersion:
     def test_absurd_temperature_raises_out_of_range(self, temperature_c, message):
         with pytest.raises(OutOfRange, match=message):
             refractive_index(LITHIUM_NIOBATE["mgcln_e"], 1.56, temperature_c)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: refractive_index(LITHIUM_NIOBATE["mgcln_e"], [], 25.0),
+    lambda: phase_mismatch(TYPE1, [], []),
+], ids=["refractive_index", "phase_mismatch"])
+def test_empty_array_gives_an_empty_result(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = call()
+    assert out.shape == (0,) and out.dtype == float
 
 
 def test_compute_jsa_reads_no_package_file(monkeypatch):

@@ -11,7 +11,8 @@ from qfcsim.linalg import partial_trace
 from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _sqrt_psd, assert_density_matrix,
                            bell_state, born_probabilities, check_mean_pairs, chsh_max,
                            concurrence, fidelity, pauli_correlations, purity, werner_state)
-from qfcsim.tomography import _setup, mle_reconstruct, projector_set, simulate_counts
+from qfcsim.tomography import (_arrays, _resampled_mle, _setup, mle_reconstruct, projector_set,
+                               simulate_counts)
 
 from helpers import (pure_state_concurrence_from_marginal, random_density_matrix,
                      random_pure_state, random_unitary)
@@ -408,6 +409,15 @@ def _non_hermitian(rho):
     return rho
 
 
+# each turns a valid matrix into one that fails a different check
+SPOILERS = pytest.mark.parametrize("spoil, match", [
+    (_non_hermitian, "not Hermitian"),
+    (lambda rho: 1.1 * rho, "trace"),
+    (lambda rho: np.diag([0.7, 0.4, 0.0, -0.1]), "eigenvalue"),
+    (lambda rho: np.full_like(rho, np.nan), "non-finite"),
+], ids=["non_hermitian", "wrong_trace", "negative", "non_finite"])
+
+
 class TestStackValidation:
     def test_valid_stack_equals_matrix_loop(self):
         rng = np.random.default_rng(5)
@@ -418,12 +428,7 @@ class TestStackValidation:
         assert np.array_equal(assert_density_matrix(grid, dim=4), grid)
         assert assert_density_matrix(np.zeros((0, 4, 4)), dim=4).shape == (0, 4, 4)
 
-    @pytest.mark.parametrize("spoil, match", [
-        (_non_hermitian, "not Hermitian"),
-        (lambda rho: 1.1 * rho, "trace"),
-        (lambda rho: np.diag([0.7, 0.4, 0.0, -0.1]), "eigenvalue"),
-        (lambda rho: np.full_like(rho, np.nan), "non-finite"),
-    ], ids=["non_hermitian", "wrong_trace", "negative", "non_finite"])
+    @SPOILERS
     def test_one_bad_matrix_fails_the_stack(self, spoil, match):
         rng = np.random.default_rng(6)
         stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
@@ -437,8 +442,7 @@ class TestStackValidation:
     def test_single_matrix_kernels_reject_stacks(self):
         rho = werner_state(0.9)
         spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=0.3)
-        kernels = [purity, concurrence, pauli_correlations, chsh_max,
-                   lambda r: fidelity(r, rho), lambda r: fidelity(rho, r),
+        kernels = [lambda r: fidelity(r, rho), lambda r: fidelity(rho, r),
                    lambda r: chsh_sweep(r, [0.0]),
                    lambda r: one_sided_apply(r, spec),
                    lambda r: simulate_counts(r, projector_set(16), 1e3, seed=1)]
@@ -446,6 +450,61 @@ class TestStackValidation:
             for kernel in kernels:
                 with pytest.raises(InvalidState, match="square"):
                     kernel(np.array([rho] * n))
+
+
+STACK_KERNELS = [concurrence, purity, pauli_correlations, chsh_max]
+
+
+def _resample_stack(settings, seed):
+    """A 100-row Monte-Carlo resample stack of Werner-state counts."""
+    records = simulate_counts(werner_state(0.9), projector_set(settings), 1e4, seed=seed)
+    kets, observed = _arrays(records)
+    return _resampled_mle(kets.tobytes(), observed.tobytes(), 100, 11)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    def test_stack_equals_matrix_loop(self, kernel):
+        rng = np.random.default_rng(8)
+        stacks = [np.array([random_density_matrix(rng, 4, rank=int(rng.integers(1, 5)))
+                            for _ in range(n)]) for n in (1, 3, 25, 100)]
+        stacks += [_resample_stack(36, 43), _resample_stack(16, 3)]
+        for stack in stacks:
+            values = kernel(stack)
+            assert np.array_equal(values, np.array([kernel(rho) for rho in stack]))
+            assert values.shape == (len(stack),) + np.shape(kernel(stack[0]))
+
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    def test_one_matrix_gives_a_float_or_a_3x3_array(self, kernel):
+        value = kernel(werner_state(0.9))
+        if kernel is pauli_correlations:
+            assert value.shape == (3, 3)
+        else:
+            assert type(value) is float
+
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    def test_leading_shape_is_kept(self, kernel):
+        rng = np.random.default_rng(9)
+        grid = np.array([random_density_matrix(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        values = kernel(grid)
+        assert np.array_equal(values.reshape((6,) + values.shape[2:]),
+                              kernel(grid.reshape(6, 4, 4)))
+        one = np.shape(kernel(grid[0, 0]))  # () or (3, 3)
+        assert values.shape == (2, 3) + one
+        assert kernel(np.zeros((0, 4, 4))).shape == (0,) + one
+
+    @pytest.mark.parametrize("kernel", STACK_KERNELS)
+    @SPOILERS
+    def test_one_bad_matrix_fails_the_stack_as_alone(self, kernel, spoil, match):
+        rng = np.random.default_rng(6)
+        stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
+        bad = spoil(stack[3].copy())
+        with pytest.raises(InvalidState, match=match) as alone:
+            kernel(bad)
+        stack[3] = bad
+        with pytest.raises(type(alone.value)) as err:
+            kernel(stack)
+        assert str(err.value) == str(alone.value)
 
 
 from qfcsim.errors import InvalidSeed, QfcError

@@ -12,8 +12,8 @@ from qfcsim.cli import _schema
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                            NotNormalized, OutOfRange, ShapeMismatch)
-from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity, purity,
-                           werner_state)
+from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity,
+                           pauli_correlations, purity, werner_state)
 from qfcsim.tomography import (MAX_MC_SAMPLES, STATE_VECTORS, _BASIS, CountRecord,
                                MeasurementSetting, _arrays, _mle_stack, _resampled_mle, _setup,
                                _start, mle_reconstruct, monte_carlo_metric, projector_set,
@@ -367,7 +367,7 @@ class TestTablesBuiltOnce:
 class TestMonteCarlo:
     def test_trace_metric_has_no_spread(self):
         records = simulate_counts(bell_state("phi+"), projector_set(36), 1e4, seed=17)
-        est = monte_carlo_metric(records, lambda rho: float(np.trace(rho).real),
+        est = monte_carlo_metric(records, lambda rhos: np.trace(rhos, axis1=1, axis2=2).real,
                                  n_samples=20, seed=19)
         assert abs(est.value - 1.0) < 1e-9
         assert est.std < 1e-9
@@ -532,9 +532,37 @@ class TestMonteCarlo:
         records = self.records()
         for n_samples in (4, 40):
             calls.clear()
-            monte_carlo_metric(records, lambda rho: float(np.trace(rho).real),
+            monte_carlo_metric(records, lambda rhos: np.trace(rhos, axis1=1, axis2=2).real,
                                n_samples=n_samples, seed=5)
             assert calls == [(n_samples, 4, 4)]
+            # concurrence checks the stack once more, in one call
+            _resampled_mle.cache_clear()
+            calls.clear()
+            monte_carlo_metric(records, concurrence, n_samples=n_samples, seed=5)
+            assert calls == [(n_samples, 4, 4), (n_samples, 4, 4)]
+
+    def test_metric_is_called_once_on_the_read_only_stack(self):
+        records = self.records()
+        seen = []
+
+        def metric(rhos):
+            seen.append(rhos)
+            return purity(rhos)
+
+        est = monte_carlo_metric(records, metric, n_samples=8, seed=5)
+        stack = resampled_stack(records, 8, 5)
+        assert len(seen) == 1 and seen[0] is stack
+        assert seen[0].shape == (8, 4, 4) and not seen[0].flags.writeable
+        values = np.array([purity(rho) for rho in stack])
+        assert (est.value, est.std) == (float(values.mean()), float(values.std(ddof=1)))
+
+    @pytest.mark.parametrize("metric", [
+        lambda rhos: purity(rhos)[:-1], lambda rhos: purity(rhos[0]),
+        lambda rhos: np.zeros((len(rhos), 1)), pauli_correlations],
+        ids=["short", "scalar", "column", "matrices"])
+    def test_metric_of_the_wrong_shape_raises(self, metric):
+        with pytest.raises(ShapeMismatch, match=r"must return 8 values .* got shape"):
+            monte_carlo_metric(self.records(), metric, n_samples=8, seed=5)
 
 
 class TestSerialization:
