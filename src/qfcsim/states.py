@@ -74,10 +74,11 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
 
 
 def _one_matrix(rho) -> np.ndarray:
-    """``rho`` as an ndarray, for a kernel that takes one matrix, not a stack."""
+    """``rho`` as an ndarray, for a kernel that takes one matrix, not a stack;
+    ``assert_density_matrix`` rejects fewer than two dimensions."""
     rho = as_complex(rho)
-    if rho.ndim != 2:
-        raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
+    if rho.ndim > 2:
+        raise InvalidState(f"expects one density matrix, got a stack of shape {rho.shape}")
     return rho
 
 

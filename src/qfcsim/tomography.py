@@ -218,7 +218,14 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
     with its eigenvalues replaced by their absolute values, so that steps
-    leave saddle points instead of converging to them.  One backtracking
+    leave saddle points instead of converging to them.  Where H is positive
+    definite, |H| = H and the step is the plain Newton step -H^-1 g
+    (Nocedal & Wright, Numerical Optimization, sec. 3.4): each step factors
+    the stack's Hessians once, H = L L^T, and takes the squared decrement
+    |L^-1 g|^2 and the step -L^-T L^-1 g from that one factor.  A step at
+    which some row's H has no Cholesky factor (it is indefinite or
+    numerically singular) diagonalises the whole stack instead, with each
+    |eigenvalue| floored at 1e-14 times the largest.  One backtracking
     loop over the whole stack sets each row's step length alpha: every row
     tries alpha = 1, and a row whose try fails the Armijo test halves its
     alpha, up to ``_MAX_HALVINGS`` tries in all.  A row stops once its
@@ -254,12 +261,20 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
         grad = 2 * np.einsum("bk,bki->bi", w, at)
         hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
                 + 4 * (at * (n / q ** 2)[:, :, None]).swapaxes(1, 2) @ at)
-        lam, vec = np.linalg.eigh(hess)
-        # |eigenvalues|, floored where a rank-deficient T leaves flat directions
-        lam = np.abs(lam)
-        lam = np.maximum(lam, 1e-14 * lam[:, -1:])
-        g_eig = np.einsum("bij,bi->bj", vec, grad)
-        decrement = (g_eig ** 2 / lam).sum(axis=1)
+        try:
+            chol = np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            lam, vec = np.linalg.eigh(hess)
+            # |eigenvalues|, floored where a rank-deficient T leaves flat directions
+            lam = np.abs(lam)
+            lam = np.maximum(lam, 1e-14 * lam[:, -1:])
+            g_eig = np.einsum("bij,bi->bj", vec, grad)
+            decrement = (g_eig ** 2 / lam).sum(axis=1)
+            step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
+        else:
+            y = np.linalg.solve(chol, grad[:, :, None])             # L^-1 g
+            decrement = (y[:, :, 0] ** 2).sum(axis=1)
+            step = -np.linalg.solve(chol.swapaxes(1, 2), y)[:, :, 0]
         done = decrement <= stop
         if done.all():
             break
@@ -269,9 +284,7 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
             t[active] = ta
             keep = ~done
             active, n, ns, ta, stop = active[keep], n[keep], ns[keep], ta[keep], stop[keep]
-            f, at, q = f[keep], at[keep], q[keep]
-            vec, g_eig, lam, decrement = vec[keep], g_eig[keep], lam[keep], decrement[keep]
-        step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
+            f, at, q, step, decrement = f[keep], at[keep], q[keep], step[keep], decrement[keep]
         slope = -decrement
         # one step length per row; a row that has passed keeps its alpha
         alpha, passed = np.ones(len(active)), np.zeros(len(active), dtype=bool)

@@ -448,7 +448,8 @@ class TestStackValidation:
                    lambda r: simulate_counts(r, projector_set(16), 1e3, seed=1)]
         for n in (1, 3):
             for kernel in kernels:
-                with pytest.raises(InvalidState, match="square"):
+                with pytest.raises(InvalidState, match=r"^expects one density matrix, "
+                                                       rf"got a stack of shape \({n}, 4, 4\)$"):
                     kernel(np.array([rho] * n))
 
 

@@ -264,15 +264,16 @@ class TestOptimality:
 class TestStack:
     def test_stack_equals_rows_alone(self, monkeypatch):
         # and a row in a stack takes the steps it takes alone: the stack
-        # iterates as long as its slowest row (one 16x16 eigh per step)
-        eigh, steps = np.linalg.eigh, []
+        # iterates as long as its slowest row (one 16x16 Cholesky attempt
+        # per step)
+        cholesky, steps = np.linalg.cholesky, []
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_cholesky(a, *args, **kwargs):
             if np.shape(a)[-1] == 16:
                 steps[-1] += 1
-            return eigh(a, *args, **kwargs)
+            return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         records = simulate_counts(_converted_state(), projector_set(36), 1e4, seed=8)
         kets, observed = _arrays(records)
         stack = np.array([np.random.default_rng([4, i]).poisson(observed)
@@ -318,22 +319,83 @@ class TestStart:
             assert abs(q.sum() - counts.sum()) <= 1e-10 * counts.sum()
 
     def test_newton_iterations_from_the_start(self, monkeypatch):
-        # one 16x16 Hessian eigh per Newton iteration, the last one included
-        eigh = np.linalg.eigh
+        # one 16x16 Hessian Cholesky attempt per Newton iteration, the last
+        # one included; the 4x4 factor of the start is not counted
+        cholesky = np.linalg.cholesky
         calls = []
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_cholesky(a, *args, **kwargs):
             if np.shape(a)[-1] == 16:
                 calls.append(1)
-            return eigh(a, *args, **kwargs)
+            return cholesky(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         rho = werner_state((2 * 0.92 + 1) / 3)
         for seed in range(30):
             records = simulate_counts(rho, projector_set(36), 1.56e5, seed)
             calls.clear()
             mle_reconstruct(records)
             assert len(calls) <= 8
+
+
+def _hessian_spy(monkeypatch, name, wrap):
+    """Replace np.linalg.<name> on 16x16 stacks by ``wrap(original, a)``."""
+    original = getattr(np.linalg, name)
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a)[-1] == 16:
+            return wrap(original, a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+
+
+def _seeded_rows(rho, n_settings, mean_pairs):
+    """One-row count stacks of seeds 0-4."""
+    for seed in range(5):
+        kets, counts = _arrays(simulate_counts(rho, projector_set(n_settings), mean_pairs, seed))
+        yield kets, counts[None]
+
+
+class TestEighRoute:
+    """The saddle-free eigh step, taken where the Hessian has no Cholesky
+    factor, is the reference for the Cholesky step."""
+
+    @pytest.mark.parametrize("rows", [
+        lambda: _seeded_rows(werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5),
+        lambda: _seeded_rows(_converted_state(), 36, 1e4),
+        lambda: _seeded_rows(bell_state("phi+"), 16, 2e3),
+        lambda: _seeded_rows(werner_state(0.9), 16, 1e4),
+        _edge_rows,
+    ], ids=["werner36", "converted36", "phi_plus16", "werner_p0.9_16", "edge_rows"])
+    def test_eigh_on_every_step_gives_the_default_solve(self, monkeypatch, rows):
+        # the TestOptimality cases, and the edge rows of the start
+        rows = list(rows())
+        default = [_mle_stack(kets, counts) for kets, counts in rows]
+
+        def indefinite(cholesky, a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        _hessian_spy(monkeypatch, "cholesky", indefinite)
+        for (kets, counts), rho in zip(rows, default):
+            assert np.max(np.abs(_mle_stack(kets, counts) - rho)) <= 1e-10
+
+    def test_indefinite_steps_take_the_eigh_route(self, monkeypatch):
+        calls = []
+
+        def counting_eigh(eigh, a):
+            calls.append(1)
+            return eigh(a)
+
+        _hessian_spy(monkeypatch, "eigh", counting_eigh)
+        for kets, counts in list(_edge_rows())[:2]:
+            calls.clear()
+            _mle_stack(kets, counts)
+            assert len(calls) >= 1
+        calls.clear()   # full-rank optima: every Hessian of these seeds has a factor
+        for kets, counts in _seeded_rows(werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5):
+            _mle_stack(kets, counts)
+        assert calls == []
 
 
 class TestTablesBuiltOnce:
