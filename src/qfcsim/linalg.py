@@ -35,11 +35,12 @@ def _describe(x) -> str:
 def _real_array(x, what: str) -> np.ndarray:
     """``x`` as a float array of finite entries; OutOfRange otherwise, naming
     ``what`` and either the rejected argument or its first NaN or +-inf entry.
-    None, str and bytes are rejected as arguments and as entries."""
+    None, str, bytes and complex numbers are rejected as arguments and as entries."""
     try:
         raw = np.asarray(x)
-        # float() would read None as NaN and a str or bytes as the number it spells
-        if raw.dtype.kind in "SU" or (raw.dtype.kind == "O" and any(
+        # float() would read None as NaN and a str or bytes as the number it
+        # spells, and a complex cast would drop the imaginary part
+        if raw.dtype.kind in "SUc" or (raw.dtype.kind == "O" and any(
                 v is None or isinstance(v, (str, bytes)) for v in raw.flat)):
             raise TypeError
         arr = np.asarray(raw, dtype=float)

@@ -65,7 +65,7 @@ class CountRecord:
         if not (isinstance(self.counts, (int, np.integer))
                 or isinstance(self.counts, (float, np.floating))
                 and float(self.counts).is_integer()):
-            raise InvalidState(f"counts must be a whole number, got {self.counts!r}")
+            raise InvalidState(f"counts must be a whole number, got {_describe(self.counts)}")
         object.__setattr__(self, "counts", int(self.counts))  # so that a CSV writes "5", not "5.0"
         if self.counts < 0:
             raise InvalidState(f"counts must be >= 0, got {self.counts}")
@@ -80,9 +80,10 @@ class MetricWithError:
 
 def projector_set(kind: int) -> list:
     """16 settings (pairs from H,V,D,R) or the overcomplete 36 (H,V,D,A,R,L)."""
-    if kind == 16:
+    real = isinstance(kind, numbers.Real)  # an array would compare entry by entry
+    if real and kind == 16:
         names = ("H", "V", "D", "R")
-    elif kind == 36:
+    elif real and kind == 36:
         names = ("H", "V", "D", "A", "R", "L")
     else:
         raise ShapeMismatch(f"kind must be 16 or 36, got {_describe(kind)}")
@@ -139,46 +140,64 @@ def _arrays(records) -> tuple:
             np.array([rec.counts for rec in records], dtype=float))
 
 
-@functools.lru_cache(maxsize=4)
-def _setup(kets_bytes: bytes) -> tuple:
-    """Tables of ``_start`` and ``_mle_stack`` for one projector set, read-only.
+# a tomography benchmark pass uses both of projector_set's sets
+@functools.lru_cache(maxsize=2)
+def _pinv(kets_bytes: bytes) -> np.ndarray:
+    """The (K, 16) transpose of pinv(D), read-only, for the design matrix
+    D_kj = <psi_k|B_j|psi_k> of one projector set; ``kets_bytes`` is
+    ``kets.tobytes()`` of its complex (K, 4) ket array.
 
-    ``kets_bytes`` is ``kets.tobytes()`` of a complex (K, 4) ket array.
-    Returns the linear-inversion factors (U / s, V^T) of the design matrix
-    D_kj = <psi_k|B_j|psi_k> and the (K, 16, 16) tensor A with
-    q_k = t^T A_k t.  Raises NotInformationallyComplete if D has rank < 16;
-    ``lru_cache`` keeps no exception, so such a set raises on every call.
+    Raises NotInformationallyComplete if D has rank < 16; ``lru_cache``
+    keeps no exception, so such a set raises on every call.
     """
-    kets = np.frombuffer(kets_bytes, dtype=complex).reshape(-1, 4).copy()
+    kets = np.frombuffer(kets_bytes, dtype=complex).reshape(-1, 4)
     design = np.einsum("ki,jil,kl->kj", kets.conj(), _HERM, kets).real
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(s > 1e-10))
     if rank < 16:
         raise NotInformationallyComplete(
             f"projector set spans only {rank}/16 operator dimensions")
+    pinv_t = (u / s) @ vt
+    pinv_t.flags.writeable = False
+    return pinv_t
+
+
+# a tomography or sweeps benchmark pass solves in 4-7 basis orders of its
+# projector sets (seeds 3101-3130)
+@functools.lru_cache(maxsize=7)
+def _tensor(kets_bytes: bytes) -> np.ndarray:
+    """The (K, 16, 16) tensor A with q_k = t^T A_k t, read-only, for the
+    complex (K, 4) kets of ``kets_bytes`` in their basis order."""
+    kets = np.frombuffer(kets_bytes, dtype=complex).reshape(-1, 4)
     m = np.einsum("jrc,kc->krj", _BASIS, kets)              # T psi_k = M_k t
     a = np.einsum("krj,krl->kjl", m.conj(), m).real         # (K, 16, 16)
-    tables = (u / s, vt, a)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    a.flags.writeable = False
+    return a
 
 
-def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Starting parameters t of ``_mle_stack`` for a (B, K) count stack.
+def _linear_inversion(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The (B, 4, 4) least-squares linear-inversion estimates of a (B, K)
+    count stack: X = sum_j x_j B_j with x = pinv(D) n.
 
-    X = pinv(D) n is the least-squares linear inversion of a row's counts,
-    with design D_kj = <psi_k|B_j|psi_k>.  X's negative eigenvalues are
-    clipped, the rest renormalised and mixed with a weight ``_START_MIX`` of
-    I/4, and that M is scaled so that sum_k q_k = N, as at the optimum; the
-    clipped estimate is the physical projection of Smolin, Gambetta & Smith
-    (PRL 108, 070502, 2012).  T = (J chol(J M J) J)^dag is lower triangular
-    with a positive real diagonal, and T^dag T = M.
-
-    Raises NotInformationallyComplete if D has rank < 16 and NoConvergence
-    for a row without counts.
+    Raises NotInformationallyComplete if D has rank < 16.
     """
-    u_s, vt, _ = _setup(kets.tobytes())
+    return np.einsum("bj,jrc->brc", counts @ _pinv(kets.tobytes()), _HERM)
+
+
+def _start(kets: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Starting parameters t of ``_mle_stack`` for a (B, K) count stack,
+    from its linear-inversion estimates ``x``, all in the basis order of
+    ``kets``.
+
+    X's negative eigenvalues are clipped, the rest renormalised and mixed
+    with a weight ``_START_MIX`` of I/4, and that M is scaled so that
+    sum_k q_k = N, as at the optimum; the clipped estimate is the physical
+    projection of Smolin, Gambetta & Smith (PRL 108, 070502, 2012).
+    T = (J chol(J M J) J)^dag is lower triangular with a positive real
+    diagonal, and T^dag T = M.
+
+    Raises NoConvergence for a row without counts.
+    """
     n_tot = counts.sum(axis=1)
     if np.any(n_tot <= 0):
         raise NoConvergence("all counts are zero; likelihood is flat")
@@ -188,8 +207,7 @@ def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     # Tr(Pi_k X) sum to N > 0.  sum_k Pi_k is positive semidefinite, so X
     # has a positive eigenvalue and the clipped spectrum never sums to zero;
     # no fallback start is needed.
-    x = counts @ u_s @ vt
-    lam, vec = np.linalg.eigh(np.einsum("bj,jrc->brc", x, _HERM))
+    lam, vec = np.linalg.eigh(x)
     lam = np.maximum(lam, 0.0)
     lam = (1 - _START_MIX) * lam / lam.sum(axis=1, keepdims=True) + _START_MIX / 4
     m = (vec * lam[:, None, :]) @ np.swapaxes(vec.conj(), 1, 2)
@@ -205,6 +223,30 @@ def _start(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return t
 
 
+def _has_factor(hess: np.ndarray) -> np.ndarray:
+    """Per matrix of a (B, 16, 16) Hessian stack, whether it has a Cholesky factor.
+
+    The stack is factored at once; only where that raises is each matrix
+    factored alone, so no matrix's answer depends on the matrices beside it.
+    """
+    factored = np.ones(len(hess), dtype=bool)
+    try:
+        np.linalg.cholesky(hess)
+    except np.linalg.LinAlgError:
+        for b, h in enumerate(hess):
+            try:
+                np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                factored[b] = False
+    return factored
+
+
+def _basis_order(x: np.ndarray) -> np.ndarray:
+    """The basis order of ``_mle_stack`` for a stack of linear-inversion
+    estimates ``x``: the one in which the diagonal of their mean ascends."""
+    return np.argsort(x.mean(axis=0).diagonal().real, kind="stable")
+
+
 def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Maximum-likelihood density matrices for a (B, K) stack of count rows.
 
@@ -216,35 +258,54 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Its minimum gives the same rho as the likelihood with the rate profiled
     out, and it sits where sum_k q_k = N.
 
+    Which entries of T may be nonzero depends on the basis order.  In the
+    kets' own order, the solver stalled or stopped short on optima whose
+    support misses the last basis index (psi+-, |HH>, |HD>); so the stack
+    is solved in the order in which the diagonal of its rows' mean
+    linear-inversion estimate ascends (``_basis_order``), which puts the
+    largest population last, and each rho is permuted back.  The stack
+    shares that one order; a one-row stack gets its own.
+
     Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
     with its eigenvalues replaced by their absolute values, so that steps
     leave saddle points instead of converging to them.  Where H is positive
     definite, |H| = H and the step is the plain Newton step -H^-1 g
-    (Nocedal & Wright, Numerical Optimization, sec. 3.4): each step factors
-    the stack's Hessians once, H = L L^T, and takes the squared decrement
-    |L^-1 g|^2 and the step -L^-T L^-1 g from that one factor.  A step at
-    which some row's H has no Cholesky factor (it is indefinite or
-    numerically singular) diagonalises the whole stack instead, with each
-    |eigenvalue| floored at 1e-14 times the largest.  One backtracking
-    loop over the whole stack sets each row's step length alpha: every row
-    tries alpha = 1, and a row whose try fails the Armijo test halves its
-    alpha, up to ``_MAX_HALVINGS`` tries in all.  A row stops once its
-    squared Newton decrement g^T |H|^-1 g is at most ``_TOL`` * N and leaves
-    the stack, so slow rows do not keep the others iterating.  A row still
-    running after ``_MAX_ITER`` steps, or one whose line search finds no
-    decrease, raises NoConvergence.  Each row starts from its projected
-    linear-inversion estimate (``_start``).
+    (Nocedal & Wright, Numerical Optimization, sec. 3.4), taken from one
+    LU solve of the rows whose H has a Cholesky factor (``_has_factor``).
+    A row whose H has none (it is indefinite or numerically singular) is
+    diagonalised instead, alone of its stack, with each |eigenvalue|
+    floored at 1e-14 times the largest; so each row takes the route its
+    own Hessian sets.  One backtracking loop over the whole stack sets each
+    row's step length alpha: every row tries alpha = 1, and a row whose try
+    fails the Armijo test halves its alpha, up to ``_MAX_HALVINGS`` tries
+    in all.  A row stops once its squared Newton decrement g^T |H|^-1 g is
+    at most ``_TOL`` * N and leaves the stack, so slow rows do not keep the
+    others iterating.  A row still running after ``_MAX_ITER`` steps, or
+    one whose line search finds no decrease, raises NoConvergence.  Each
+    row starts from its projected linear-inversion estimate (``_start``).
     """
     counts = np.asarray(counts, dtype=float)
-    t = _start(kets, counts)
+    x = _linear_inversion(kets, counts)
+    order = _basis_order(x)
+    back = np.argsort(order)
+    kets, x = kets[:, order], x[:, order][:, :, order]
+    return _newton(kets, counts, _start(kets, counts, x))[:, back][:, :, back]
+
+
+def _newton(kets: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The Newton solve of ``_mle_stack`` from parameters ``t``, in the
+    basis order of ``kets``.
+
+    Each row's steps and result are those it gets alone from the same start.
+    """
     n_set = counts.shape[1]
-    a = _setup(kets.tobytes())[2]
+    a = _tensor(kets.tobytes())
     a_rows = a.reshape(n_set * 16, 16)
     a_flat = a.reshape(n_set, 256)
 
     def evaluate(t, n, ns):
         at = (t @ a_rows.T).reshape(len(t), n_set, 16)      # rows A_k t
-        q = np.einsum("bki,bi->bk", at, t)
+        q = (at @ t[:, :, None])[:, :, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             f = (q - n - n * np.log(q / ns)).sum(axis=1)
         return f, at, q
@@ -258,23 +319,20 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     f, at, q = evaluate(ta, n, ns)
     for step_no in range(_MAX_ITER + 1):
         w = 1.0 - n / q
-        grad = 2 * np.einsum("bk,bki->bi", w, at)
+        grad = 2 * (w[:, None, :] @ at)[:, 0]
         hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
                 + 4 * (at * (n / q ** 2)[:, :, None]).swapaxes(1, 2) @ at)
-        try:
-            chol = np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            lam, vec = np.linalg.eigh(hess)
+        factored = _has_factor(hess)
+        step = np.empty_like(grad)
+        step[factored] = -np.linalg.solve(hess[factored], grad[factored, :, None])[:, :, 0]
+        if not factored.all():
+            lam, vec = np.linalg.eigh(hess[~factored])
             # |eigenvalues|, floored where a rank-deficient T leaves flat directions
             lam = np.abs(lam)
             lam = np.maximum(lam, 1e-14 * lam[:, -1:])
-            g_eig = np.einsum("bij,bi->bj", vec, grad)
-            decrement = (g_eig ** 2 / lam).sum(axis=1)
-            step = -np.einsum("bij,bj->bi", vec, g_eig / lam)
-        else:
-            y = np.linalg.solve(chol, grad[:, :, None])             # L^-1 g
-            decrement = (y[:, :, 0] ** 2).sum(axis=1)
-            step = -np.linalg.solve(chol.swapaxes(1, 2), y)[:, :, 0]
+            g_eig = np.einsum("bij,bi->bj", vec, grad[~factored])
+            step[~factored] = -np.einsum("bij,bj->bi", vec, g_eig / lam)
+        decrement = -np.einsum("bi,bi->b", grad, step)      # g^T |H|^-1 g
         done = decrement <= stop
         if done.all():
             break

@@ -247,6 +247,9 @@ ESCAPES = {
     "CrystalSpec-interaction-array": (lambda: CrystalSpec(10.0, 20.3, 25.5, np.eye(3)),
                                       OutOfRange),
     "bell_state-array": (lambda: bell_state(np.eye(3)), UnknownLabel),
+    "projector_set-array": (lambda: projector_set(np.eye(3)), ShapeMismatch),
+    "CountRecord-array": (lambda: CountRecord(projector_set(16)[0], np.eye(2)), InvalidState),
+    "rotation_r-complex": (lambda: rotation_r(1j), OutOfRange),
     "mle_reconstruct-empty": (lambda: mle_reconstruct([]), NotInformationallyComplete),
     "CountRecord-negative": (lambda: CountRecord(projector_set(16)[0], -1), InvalidState),
     "werner_state-above-one": (lambda: werner_state(2.0), OutOfRange),

@@ -11,7 +11,7 @@ from qfcsim.linalg import partial_trace
 from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _sqrt_psd, assert_density_matrix,
                            bell_state, born_probabilities, check_mean_pairs, chsh_max,
                            concurrence, fidelity, pauli_correlations, purity, werner_state)
-from qfcsim.tomography import (_arrays, _resampled_mle, _setup, mle_reconstruct, projector_set,
+from qfcsim.tomography import (_arrays, _pinv, _resampled_mle, mle_reconstruct, projector_set,
                                simulate_counts)
 
 from helpers import (pure_state_concurrence_from_marginal, random_density_matrix,
@@ -278,15 +278,15 @@ class TestNoRepeatedSetupOnHotPath:
     def test_second_mle_on_a_projector_set_builds_no_tables(self, monkeypatch):
         records = simulate_counts(werner_state(0.9), projector_set(36), 1e4, seed=2)
         mle_reconstruct(records)
-        hits, misses = _setup.cache_info().hits, _setup.cache_info().misses
+        hits, misses = _pinv.cache_info().hits, _pinv.cache_info().misses
 
         def no_svd(*args, **kwargs):
             raise AssertionError("design matrix decomposed again")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         mle_reconstruct(records)
-        assert _setup.cache_info().misses == misses
-        assert _setup.cache_info().hits > hits
+        assert _pinv.cache_info().misses == misses
+        assert _pinv.cache_info().hits > hits
 
 
 def reference_assert_density_matrix(rho, dim=None):

@@ -15,8 +15,9 @@ from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComple
 from qfcsim.states import (bell_state, born_probabilities, concurrence, fidelity,
                            pauli_correlations, purity, werner_state)
 from qfcsim.tomography import (MAX_MC_SAMPLES, STATE_VECTORS, _BASIS, CountRecord,
-                               MeasurementSetting, _arrays, _mle_stack, _resampled_mle, _setup,
-                               _start, mle_reconstruct, monte_carlo_metric, projector_set,
+                               MeasurementSetting, _arrays, _basis_order, _linear_inversion,
+                               _mle_stack, _newton, _pinv, _resampled_mle, _start, _tensor,
+                               mle_reconstruct, monte_carlo_metric, projector_set,
                                records_from_csv, records_to_csv, simulate_counts)
 
 from helpers import random_density_matrix
@@ -246,13 +247,32 @@ def _converted_state():
     return one_sided_apply(rho0, spec)[0]
 
 
+def _product_state(name_a, name_b):
+    ket = MeasurementSetting.from_names(name_a, name_b).ket
+    return np.outer(ket, ket.conj())
+
+
+# states whose optima sit on the boundary of the state space, with optimum
+# support that misses some basis index: the ones an MLE in a fixed basis
+# order failed on; the pairs of the ROADMAP's table
+BOUNDARY_STATES = {
+    "psi-": (bell_state("psi-"), 1.56e5),
+    "psi+": (bell_state("psi+"), 1.56e5),
+    "HH": (_product_state("H", "H"), 1e5),
+    "HD": (_product_state("H", "D"), 1e5),
+}
+
+
 class TestOptimality:
     @pytest.mark.parametrize("rho,n_settings,mean_pairs", [
         (werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5),
         (_converted_state(), 36, 1e4),
         (bell_state("phi+"), 16, 2e3),     # some counts are zero
         (werner_state(0.9), 16, 1e4),      # rank-deficient optima
-    ], ids=["werner36", "converted36", "phi_plus16", "werner_p0.9_16"])
+        *((BOUNDARY_STATES[name][0], n_settings, 2e6)
+          for name in BOUNDARY_STATES for n_settings in (16, 36)),
+    ], ids=["werner36", "converted36", "phi_plus16", "werner_p0.9_16",
+            *(f"{name}_{n}" for name in BOUNDARY_STATES for n in (16, 36))])
     def test_kkt_conditions_hold(self, rho, n_settings, mean_pairs):
         for seed in range(30):
             records = simulate_counts(rho, projector_set(n_settings), mean_pairs, seed)
@@ -261,30 +281,60 @@ class TestOptimality:
             assert top <= 1e-5
 
 
+def _count_steps(monkeypatch) -> list:
+    """A list whose last entry counts Newton steps: one _has_factor call each."""
+    steps = [0]
+    has_factor = tomo_mod._has_factor
+
+    def spy(hess):
+        steps[-1] += 1
+        return has_factor(hess)
+
+    monkeypatch.setattr(tomo_mod, "_has_factor", spy)
+    return steps
+
+
+def _rows_alone(kets, stack, steps=None) -> np.ndarray:
+    """Each row of ``stack`` solved alone in the stack's basis order, as
+    ``_mle_stack`` solves it in the stack; a new ``steps`` entry per row."""
+    x = _linear_inversion(kets, stack)
+    order = _basis_order(x)
+    back = np.argsort(order)
+    kets, x = kets[:, order], x[:, order][:, :, order]
+    rows = []
+    for b, row in enumerate(stack[:, None]):
+        if steps is not None:
+            steps.append(0)
+        rho = _newton(kets, row, _start(kets, row, x[b:b + 1]))[0]
+        rows.append(rho[np.ix_(back, back)])
+    return np.array(rows)
+
+
+class TestBoundaryStates:
+    @pytest.mark.parametrize("n_settings", [16, 36])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_STATES))
+    def test_library_path_solves_every_seed(self, name, n_settings):
+        # simulate_counts, then mle_reconstruct, then a 100-sample
+        # monte_carlo_metric, for seeds 0-9: 80 cases over the parameters
+        rho, mean_pairs = BOUNDARY_STATES[name]
+        for seed in range(10):
+            records = simulate_counts(rho, projector_set(n_settings), mean_pairs, seed)
+            mle_reconstruct(records)
+            monte_carlo_metric(records, concurrence, n_samples=100, seed=seed)
+
+
 class TestStack:
     def test_stack_equals_rows_alone(self, monkeypatch):
-        # and a row in a stack takes the steps it takes alone: the stack
-        # iterates as long as its slowest row (one 16x16 Cholesky attempt
-        # per step)
-        cholesky, steps = np.linalg.cholesky, []
-
-        def counting_cholesky(a, *args, **kwargs):
-            if np.shape(a)[-1] == 16:
-                steps[-1] += 1
-            return cholesky(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        # and a row in a stack takes the steps it takes alone in the same
+        # basis order: the stack iterates as long as its slowest row
+        steps = _count_steps(monkeypatch)
         records = simulate_counts(_converted_state(), projector_set(36), 1e4, seed=8)
         kets, observed = _arrays(records)
         stack = np.array([np.random.default_rng([4, i]).poisson(observed)
                           for i in range(12)], dtype=float)
-        steps.append(0)
         together = _mle_stack(kets, stack)
-        alone = []
-        for row in stack:
-            steps.append(0)
-            alone.append(_mle_stack(kets, row[None])[0])
-        assert np.max(np.abs(together - np.array(alone))) <= 1e-10
+        alone = _rows_alone(kets, stack, steps)
+        assert np.max(np.abs(together - alone)) <= 1e-10
         assert steps[0] == max(steps[1:])
 
     def test_zero_count_resample_raises(self):
@@ -310,7 +360,7 @@ def _edge_rows():
 class TestStart:
     def test_edge_rows_give_a_valid_start(self):
         for kets, counts in _edge_rows():
-            t = _start(kets, counts)
+            t = _start(kets, counts, _linear_inversion(kets, counts))
             assert np.all(np.isfinite(t))
             # T built from t is lower triangular with a real diagonal
             tri = np.einsum("bj,jrc->brc", t, _BASIS)[0]
@@ -319,32 +369,23 @@ class TestStart:
             assert abs(q.sum() - counts.sum()) <= 1e-10 * counts.sum()
 
     def test_newton_iterations_from_the_start(self, monkeypatch):
-        # one 16x16 Hessian Cholesky attempt per Newton iteration, the last
-        # one included; the 4x4 factor of the start is not counted
-        cholesky = np.linalg.cholesky
-        calls = []
-
-        def counting_cholesky(a, *args, **kwargs):
-            if np.shape(a)[-1] == 16:
-                calls.append(1)
-            return cholesky(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        # Newton iterations, the last one included
+        steps = _count_steps(monkeypatch)
         rho = werner_state((2 * 0.92 + 1) / 3)
         for seed in range(30):
             records = simulate_counts(rho, projector_set(36), 1.56e5, seed)
-            calls.clear()
+            steps.append(0)
             mle_reconstruct(records)
-            assert len(calls) <= 8
+            assert steps[-1] <= 8
 
 
 def _hessian_spy(monkeypatch, name, wrap):
-    """Replace np.linalg.<name> on 16x16 stacks by ``wrap(original, a)``."""
+    """Replace np.linalg.<name> on 16x16 matrices by ``wrap(original, a, *args)``."""
     original = getattr(np.linalg, name)
 
     def spy(a, *args, **kwargs):
         if np.shape(a)[-1] == 16:
-            return wrap(original, a)
+            return wrap(original, a, *args)
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, spy)
@@ -359,7 +400,7 @@ def _seeded_rows(rho, n_settings, mean_pairs):
 
 class TestEighRoute:
     """The saddle-free eigh step, taken where the Hessian has no Cholesky
-    factor, is the reference for the Cholesky step."""
+    factor, is the reference for the LU step."""
 
     @pytest.mark.parametrize("rows", [
         lambda: _seeded_rows(werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5),
@@ -381,26 +422,54 @@ class TestEighRoute:
             assert np.max(np.abs(_mle_stack(kets, counts) - rho)) <= 1e-10
 
     def test_indefinite_steps_take_the_eigh_route(self, monkeypatch):
-        calls = []
+        # eigh sees exactly the Hessians without a Cholesky factor, and the
+        # LU solve exactly those with one
+        seen = {"eigh": [], "solve": []}
 
-        def counting_eigh(eigh, a):
-            calls.append(1)
+        def recording(name):
+            def wrap(original, a, *args):
+                seen[name].extend(a)
+                return original(a, *args)
+            return wrap
+
+        def has_factor(h):
+            try:
+                np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        for name in seen:
+            _hessian_spy(monkeypatch, name, recording(name))
+        for kets, counts in [*_edge_rows(), *_seeded_rows(
+                werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5)]:
+            _mle_stack(kets, counts)
+        assert len(seen["eigh"]) >= 1   # the first H of edge row 0 (a start of trace 0)
+        assert not any(has_factor(h) for h in seen["eigh"])
+        assert all(has_factor(h) for h in seen["solve"])
+
+    def test_only_the_row_without_a_factor_takes_eigh(self, monkeypatch):
+        # Werner rows of seeds 0-4: in the stack's basis order, the first
+        # Hessian of seed 4's row alone has no Cholesky factor
+        rows = list(_seeded_rows(werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5))
+        kets, stack = rows[0][0], np.concatenate([counts for _, counts in rows])
+        seen = []
+
+        def recording(eigh, a):
+            seen.append(a.copy())
             return eigh(a)
 
-        _hessian_spy(monkeypatch, "eigh", counting_eigh)
-        for kets, counts in list(_edge_rows())[:2]:
-            calls.clear()
-            _mle_stack(kets, counts)
-            assert len(calls) >= 1
-        calls.clear()   # full-rank optima: every Hessian of these seeds has a factor
-        for kets, counts in _seeded_rows(werner_state((2 * 0.92 + 1) / 3), 36, 1.56e5):
-            _mle_stack(kets, counts)
-        assert calls == []
+        _hessian_spy(monkeypatch, "eigh", recording)
+        together = _mle_stack(kets, stack)
+        assert [a.shape for a in seen] == [(1, 16, 16)]
+        alone = _rows_alone(kets, stack)
+        assert len(seen) == 2 and np.allclose(seen[1], seen[0], rtol=1e-9, atol=0)
+        assert np.max(np.abs(together - alone)) <= 1e-10
 
 
 class TestTablesBuiltOnce:
     @pytest.mark.parametrize("n_settings", [16, 36])
-    def test_cached_tables_give_the_fresh_table_solve(self, n_settings):
+    def test_cached_tables_give_the_fresh_table_solve(self, monkeypatch, n_settings):
         records = simulate_counts(_converted_state(), projector_set(n_settings), 1e4, seed=5)
         other_set = projector_set(36 if n_settings == 16 else 16)
         other = simulate_counts(werner_state(0.9), other_set, 1e4, seed=6)
@@ -410,20 +479,29 @@ class TestTablesBuiltOnce:
             mc = monte_carlo_metric(records, concurrence, n_samples=12, seed=7)
             return mle_reconstruct(records), resampled_stack(records, 12, 7), mc
 
-        _setup.cache_clear()
+        # one table build per key: a pseudo-inverse per set, and a tensor
+        # per basis order of it that a stack is solved in
+        keys = {}
+        for table in (_pinv, _tensor):
+            keys[table] = set()
+            monkeypatch.setattr(tomo_mod, table.__name__,
+                                lambda b, table=table: keys[table].add(b) or table(b))
+            table.cache_clear()
         rho, stack, mc = solve()
-        assert _setup.cache_info().misses == 1
+        assert _pinv.cache_info().misses == len(keys[_pinv]) == 1
+        assert _tensor.cache_info().misses == len(keys[_tensor]) >= 1
         mle_reconstruct(other)  # a second projector set in the cache
         again, stack_again, mc_again = solve()
-        assert _setup.cache_info().misses == 2
+        assert _pinv.cache_info().misses == len(keys[_pinv]) == 2
+        assert _tensor.cache_info().misses == len(keys[_tensor])
         assert np.array_equal(again, rho)
         assert np.array_equal(stack_again, stack)
         assert (mc_again.value, mc_again.std) == (mc.value, mc.std)
 
     def test_tables_are_read_only(self):
         kets, _ = _arrays(simulate_counts(werner_state(0.9), projector_set(16), 1e3, seed=1))
-        for table in _setup(kets.tobytes()):
-            assert not table.flags.writeable
+        for table in (_pinv, _tensor):
+            assert not table(kets.tobytes()).flags.writeable
 
 
 class TestMonteCarlo:
