@@ -47,9 +47,22 @@ def _vwp(ex, ey) -> np.ndarray:
 
 
 def drive_from_theta(theta: float) -> np.ndarray:
-    """Drive matrix for QWP angle ``theta`` (radians) and x-polarized input."""
+    """Drive matrix for QWP angle ``theta`` (radians) and x-polarized input.
+
+    The plate's Jones vector is the first column of ``qwp_jones(theta)``,
+    e = (c^2 + i s^2, s c - i c s) with c, s = cos(theta), sin(theta).  It
+    is built from those floats, bit for bit equal to the complex product
+    ``qwp_jones(theta) @ (1, 0)``, signed zeros included: the ``+ 0.0`` and
+    ``0.0 -`` repeat the zeros that the product's complex arithmetic adds.
+    OutOfRange unless ``theta`` is a finite real number.
+    """
+    if not _finite_real(theta):
+        raise OutOfRange(f"QWP angle theta must be a finite real number, "
+                         f"got {_describe(theta)}")
+    # float64, as the complex rotation matrices of qwp_jones hold them
+    c, s = float(np.cos(theta)), float(np.sin(theta))
     # a unitary plate keeps the input's unit norm, so the vector skips unit_norm
-    return _vwp(*(qwp_jones(theta) @ np.array([1.0, 0.0], dtype=complex)))
+    return _vwp(complex(c * c, s * s), complex(s * c + 0.0, 0.0 - c * s))
 
 
 def check_drive(a) -> np.ndarray:

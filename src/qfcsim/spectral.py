@@ -615,7 +615,8 @@ def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
     """Upconversion efficiency from single/coincidence rates.
 
     eta = 2 r_up eta_snspd / (r_herald eta_apd); the factor 2 undoes the
-    50% loss of projecting the upconverted polarization.
+    50% loss of projecting the upconverted polarization.  OutOfRange when
+    finite rates give an eta beyond the float range.
     """
     for name, val, top in (("r_up_hz", r_up_hz, np.inf), ("r_herald_hz", r_herald_hz, np.inf),
                            ("eta_snspd", eta_snspd, 1.0), ("eta_apd", eta_apd, 1.0)):
@@ -626,7 +627,11 @@ def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
     denom = r_herald_hz * eta_apd
     if denom == 0:
         raise DivisionByZero("herald rate times APD efficiency is zero")
-    return 2.0 * r_up_hz * eta_snspd / denom
+    eta = 2.0 * r_up_hz * eta_snspd / denom
+    if not np.isfinite(eta):
+        raise OutOfRange(f"an input is too large to compute with: efficiency {eta} "
+                         f"from r_up_hz {r_up_hz} and r_herald_hz {r_herald_hz}")
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ with two-qubit indices ordered as 2*q1 + q2 (qubit 1 major).
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -43,12 +44,39 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     ``rho`` is one d x d matrix or a (..., d, d) stack.  A stack is checked
     as a whole, with one batched ``eigvalsh``, and raises if any of its
     matrices would raise alone.
+
+    The bytes of the 8 most recently used single 4x4 matrices that passed
+    are remembered (``_check_4x4``), and a matrix with the same bytes
+    passes without a second check.  One exact theta point makes four
+    checks of two matrices: its input and its output in
+    ``one_sided_apply``, and its output again in ``concurrence`` and
+    ``chsh_max``; 8 entries hold a few points.  The bytes alone decide the
+    verdict, so a remembered matrix that is edited in place is checked
+    again, and a failing one raises on every call.  Stacks and other
+    shapes are checked on every call.
     """
     rho = as_complex(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidState(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[-1] != dim:
         raise InvalidState(f"expected dimension {dim}, got {rho.shape[-1]}")
+    if rho.shape == (4, 4):
+        _check_4x4(rho.tobytes())
+    else:
+        _check(rho)
+    return rho
+
+
+# a sweeps benchmark pass makes 73% of its checks on bytes already checked
+@functools.lru_cache(maxsize=8)
+def _check_4x4(rho_bytes: bytes) -> None:
+    """``_check`` of the complex 4x4 matrix ``rho_bytes``, its ``tobytes()``;
+    ``lru_cache`` keeps no exception, so a failing matrix raises on every call."""
+    _check(np.frombuffer(rho_bytes, dtype=complex).reshape(4, 4))
+
+
+def _check(rho: np.ndarray) -> None:
+    """The checks of ``assert_density_matrix`` on a square complex matrix or stack."""
     # ndarray methods rather than np.* functions, and Python scalars for one
     # matrix: this runs thousands of times per sweep on single 4x4 matrices;
     # initial=0.0 lets an empty stack pass
@@ -70,7 +98,6 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
         w = np.linalg.eigvalsh((rho + rho_dag) / 2)[..., 0].min(initial=0.0)
     if w < -_TOL:
         raise InvalidState(f"density matrix has eigenvalue {w} < -{_TOL}")
-    return rho
 
 
 def _one_matrix(rho) -> np.ndarray:

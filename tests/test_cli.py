@@ -219,6 +219,21 @@ class TestTomo:
         assert res["concurrence_mc"]["n_samples"] == 10
         assert (tmp_path / summary["outputs"]["counts_csv"]).exists()
 
+    # the Bell states' optima sit on the boundary of the state space; a
+    # fixed-basis MLE failed on psi+ and psi- for many of these seeds
+    @pytest.mark.parametrize("settings", [16, 36])
+    @pytest.mark.parametrize("label", ["phi+", "phi-", "psi+", "psi-"])
+    def test_bell_states_solve_for_every_seed(self, tmp_path, capsys, label, settings):
+        cfg = tmp_path / "tomo.json"
+        cfg.write_text(json.dumps({"state": {"kind": "bell", "label": label},
+                                   "settings": settings, "mean_pairs": 1.56e5, "seed": 0,
+                                   "mc_samples": 100}))
+        for seed in range(10):
+            out = tmp_path / str(seed)
+            assert main(["--out", str(out), "--seed", str(seed), "tomo",
+                         "--config", str(cfg)]) == 0, capsys.readouterr().err
+            assert read_summary(out, "tomo")["seed"] == seed
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = tmp_path / "tomo.json"
         cfg.write_text(json.dumps({
@@ -315,6 +330,15 @@ class TestEfficiency:
         assert main(["--out", str(tmp_path), "efficiency", *rates, "0.8", "0.6"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: r_") and "must be positive and finite" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "efficiency_summary.json").exists()
+
+    def test_efficiency_beyond_the_float_range_is_a_one_line_error(self, tmp_path, capsys):
+        # finite rates whose ratio overflows; inf would be written as the
+        # non-JSON token Infinity
+        assert main(["--out", str(tmp_path), "efficiency", "1e308", "1e-308", "1", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: an input is too large to compute with: efficiency inf")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "efficiency_summary.json").exists()
 

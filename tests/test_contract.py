@@ -194,6 +194,8 @@ ESCAPES = {
     "estimate_efficiency-str": (lambda: estimate_efficiency("1", 1, 0.5, 0.5), OutOfRange),
     "estimate_efficiency-overflow": (lambda: estimate_efficiency(HUGE, 1, 0.5, 0.5),
                                      OutOfRange),
+    "estimate_efficiency-ratio-overflow": (lambda: estimate_efficiency(1e308, 1e-308, 1, 1),
+                                           OutOfRange),
     "hg_mode_probabilities-duration-str": (lambda: hg_mode_probabilities(SPECTRUM, "220", 3),
                                            OutOfRange),
     "hg_mode_probabilities-modes-float": (

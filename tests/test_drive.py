@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qfcsim.channel import ChannelSpec, duality_distance
-from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
-                          qwp_jones, vwp_transform)
-from qfcsim.errors import NotNormalized
+from qfcsim.drive import (_vwp, check_drive, coherence_matrix, drive_concurrence,
+                          drive_from_theta, qwp_jones, vwp_transform)
+from qfcsim.errors import NotNormalized, OutOfRange
 from qfcsim.states import bell_state, concurrence, purity
 
 from helpers import random_drive
@@ -73,6 +73,25 @@ class TestDriveFromTheta:
             theta = np.deg2rad(theta_deg)
             c = drive_concurrence(drive_from_theta(theta))
             assert abs(c - abs(np.cos(2 * theta))) < 1e-10
+
+    def test_closed_form_equals_the_plate_product_bit_for_bit(self):
+        # signed zeros included: the drives at 0 and 45 degrees have zero entries
+        rng = np.random.default_rng(41)
+        angles = [*np.deg2rad(np.arange(-3600, 3601) / 10), 0.0, -0.0, np.pi / 2,
+                  *rng.uniform(-1e3, 1e3, 10 ** 4), *rng.uniform(-10, 10, 100).astype(np.float32)]
+        x = np.array([1.0, 0.0], dtype=complex)
+        for theta in angles:
+            assert drive_from_theta(theta).tobytes() == _vwp(*(qwp_jones(theta) @ x)).tobytes()
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, 1j, "0.5", None,
+                                       np.array([0.5]), 10 ** 400])
+    def test_non_finite_or_non_real_angle_raises_the_plate_message(self, theta):
+        with pytest.raises(OutOfRange) as expected:
+            qwp_jones(theta)
+        with pytest.raises(OutOfRange) as got:
+            drive_from_theta(theta)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("QWP angle theta must be a finite real number, got ")
 
 
 class TestCoherenceMatrix:

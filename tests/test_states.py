@@ -8,9 +8,10 @@ from qfcsim.channel import (ChannelSpec, choi_concurrence_closed, kraus_from_dri
 from qfcsim.drive import drive_from_theta
 from qfcsim.errors import InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
 from qfcsim.linalg import partial_trace
-from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _sqrt_psd, assert_density_matrix,
-                           bell_state, born_probabilities, check_mean_pairs, chsh_max,
-                           concurrence, fidelity, pauli_correlations, purity, werner_state)
+from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _check_4x4, _sqrt_psd,
+                           assert_density_matrix, bell_state, born_probabilities,
+                           check_mean_pairs, chsh_max, concurrence, fidelity, pauli_correlations,
+                           purity, werner_state)
 from qfcsim.tomography import (_arrays, _pinv, _resampled_mle, mle_reconstruct, projector_set,
                                simulate_counts)
 
@@ -345,10 +346,11 @@ class TestValidationMatchesReference:
         for arg in (rho, np.array([good[0], rho, good[1]]), np.array([[rho], [good[0]]])):
             with pytest.raises(InvalidState) as expected:
                 reference_assert_density_matrix(arg, dim=4)
-            with pytest.raises(InvalidState) as got:
-                assert_density_matrix(arg, dim=4)
-            assert type(got.value) is type(expected.value)
-            assert str(got.value) == str(expected.value)
+            for _ in range(2):  # a failing matrix is not remembered
+                with pytest.raises(InvalidState) as got:
+                    assert_density_matrix(arg, dim=4)
+                assert type(got.value) is type(expected.value)
+                assert str(got.value) == str(expected.value)
 
     def test_same_result_on_valid_and_empty_input(self):
         rng = np.random.default_rng(12)
@@ -402,6 +404,45 @@ class TestValidation:
             with pytest.raises(InvalidState) as err:
                 assert_density_matrix(rho)
             assert str(err.value) == message
+
+
+class TestRememberedChecks:
+    def test_repeated_bytes_are_checked_once(self, monkeypatch):
+        rho = werner_state(0.9)
+        assert_density_matrix(rho, dim=4)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        hits = _check_4x4.cache_info().hits
+        for arg in (rho, rho.copy(), rho.tolist()):
+            assert_density_matrix(arg, dim=4)
+        assert _check_4x4.cache_info().hits == hits + 3
+
+    def test_the_callers_complex_array_is_returned(self):
+        rho = werner_state(0.9)
+        for _ in range(2):
+            assert assert_density_matrix(rho, dim=4) is rho
+        stack = np.array([rho, rho])
+        assert assert_density_matrix(stack, dim=4) is stack
+
+    @pytest.mark.parametrize("index,value,match", [((0, 1), 1e-3, "not Hermitian"),
+                                                   ((2, 2), np.nan, "non-finite")])
+    def test_a_passed_matrix_edited_in_place_raises(self, index, value, match):
+        rho = werner_state(0.9)
+        assert_density_matrix(rho, dim=4)
+        rho[index] += value
+        with pytest.raises(InvalidState) as expected:
+            reference_assert_density_matrix(rho, dim=4)
+        with pytest.raises(InvalidState, match=match) as got:
+            assert_density_matrix(rho, dim=4)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_stack_with_a_passed_matrix_and_a_bad_one_raises(self):
+        assert_density_matrix(_W, dim=4)
+        with pytest.raises(InvalidState, match="not Hermitian"):
+            assert_density_matrix(np.array([_W, _FAULTY["non-hermitian"]]), dim=4)
 
 
 def _non_hermitian(rho):

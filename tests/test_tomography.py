@@ -322,6 +322,15 @@ class TestBoundaryStates:
             mle_reconstruct(records)
             monte_carlo_metric(records, concurrence, n_samples=100, seed=seed)
 
+    @pytest.mark.parametrize("mean_pairs", [1e3, 1e5, 1.56e5, 2e6])
+    @pytest.mark.parametrize("n_settings", [16, 36])
+    @pytest.mark.parametrize("name", [*sorted(BOUNDARY_STATES), "werner_p0.9"])
+    def test_single_solves_never_raise(self, name, n_settings, mean_pairs):
+        # seeds 0-39: the 1600-call grid on which a fixed-basis MLE raised 76 times
+        rho = werner_state(0.9) if name == "werner_p0.9" else BOUNDARY_STATES[name][0]
+        for seed in range(40):
+            mle_reconstruct(simulate_counts(rho, projector_set(n_settings), mean_pairs, seed))
+
 
 class TestStack:
     def test_stack_equals_rows_alone(self, monkeypatch):
