@@ -3,7 +3,9 @@ norm, one rounding tolerance), SVD and the two-qubit partial trace."""
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -15,9 +17,10 @@ _TOL = 1e-10
 
 
 def _finite_real(x) -> bool:
-    """True for a finite real number; False for NaN, +-inf, arrays and other types."""
+    """True for a finite real number; False for bools, NaN, +-inf, arrays and
+    other types (numpy would compute with True in float16)."""
     try:
-        return isinstance(x, numbers.Real) and bool(np.isfinite(float(x)))
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -27,7 +30,7 @@ def _describe(x) -> str:
     another scalar as str prints it (nan, not np.float64(nan)), else its type."""
     if x is None or isinstance(x, str):
         return repr(x)
-    if isinstance(x, numbers.Integral) and not _finite_real(x):
+    if isinstance(x, numbers.Integral) and not -sys.float_info.max <= x <= sys.float_info.max:
         return type(x).__name__  # beyond the float range; str raises past 4300 digits
     return str(x) if np.isscalar(x) else type(x).__name__
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cli_runs
 from helpers import jsonschema_config_message
 from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
@@ -50,6 +51,18 @@ def read_csv(path: Path):
     return header, rows
 
 
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    """The artifacts of one in-process pass over the table of cli_runs."""
+    out = tmp_path_factory.mktemp("cli_runs")
+    cli_runs.run(out, main)
+    return out
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestDrive:
     @pytest.mark.parametrize("theta,expected", [(0.0, 1.0), (45.0, 0.0),
                                                 (22.5, 0.70711)])
@@ -61,10 +74,8 @@ class TestDrive:
 
 
 class TestSweepTheta:
-    def test_fig4_config_exact_curve(self, tmp_path):
-        cfg = CONFIGS / "fig_4_theta_sweep.json"
-        assert main(["--out", str(tmp_path), "sweep-theta", "--config", str(cfg)]) == 0
-        header, rows = read_csv(tmp_path / "sweep_theta.csv")
+    def test_fig4_config_exact_curve(self, cli_tree):
+        header, rows = read_csv(cli_tree / "fig_4" / "sweep_theta.csv")
         assert header == ["theta_deg", "concurrence", "chsh_max", "bound"]
         assert len(rows) == 91
         for row in rows:
@@ -119,14 +130,6 @@ class TestSweepTheta:
         assert len(vectors) == 10
         assert not set(vectors[:5]) & set(vectors[5:])
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = CONFIGS / "fig_4_theta_sweep.json"
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["--out", str(out1), "sweep-theta", "--config", str(cfg)]) == 0
-        assert main(["--out", str(out2), "sweep-theta", "--config", str(cfg)]) == 0
-        for name in ("sweep_theta.csv", "sweep_theta_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
 
 class TestChoi:
     def test_duality_columns(self, tmp_path):
@@ -166,10 +169,9 @@ class TestChoi:
 
 
 class TestJsa:
-    def test_fig_s2_type1_bundle(self, tmp_path):
-        cfg = CONFIGS / "fig_s2_type1.json"
-        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path, "jsa")
+    def test_fig_s2_type1_bundle(self, cli_tree):
+        out = cli_tree / "fig_s2_type1"
+        summary = read_summary(out, "jsa")
         res = summary["results"]
         assert abs(res["heralded_purity"] - 0.859) < 0.05
         assert abs(res["hg_mode_probabilities"][0] - 0.894) < 0.05
@@ -177,28 +179,18 @@ class TestJsa:
         assert 350 <= res["delay_fwhm_fs"] <= 650
         # Tr rho^2 of the reduced density is heralded_purity; it is reported once
         assert "reduced_purity" not in res
-        assert (tmp_path / summary["outputs"]["jsa_binary"]).exists()
-        assert (tmp_path / summary["outputs"]["schmidt_csv"]).exists()
-        assert (tmp_path / summary["outputs"]["hg_modes_csv"]).exists()
+        assert (out / summary["outputs"]["jsa_binary"]).exists()
+        assert (out / summary["outputs"]["schmidt_csv"]).exists()
+        assert (out / summary["outputs"]["hg_modes_csv"]).exists()
 
-    def test_fig_s2_type0_bundle(self, tmp_path):
-        cfg = CONFIGS / "fig_s2_type0.json"
-        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path, "jsa")
+    def test_fig_s2_type0_bundle(self, cli_tree):
+        summary = read_summary(cli_tree / "fig_s2_type0", "jsa")
         assert abs(summary["results"]["heralded_purity"] - 0.184) < 0.05
 
-    def test_write_jsa_csv(self, tmp_path):
-        cfg = json.loads((CONFIGS / "fig_s2_type0.json").read_text())
-        cfg["grid"]["points"] = 64
-        cfg["write_jsa_csv"] = True
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg_path)]) == 0
-        summary = read_summary(tmp_path, "jsa")
-        assert summary["outputs"]["jsa_csv"] == "jsa.csv"
-        path = tmp_path / "jsa.csv"
-        assert path.exists()
-        assert len(path.read_text().splitlines()) == 64 ** 2 + 1
+    def test_write_jsa_csv(self, cli_tree):
+        out = cli_tree / "jsa_csv"
+        assert read_summary(out, "jsa")["outputs"]["jsa_csv"] == "jsa.csv"
+        assert len((out / "jsa.csv").read_text().splitlines()) == 128 ** 2 + 1
 
 
 class TestTomo:
@@ -234,20 +226,11 @@ class TestTomo:
                          "--config", str(cfg)]) == 0, capsys.readouterr().err
             assert read_summary(out, "tomo")["seed"] == seed
 
-    def test_seed_flag_overrides(self, tmp_path):
-        cfg = tmp_path / "tomo.json"
-        cfg.write_text(json.dumps({
-            "state": {"kind": "bell", "label": "phi+"},
-            "settings": 16,
-            "mean_pairs": 1e3,
-            "seed": 5,
-        }))
-        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        main(["--out", str(out1), "tomo", "--config", str(cfg)])
-        main(["--out", str(out2), "--seed", "9", "tomo", "--config", str(cfg)])
-        main(["--out", str(out3), "--seed", "9", "tomo", "--config", str(cfg)])
-        assert (out2 / "counts.csv").read_bytes() == (out3 / "counts.csv").read_bytes()
-        assert (out1 / "counts.csv").read_bytes() != (out2 / "counts.csv").read_bytes()
+    def test_seed_flag_overrides(self, cli_tree):
+        # tomo_rho0.json as is and with --seed 9; TestCliRuns reruns both
+        assert read_summary(cli_tree / "tomo_seed", "tomo")["seed"] == 9
+        counts = [(cli_tree / name / "counts.csv").read_bytes() for name in ("tomo", "tomo_seed")]
+        assert counts[0] != counts[1]
 
     def test_mc_fields_equal_direct_calls_from_one_solve(self, tmp_path, monkeypatch):
         cfg = tmp_path / "tomo.json"
@@ -292,26 +275,15 @@ class TestTomo:
 
 
 class TestBell:
-    def test_fig_s5_exact_bundle(self, tmp_path):
-        cfg = CONFIGS / "fig_s5_phi_sweep.json"
-        assert main(["--out", str(tmp_path), "bell", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path, "bell")
+    def test_fig_s5_exact_bundle(self, cli_tree):
+        summary = read_summary(cli_tree / "fig_s5", "bell")
         assert abs(summary["results"]["max_B"] - 2 * np.sqrt(2)) < 1e-9
-        header, rows = read_csv(tmp_path / "bell_sweep.csv")
+        header, rows = read_csv(cli_tree / "fig_s5" / "bell_sweep.csv")
         assert header == ["phi_deg", "B", "B_std_if_sampled"]
         assert rows[0][2] == ""  # exact mode leaves the std column empty
 
-    def test_sampled_mode(self, tmp_path):
-        cfg = tmp_path / "bell.json"
-        cfg.write_text(json.dumps({
-            "state": {"kind": "bell", "label": "phi+"},
-            "phi_deg": {"start": 0.0, "stop": 90.0, "step": 22.5},
-            "mode": "sampled",
-            "mean_pairs": 300.0,
-            "seed": 2,
-        }))
-        assert main(["--out", str(tmp_path), "bell", "--config", str(cfg)]) == 0
-        _, rows = read_csv(tmp_path / "bell_sweep.csv")
+    def test_sampled_mode(self, cli_tree):
+        _, rows = read_csv(cli_tree / "phi_sampled" / "bell_sweep.csv")
         stds = [float(r[2]) for r in rows]
         assert all(s > 0 for s in stds)
 
@@ -658,31 +630,44 @@ class TestConfigValidation:
         assert all(o == outputs[0] for o in outputs[1:])
 
 
+def _imported(module: str) -> set:
+    """The top-level modules in sys.modules after importing ``module`` in a
+    fresh interpreter, with src/ and tests/ on the path."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, {module}; print(*{{m.split('.')[0] for m in sys.modules}})"
+    return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split())
+
+
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), os.environ.get("PYTHONPATH", "")]))
-        code = ("import sys, qfcsim.cli; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('scipy', 'jsonschema')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]"
+        assert not _imported("qfcsim.cli") & {"scipy", "jsonschema"}
+
+    def test_the_run_table_imports_nothing_test_only(self):
+        # the cli-reruns CI job installs the package without the test extras
+        assert not _imported("cli_runs") & {"pytest", "hypothesis", "jsonschema", "scipy", "yaml"}
+
+
+class TestCliRuns:
+    def test_two_in_process_passes_write_byte_identical_trees(self, cli_tree, tmp_path):
+        cli_runs.run(tmp_path, main)
+        first, second = _tree(cli_tree), _tree(tmp_path)
+        assert {p.parts[0] for p in first} == set(cli_runs.RUNS)
+        assert sorted(first) == sorted(second)
+        assert [p for p in first if first[p] != second[p]] == []
 
 
 class TestBundles:
-    def test_fig_s3_hg_modes(self, tmp_path):
-        cfg = CONFIGS / "fig_s3_hg_modes.json"
-        assert main(["--out", str(tmp_path), "jsa", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path, "jsa")
+    def test_fig_s3_hg_modes(self, cli_tree):
+        summary = read_summary(cli_tree / "fig_s3", "jsa")
         probs = summary["results"]["hg_mode_probabilities"]
         assert len(probs) == 10
         assert sum(probs) >= 0.99
 
-    def test_tomo_rho0(self, tmp_path):
-        cfg = CONFIGS / "tomo_rho0.json"
-        assert main(["--out", str(tmp_path), "tomo", "--config", str(cfg)]) == 0
-        summary = read_summary(tmp_path, "tomo")
+    def test_tomo_rho0(self, cli_tree):
+        summary = read_summary(cli_tree / "tomo", "tomo")
         assert summary["results"]["fidelity_to_true"] > 0.99
         assert summary["results"]["concurrence_mc"]["n_samples"] == 100
 
@@ -808,23 +793,6 @@ def _schema_keywords(node):
             yield from _schema_keywords(sub)
 
 
-def _summaries():
-    """The summary of every bundled config, of drive, choi and efficiency."""
-    with tempfile.TemporaryDirectory() as tmp:
-        choi = Path(tmp) / "choi.json"
-        choi.write_text(json.dumps(CHOI))
-        runs = [["drive", "--theta", "22.5"], ["efficiency", "100", "60000", "0.8", "0.6"],
-                ["choi", "--config", str(choi)]]
-        runs += [[command, "--config", str(CONFIGS / name)] for name, command in BUNDLED.items()]
-        summaries = []
-        for i, argv in enumerate(runs):
-            out = Path(tmp) / str(i)
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["--out", str(out), *argv]) == 0
-            summaries.append(json.loads(next(out.glob("*_summary.json")).read_text()))
-    return summaries
-
-
 class TestSchemaValidator:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -868,12 +836,12 @@ class TestSchemaValidator:
             assert list(schema_mod.iter_errors(x, schema))
             assert not jsonschema.Draft7Validator(schema).is_valid(x)
 
-    def test_summaries_and_their_mutations_agree_with_jsonschema(self):
+    def test_summaries_and_their_mutations_agree_with_jsonschema(self, cli_tree):
         schema = _summary_schema()
         mutations = {"command": "nope", "package_version": 1, "config_sha256": "abc",
                      "seed": 1.5, "results": [], "outputs": {"csv": 1}}
         assert set(mutations) == set(schema["required"])
-        summaries = _summaries()
+        summaries = [json.loads(p.read_text()) for p in sorted(cli_tree.glob("*/*_summary.json"))]
         assert {s["command"] for s in summaries} == set(schema["properties"]["command"]["enum"])
         for summary in summaries:
             schema_mod.validate(summary, schema)

@@ -279,6 +279,12 @@ ESCAPES = {
         lambda: _jsa_binary_of(np.array([-1, 4], dtype="<i4").tobytes()), ShapeMismatch),
     "schmidt-nan": (lambda: schmidt(JSAGrid(np.arange(64.0), np.arange(64.0),
                                             np.full((64, 64), np.nan))), NoConvergence),
+    # numpy computes with a bool in float16: qwp_jones(True) was unitary to 3e-5 only
+    "qwp_jones-bool": (lambda: qwp_jones(True), OutOfRange),
+    "drive_from_theta-bool": (lambda: drive_from_theta(True), OutOfRange),
+    "werner_state-bool": (lambda: werner_state(True), OutOfRange),
+    "ChannelSpec-kt-bool": (lambda: ChannelSpec(a=DRIVE, kt=True), OutOfRange),
+    "GridSpec-points-bool": (lambda: GridSpec(True, 80.0).axis(1560.0), OutOfRange),
 }
 
 
@@ -289,6 +295,12 @@ def test_malformed_argument_raises_one_line_qfc_error(name):
         call()
     assert isinstance(err.value, QfcError)
     assert len(str(err.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ESCAPES if n.endswith("-bool")))
+def test_bool_is_named_as_str_prints_it(name):
+    with pytest.raises(OutOfRange, match=r"got True( and 80\.0)?$"):
+        ESCAPES[name][0]()
 
 
 def test_seed_beyond_the_float_range_is_valid():

@@ -38,13 +38,28 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
 
 
-def test_tier1_workflow_runs_the_roadmap_command():
+def _workflow_job(name: str) -> dict:
     yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
-    job = workflow["jobs"]["tests"]
+    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"][name]
+
+
+def test_tier1_workflow_runs_the_roadmap_command():
+    job = _workflow_job("tests")
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert job["env"]["OPENBLAS_NUM_THREADS"] == "1"
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs[0] == 'python -m pip install -e ".[test]"'
     assert runs[-1] == ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
                         "python -m pytest -q --continue-on-collection-errors")
+
+
+def test_cli_reruns_job_diffs_two_passes_over_the_run_table():
+    # the runs and their configs live in tests/cli_runs.py alone, not in the job
+    lines = [line.strip() for step in _workflow_job("cli-reruns")["steps"] if "run" in step
+             for line in step["run"].splitlines()]
+    assert lines[0] == "python -m pip install -e ."
+    table = "python tests/cli_runs.py "
+    outs = [line[len(table):] for line in lines if line.startswith(table)]
+    assert len(set(outs)) == 2
+    assert lines.index(f"diff -r {outs[0]} {outs[1]}") > lines.index(table + outs[1])
+    assert not [line for line in lines if "echo" in line or "<<" in line]

@@ -40,3 +40,14 @@ def test_quick_start_runs_and_its_commented_values_hold():
     assert lines[duality].endswith("~ kt^2")
     doubled = q.duality_distance(q.ChannelSpec(a=a, kt=0.02))
     assert abs(doubled / values[duality] - 4.0) <= 0.04
+
+
+def test_quick_start_resamples_from_another_seed_than_its_counts():
+    # default_rng([seed, 0]) draws default_rng(seed)'s numbers, so with one seed
+    # for both calls Monte-Carlo resample 0 would repeat the simulated counts
+    (source,) = _python_blocks()
+    seeds = {node.func.attr: ast.literal_eval(kw.value) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             for kw in node.keywords if kw.arg == "seed"}
+    assert set(seeds) == {"simulate_counts", "monte_carlo_metric"}
+    assert seeds["simulate_counts"] != seeds["monte_carlo_metric"]
