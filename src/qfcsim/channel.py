@@ -117,7 +117,7 @@ def mode_transfer(spec: ChannelSpec) -> ModeTransfer:
 def _herald(op: np.ndarray, rho: np.ndarray, spec: ChannelSpec):
     """(op rho op^dag / p, p) with p = Tr(op rho op^dag) the success probability."""
     out = op @ rho @ dagger(op)
-    p = float(np.trace(out).real)
+    p = float(out.trace().real)
     if p <= PROB_FLOOR:
         raise ZeroConversionProbability(
             f"conversion probability {p} <= {PROB_FLOOR} (kt={spec.kt})")

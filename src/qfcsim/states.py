@@ -7,6 +7,7 @@ with two-qubit indices ordered as 2*q1 + q2 (qubit 1 major).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -20,8 +21,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 _SYSY = np.kron(SY, SY)
-# sigma_i x sigma_j for i, j in (x, y, z)
-_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+# P_p^T for P_p = sigma_i x sigma_j, p = 3 i + j; its row r holds one nonzero, so
+# Tr[rho P_p] sums rho[r, _PAULI_COLS[p, r]] * _PAULI_VALS[p, r] over r
+_PAULI_T = np.array([np.kron(si, sj).T for si in (SX, SY, SZ) for sj in (SX, SY, SZ)])
+_PAULI_COLS = np.nonzero(_PAULI_T)[2].reshape(9, 4)
+_PAULI_VALS = _PAULI_T[np.nonzero(_PAULI_T)].reshape(9, 4)
+_FOUR = np.arange(4)
 
 # Largest expected pair count per measurement; numpy's Poisson sampler
 # rejects means above ~9.2e18, so the cap stays well below that.
@@ -50,10 +55,11 @@ def assert_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     passes without a second check.  One exact theta point makes four
     checks of two matrices: its input and its output in
     ``one_sided_apply``, and its output again in ``concurrence`` and
-    ``chsh_max``; 8 entries hold a few points.  The bytes alone decide the
-    verdict, so a remembered matrix that is edited in place is checked
-    again, and a failing one raises on every call.  Stacks and other
-    shapes are checked on every call.
+    ``chsh_max``; 8 entries hold a few points.  ``mle_reconstruct`` checks
+    its one estimate here, and the metrics on it look it up.  The bytes
+    alone decide the verdict, so a remembered matrix that is edited in
+    place is checked again, and a failing one raises on every call.
+    Stacks and other shapes are checked on every call.
     """
     rho = as_complex(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
@@ -213,7 +219,7 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     rounding-noise eigenvalues < 0 give 0."""
     w, v = np.linalg.eigh(rho)
     w, v = w[..., ::-1], v[..., ::-1]
-    root = np.sqrt(np.clip(w, 0.0, None))
+    root = np.sqrt(np.maximum(w, 0.0))
     return (v * root[..., None, :]) @ dagger(v)
 
 
@@ -240,8 +246,10 @@ def concurrence(rho):
     rho = assert_density_matrix(rho, dim=4)
     sqrt_rho = _sqrt_psd(rho)
     lam = np.linalg.svd(sqrt_rho @ _SYSY @ sqrt_rho.swapaxes(-1, -2), compute_uv=False)
-    c = np.minimum(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0), 1.0)
-    return float(c) if rho.ndim == 2 else c
+    if rho.ndim == 2:
+        l1, l2, l3, l4 = lam.tolist()
+        return min(max(l1 - l2 - l3 - l4, 0.0), 1.0)
+    return np.minimum(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0), 1.0)
 
 
 def fidelity(rho, sigma) -> float:
@@ -253,7 +261,7 @@ def fidelity(rho, sigma) -> float:
     sqrt_rho = _sqrt_psd(rho)
     inner = sqrt_rho @ sigma @ sqrt_rho
     w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-    root = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    root = float(np.sum(np.sqrt(np.maximum(w, 0.0))))
     return float(min(max(root ** 2, 0.0), 1.0))
 
 
@@ -261,7 +269,9 @@ def pauli_correlations(rho) -> np.ndarray:
     """3x3 matrix T_ij = Tr[rho (sigma_i x sigma_j)] of a two-qubit density
     matrix, or a (..., 3, 3) array of them for a (..., 4, 4) stack."""
     rho = assert_density_matrix(rho, dim=4)
-    return np.trace(rho[..., None, None, :, :] @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
+    # a contiguous copy, so that a stack sums each row as one matrix does
+    terms = np.ascontiguousarray(rho[..., _FOUR, _PAULI_COLS]) * _PAULI_VALS
+    return terms.sum(axis=-1).real.reshape(rho.shape[:-2] + (3, 3))
 
 
 def chsh_max(rho):
@@ -274,5 +284,7 @@ def chsh_max(rho):
     """
     t = pauli_correlations(rho)
     m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
-    value = 2.0 * np.sqrt(np.maximum(m[..., -1] + m[..., -2], 0.0))
-    return float(value) if t.ndim == 2 else value
+    if t.ndim == 2:
+        _, m2, m1 = m.tolist()
+        return 2.0 * math.sqrt(max(m1 + m2, 0.0))
+    return 2.0 * np.sqrt(np.maximum(m[..., -1] + m[..., -2], 0.0))

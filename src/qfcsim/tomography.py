@@ -62,7 +62,8 @@ class CountRecord:
     counts: int
 
     def __post_init__(self):
-        if not (isinstance(self.counts, (int, np.integer))
+        if isinstance(self.counts, bool) or not (  # a bool is an int to isinstance
+                isinstance(self.counts, (int, np.integer))
                 or isinstance(self.counts, (float, np.floating))
                 and float(self.counts).is_integer()):
             raise InvalidState(f"counts must be a whole number, got {_describe(self.counts)}")
@@ -248,7 +249,7 @@ def _basis_order(x: np.ndarray) -> np.ndarray:
 
 
 def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood density matrices for a (B, K) stack of count rows.
+    """Maximum-likelihood density matrices, unchecked, for a (B, K) stack of count rows.
 
     Row b holds the counts n_k of the K settings with projector kets
     ``kets``.  rho = T^dag T / Tr(T^dag T) with T lower triangular and a real
@@ -323,9 +324,11 @@ def _newton(kets: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
         hess = (2 * (w @ a_flat).reshape(-1, 16, 16)
                 + 4 * (at * (n / q ** 2)[:, :, None]).swapaxes(1, 2) @ at)
         factored = _has_factor(hess)
-        step = np.empty_like(grad)
-        step[factored] = -np.linalg.solve(hess[factored], grad[factored, :, None])[:, :, 0]
-        if not factored.all():
+        if factored.all():
+            step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        else:
+            step = np.empty_like(grad)
+            step[factored] = -np.linalg.solve(hess[factored], grad[factored, :, None])[:, :, 0]
             lam, vec = np.linalg.eigh(hess[~factored])
             # |eigenvalues|, floored where a rank-deficient T leaves flat directions
             lam = np.abs(lam)
@@ -361,7 +364,7 @@ def _newton(kets: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
     rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
     rhos = (rhos + np.swapaxes(rhos.conj(), 1, 2)) / 2
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    return assert_density_matrix(rhos, dim=4)
+    return rhos
 
 
 def mle_reconstruct(records) -> np.ndarray:
@@ -369,10 +372,11 @@ def mle_reconstruct(records) -> np.ndarray:
 
     The predicted mean for record k is s * <proj_k| rho |proj_k> with a free
     overall rate s, and rho = T^dag T / Tr(T^dag T) stays physical; see
-    ``_mle_stack`` for the solver.
+    ``_mle_stack`` for the solver.  The estimate is checked here, as one 4x4
+    matrix that ``assert_density_matrix`` remembers for the metrics that follow.
     """
     kets, counts = _arrays(records)
-    return _mle_stack(kets, counts[None])[0]
+    return assert_density_matrix(_mle_stack(kets, counts[None])[0])
 
 
 def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWithError:
@@ -388,10 +392,10 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     and ``chsh_max`` take stacks, and a function of one matrix is wrapped by
     its caller.  A second call with the same records, ``n_samples`` and
     ``seed`` (another metric, say) reuses that stack.
-    ``n_samples`` is an integer from 2 (InvalidState otherwise) to
+    ``n_samples`` is an integer, not a bool, from 2 (InvalidState otherwise) to
     ``MAX_MC_SAMPLES`` (OutOfRange above it, before any draw).
     """
-    if not isinstance(n_samples, numbers.Integral):
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
         raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
@@ -423,7 +427,7 @@ def _resampled_mle(kets_bytes: bytes, observed_bytes: bytes, n_samples: int,
     observed = np.frombuffer(observed_bytes, dtype=float)
     resampled = np.array([np.random.default_rng([seed, i]).poisson(observed)
                           for i in range(n_samples)], dtype=float)
-    rhos = _mle_stack(kets, resampled)
+    rhos = assert_density_matrix(_mle_stack(kets, resampled))
     rhos.flags.writeable = False
     return rhos
 

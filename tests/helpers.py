@@ -123,3 +123,44 @@ def jsonschema_config_message(cfg, command):
         unknown = sorted(set(error.instance) - set(error.schema.get("properties", {})))
         return f"unknown key(s) {unknown} in {where}"
     return f"{where}: {error.validator} {json.dumps(error.validator_value)}"
+
+
+# The metric formulas before they were rewritten with fewer numpy calls: nine
+# broadcast matmuls and a trace for T, np.clip for the eigenvalue floor, and
+# numpy scalars for one matrix.  The rewrite must give the same bytes.
+
+def _sqrt_psd_reference(rho):
+    w, v = np.linalg.eigh(rho)
+    w, v = w[..., ::-1], v[..., ::-1]
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return (v * root[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def pauli_correlations_reference(rho):
+    from qfcsim.states import SX, SY, SZ
+
+    pairs = np.array([[np.kron(si, sj) for sj in (SX, SY, SZ)] for si in (SX, SY, SZ)])
+    return np.trace(rho[..., None, None, :, :] @ pairs, axis1=-2, axis2=-1).real
+
+
+def chsh_max_reference(rho):
+    t = pauli_correlations_reference(rho)
+    m = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    return 2.0 * np.sqrt(np.maximum(m[..., -1] + m[..., -2], 0.0))
+
+
+def concurrence_reference(rho):
+    from qfcsim.states import SY
+
+    sqrt_rho = _sqrt_psd_reference(rho)
+    lam = np.linalg.svd(sqrt_rho @ np.kron(SY, SY) @ sqrt_rho.swapaxes(-1, -2),
+                        compute_uv=False)
+    return np.minimum(np.maximum(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0), 1.0)
+
+
+def fidelity_reference(rho, sigma):
+    sqrt_rho = _sqrt_psd_reference(rho)
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    root = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    return float(min(max(root ** 2, 0.0), 1.0))

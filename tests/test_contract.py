@@ -285,6 +285,9 @@ ESCAPES = {
     "werner_state-bool": (lambda: werner_state(True), OutOfRange),
     "ChannelSpec-kt-bool": (lambda: ChannelSpec(a=DRIVE, kt=True), OutOfRange),
     "GridSpec-points-bool": (lambda: GridSpec(True, 80.0).axis(1560.0), OutOfRange),
+    # a bool passes isinstance(x, int): True was a count of 1 and failed n_samples by value
+    "CountRecord-counts-bool": (lambda: CountRecord(projector_set(16)[0], True), InvalidState),
+    "monte_carlo_metric-n_samples-bool": (lambda: _metric_with_samples(True), InvalidState),
 }
 
 
@@ -299,8 +302,20 @@ def test_malformed_argument_raises_one_line_qfc_error(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in ESCAPES if n.endswith("-bool")))
 def test_bool_is_named_as_str_prints_it(name):
-    with pytest.raises(OutOfRange, match=r"got True( and 80\.0)?$"):
-        ESCAPES[name][0]()
+    call, error = ESCAPES[name]
+    with pytest.raises(error, match=r"got True( and 80\.0)?$"):
+        call()
+
+
+@pytest.mark.parametrize("value", [True, np.True_])
+@pytest.mark.parametrize("call,message", [
+    (lambda v: CountRecord(projector_set(16)[0], v), "counts must be a whole number, got True"),
+    (_metric_with_samples, "n_samples must be an integer, got True"),
+], ids=["counts", "n_samples"])
+def test_a_bool_count_or_sample_size_gets_the_numpy_bool_message(call, message, value):
+    with pytest.raises(InvalidState) as err:
+        call(value)
+    assert str(err.value) == message
 
 
 def test_seed_beyond_the_float_range_is_valid():

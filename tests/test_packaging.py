@@ -38,9 +38,19 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
 
 
-def _workflow_job(name: str) -> dict:
+def _workflow_jobs() -> dict:
     yaml = pytest.importorskip("yaml")
-    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"][name]
+    return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]
+
+
+def _workflow_job(name: str) -> dict:
+    return _workflow_jobs()[name]
+
+
+def test_every_workflow_job_has_a_time_limit():
+    # without one, a solver that stops converging holds a runner for 6 hours
+    limits = {name: job.get("timeout-minutes") for name, job in _workflow_jobs().items()}
+    assert limits == {"tests": 15, "bench-selftest": 20, "cli-reruns": 15}
 
 
 def test_tier1_workflow_runs_the_roadmap_command():

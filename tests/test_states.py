@@ -15,8 +15,9 @@ from qfcsim.states import (MAX_MEAN_PAIRS, SX, SY, SZ, _check_4x4, _sqrt_psd,
 from qfcsim.tomography import (_arrays, _pinv, _resampled_mle, mle_reconstruct, projector_set,
                                simulate_counts)
 
-from helpers import (pure_state_concurrence_from_marginal, random_density_matrix,
-                     random_pure_state, random_unitary)
+from helpers import (chsh_max_reference, concurrence_reference, fidelity_reference,
+                     pauli_correlations_reference, pure_state_concurrence_from_marginal,
+                     random_density_matrix, random_pure_state, random_unitary)
 
 RT2 = np.sqrt(2)
 
@@ -444,6 +445,43 @@ class TestRememberedChecks:
         with pytest.raises(InvalidState, match="not Hermitian"):
             assert_density_matrix(np.array([_W, _FAULTY["non-hermitian"]]), dim=4)
 
+    def test_an_mle_estimate_is_checked_once(self, monkeypatch):
+        # mle_reconstruct checks its estimate; the metrics that follow look it up
+        import qfcsim.states as states_mod
+
+        rho = werner_state(0.9)
+        records = simulate_counts(rho, projector_set(36), 1e4, seed=5)
+        _check_4x4.cache_clear()
+        checked, check = [], states_mod._check
+        monkeypatch.setattr(states_mod, "_check",
+                            lambda m: checked.append(m.tobytes()) or check(m))
+        rho_mle = mle_reconstruct(records)
+        assert checked.count(rho_mle.tobytes()) == 1
+        concurrence(rho_mle)
+        chsh_max(rho_mle)
+        fidelity(rho_mle, rho)
+        assert checked.count(rho_mle.tobytes()) == 1
+
+    def test_an_exact_theta_point_takes_five_decompositions(self, monkeypatch):
+        # with rho0 remembered, as in a sweep: the drive's 2x2 svd, the output's
+        # check, _sqrt_psd's eigh, concurrence's 4x4 svd and chsh_max's 3x3 eigvalsh
+        rho0 = werner_state(0.9)
+        _check_4x4.cache_clear()
+        assert_density_matrix(rho0, dim=4)
+        calls = []
+        for name in ("svd", "eigh", "eigvalsh"):
+            def spy(m, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(m)))
+                return _real(m, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        spec = ChannelSpec(a=drive_from_theta(np.deg2rad(22.5)), kt=1e-6)
+        rho, _ = one_sided_apply(rho0, spec)
+        concurrence(rho)
+        chsh_max(rho)
+        choi_concurrence_closed(spec)
+        assert sorted(calls) == sorted([("svd", (2, 2)), ("eigvalsh", (4, 4)), ("eigh", (4, 4)),
+                                        ("svd", (4, 4)), ("eigvalsh", (3, 3))])
+
 
 def _non_hermitian(rho):
     rho[0, 1] += 1e-3
@@ -547,6 +585,47 @@ class TestStackedKernels:
         with pytest.raises(type(alone.value)) as err:
             kernel(stack)
         assert str(err.value) == str(alone.value)
+
+
+def _bytes(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _named_states() -> list:
+    """I/4, the Bell states, |00> and Werner states, whose zero correlations
+    carry signed zeros."""
+    ket00 = np.eye(4, dtype=complex)[0]
+    return ([np.eye(4, dtype=complex) / 4]
+            + [bell_state(label) for label in ("phi+", "phi-", "psi+", "psi-")]
+            + [np.outer(ket00, ket00)] + [werner_state(p) for p in (-1 / 3, 0.0, 0.9, 1.0)])
+
+
+class TestMetricsKeepTheirBytes:
+    """The metrics give the bytes of the formulas they replaced (helpers.*_reference)."""
+
+    @pytest.mark.parametrize("family", ["named", "mixed", "pure"])
+    def test_one_matrix_at_a_time(self, family):
+        rng = np.random.default_rng(29)
+        states = {"named": _named_states,
+                  "mixed": lambda: [random_density_matrix(rng, 4) for _ in range(1000)],
+                  "pure": lambda: [random_pure_state(rng, 4) for _ in range(1000)]}[family]()
+        for rho, sigma in zip(states, states[-1:] + states[:-1]):
+            assert _bytes(pauli_correlations(rho)) == _bytes(pauli_correlations_reference(rho))
+            assert _bytes(chsh_max(rho)) == _bytes(chsh_max_reference(rho))
+            assert _bytes(concurrence(rho)) == _bytes(concurrence_reference(rho))
+            assert _bytes(fidelity(rho, sigma)) == _bytes(fidelity_reference(rho, sigma))
+
+    def test_a_resample_stack_alone_and_matrix_by_matrix(self):
+        stack = _resample_stack(36, 29)
+        for kernel, reference in ((pauli_correlations, pauli_correlations_reference),
+                                  (chsh_max, chsh_max_reference),
+                                  (concurrence, concurrence_reference)):
+            assert _bytes(kernel(stack)) == _bytes(reference(stack))
+            for rho in stack:
+                assert _bytes(kernel(rho)) == _bytes(reference(rho))
+        truth = werner_state(0.9)
+        for rho in stack:
+            assert _bytes(fidelity(rho, truth)) == _bytes(fidelity_reference(rho, truth))
 
 
 from qfcsim.errors import InvalidSeed, QfcError
