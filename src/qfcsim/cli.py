@@ -178,8 +178,8 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     thetas = _angle_grid(cfg["theta_deg"], "theta_deg")
     rho0 = _state_from_config(cfg["input_state"])
     kt = float(cfg["kt"])
-    mode = cfg["mode"]
-    if mode == "sampled":
+    sampled = "mean_pairs" in cfg  # the schema then asks for a seed
+    if sampled:
         mean_pairs = float(cfg["mean_pairs"])
         settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
     c_in = states_mod.concurrence(rho0)
@@ -188,7 +188,7 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
         spec = channel_mod.ChannelSpec(a=drive_mod.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
         rho_out, _ = channel_mod.one_sided_apply(rho0, spec)
         bound = channel_mod.choi_concurrence_closed(spec) * c_in
-        if mode == "sampled":
+        if sampled:
             records = tomo_mod.simulate_counts(rho_out, settings, mean_pairs,
                                                seed=[int(cfg["seed"]), i])
             rho_out = tomo_mod.mle_reconstruct(records)
@@ -199,7 +199,7 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     results = {
         "n_points": len(rows),
         "kt": kt,
-        "mode": mode,
+        "mode": "sampled" if sampled else "exact",
         "max_concurrence": max(r[1] for r in rows),
         "max_chsh": max(r[2] for r in rows),
     }
@@ -288,19 +288,16 @@ def _cmd_tomo(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
-    mode = cfg["mode"]
-    if mode == "sampled":
-        sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg),
-                                    mean_pairs=float(cfg["mean_pairs"]), seed=int(cfg["seed"]))
-        rows = [(deg, row[1], row[2]) for deg, row in zip(phis_deg, sweep)]
-    else:
-        sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg))
-        rows = [(deg, row[1], "") for deg, row in zip(phis_deg, sweep)]
+    sampled = "mean_pairs" in cfg  # the schema then asks for a seed
+    sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg),
+                                mean_pairs=float(cfg["mean_pairs"]) if sampled else None,
+                                seed=int(cfg["seed"]) if sampled else None)
+    rows = [(deg, row[1], row[2] if sampled else "") for deg, row in zip(phis_deg, sweep)]
     csv_name = _write_csv(out_dir, "bell_sweep.csv", ["phi_deg", "B", "B_std_if_sampled"], rows)
     b_values = [r[1] for r in rows]
     i_max = int(np.argmax(b_values))
     results = {
-        "mode": mode,
+        "mode": "sampled" if sampled else "exact",
         "max_B": b_values[i_max],
         "argmax_phi_deg": float(rows[i_max][0]),
         "horodecki_max": states_mod.chsh_max(rho),
@@ -360,7 +357,10 @@ def main(argv=None) -> int:
     args = _build_parser(configs).parse_args(argv)
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or a path through one
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         cfg, sha, declared = vars(args), None, {}
         if args.command in configs:
             # --seed reaches the configs whose schema has the key

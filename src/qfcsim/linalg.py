@@ -38,7 +38,8 @@ def _describe(x) -> str:
 def _real_array(x, what: str) -> np.ndarray:
     """``x`` as a float array of finite entries; OutOfRange otherwise, naming
     ``what`` and either the rejected argument or its first NaN or +-inf entry.
-    None, str, bytes and complex numbers are rejected as arguments and as entries."""
+    None, str, bytes and complex numbers are rejected as arguments and as entries;
+    bools, integers and other real numbers are read as floats."""
     try:
         raw = np.asarray(x)
         # float() would read None as NaN and a str or bytes as the number it

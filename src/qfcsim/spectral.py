@@ -262,7 +262,14 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
                 grid: GridSpec = GridSpec()) -> JSAGrid:
     """Joint spectral amplitude with per-photon Gaussian bandpass filters,
-    on a grid centered on the degenerate wavelength 2 lambda_pump."""
+    on a grid centered on the degenerate wavelength 2 lambda_pump.
+
+    The amplitude is real float64, since every factor is real; the Schmidt
+    and temporal-mode functions take it, or a complex one such as
+    ``jsa_from_binary`` reads, alike.  On the uniform grid w_s + w_i takes
+    only 2n - 1 values, so the pump factors are evaluated once on that axis
+    and read as Hankel views, and the n x n arrays are built in place.
+    """
     if grid.points < 64:
         raise GridTooCoarse(f"need at least 64 points per axis, got {grid.points}")
     if not _positive(filter_fwhm_nm):
@@ -369,7 +376,8 @@ def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
     are 0. When that share exceeds ``_SKETCH_MISSED_MASS``, all min(ns, ni)
     weights come from one Hermitian eigenvalue pass on the reduced density
     of the JSA's smaller side instead. Either way, weights below ~1e-13
-    carry an absolute error of ~1e-16 and lose relative accuracy.
+    carry an absolute error of ~1e-16 and lose relative accuracy. The sketch
+    runs no SVD and forms no n x n array.
     """
     ns, ni = grid.amp.shape
     w, missed = _sketched_weights(grid.amp)
@@ -384,7 +392,9 @@ def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
 
 
 def heralded_purity(decomp: SchmidtDecomposition) -> float:
-    """Spectral purity of either heralded photon: sum of squared Schmidt weights."""
+    """Spectral purity of either heralded photon: sum of squared Schmidt
+    weights, which equals Tr rho^2 of either reduced density (Law, Walmsley &
+    Eberly, PRL 84, 5304, 2000)."""
     return float(np.sum(decomp.probabilities ** 2))
 
 
@@ -467,7 +477,10 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
     Modes are centered on the photon's mean frequency; mode n has the
     spectral amplitude H_n(tau dw) exp(-tau^2 dw^2 / 2) with
     tau = duration / sqrt(2), matching the envelope convention above.
-    Raises OutOfRange for fewer than two or non-uniform frequencies.
+    Raises OutOfRange for fewer than two or non-uniform frequencies, and
+    GridTooCoarse unless the highest mode is Nyquist-sampled,
+    sqrt(2 n_modes - 1) tau dw <= pi: past that the sampled modes are not
+    orthonormal and their populations can sum past 1.
     """
     if not (_positive(mode_duration_fs) and _integer(n_modes, 1)):
         raise OutOfRange(f"mode duration must be positive and finite and n_modes an integer >= 1, "
@@ -519,7 +532,8 @@ def _uniform_step(x: np.ndarray, what: str) -> float:
 
 def _chirp_z(x: np.ndarray, theta: float, m: int) -> np.ndarray:
     """sum_k x[k] exp(-i theta k j) for j = 0..m-1: the chirp-z transform on
-    the unit circle, as one FFT convolution (Bluestein's algorithm, with
+    the unit circle (Rabiner, Schafer & Rader, Bell Syst. Tech. J. 48, 1249,
+    1969), as one FFT convolution (Bluestein's algorithm, with
     kj = (k^2 + j^2 - (j - k)^2) / 2)."""
     n = len(x)
     size = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no wrap-around

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, NotNormalized,
-                     OutOfRange, ShapeMismatch, UnknownLabel)
-from .linalg import _describe, unit_norm
+from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, OutOfRange,
+                     QfcError, ShapeMismatch, UnknownLabel)
+from .linalg import _describe, dagger, unit_norm
 from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
                      check_seed)
 
@@ -56,20 +56,29 @@ class MeasurementSetting:
         return cls(STATE_VECTORS[name_a], STATE_VECTORS[name_b])
 
 
+# Largest count of one record: float64 holds every integer up to 2**53, and
+# numpy's Poisson sampler, which the Monte-Carlo resamples call with the
+# counts as rates, stops near 9.2e18.  simulate_counts at the MAX_MEAN_PAIRS
+# cap of 1e15 draws at most ~4.8e14 per setting.
+MAX_COUNTS = 2 ** 53
+
+
 @dataclass(frozen=True)
 class CountRecord:
     setting: MeasurementSetting
     counts: int
 
     def __post_init__(self):
-        if isinstance(self.counts, bool) or not (  # a bool is an int to isinstance
-                isinstance(self.counts, (int, np.integer))
-                or isinstance(self.counts, (float, np.floating))
-                and float(self.counts).is_integer()):
-            raise InvalidState(f"counts must be a whole number, got {_describe(self.counts)}")
-        object.__setattr__(self, "counts", int(self.counts))  # so that a CSV writes "5", not "5.0"
+        value = self.counts
+        if isinstance(value, bool) or not (  # a bool is an int to isinstance
+                isinstance(value, (int, np.integer))
+                or isinstance(value, (float, np.floating)) and float(value).is_integer()):
+            raise InvalidState(f"counts must be a whole number, got {_describe(value)}")
+        object.__setattr__(self, "counts", int(value))  # so that a CSV writes "5", not "5.0"
         if self.counts < 0:
-            raise InvalidState(f"counts must be >= 0, got {self.counts}")
+            raise InvalidState(f"counts must be >= 0, got {_describe(self.counts)}")
+        if self.counts > MAX_COUNTS:
+            raise OutOfRange(f"counts must be at most 2**53, got {_describe(value)}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ for _i, (_r, _c) in enumerate(_LOWER):
     _BASIS[4 + 2 * _i, _r, _c] = 1.0
     _BASIS[5 + 2 * _i, _r, _c] = 1.0j
 # Hermitian basis B_j = E_j + E_j^dag over the same 16 parameters
-_HERM = _BASIS + np.swapaxes(_BASIS.conj(), 1, 2)
+_HERM = _BASIS + dagger(_BASIS)
 _ROWS, _COLS = zip(*_LOWER)
 
 # Newton steps allowed and squared Newton decrement per count at which a fit
@@ -195,7 +204,9 @@ def _start(kets: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
     sum_k q_k = N, as at the optimum; the clipped estimate is the physical
     projection of Smolin, Gambetta & Smith (PRL 108, 070502, 2012).
     T = (J chol(J M J) J)^dag is lower triangular with a positive real
-    diagonal, and T^dag T = M.
+    diagonal, and T^dag T = M.  From this start, over seeds 0-29 of the
+    ``TestOptimality`` cases, a fit takes a median 3 to 6 Newton steps
+    (at most 12), and at most 14 for psi+-, |HH> and |HD> at 2e6 pairs.
 
     Raises NoConvergence for a row without counts.
     """
@@ -211,12 +222,12 @@ def _start(kets: np.ndarray, counts: np.ndarray, x: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(x)
     lam = np.maximum(lam, 0.0)
     lam = (1 - _START_MIX) * lam / lam.sum(axis=1, keepdims=True) + _START_MIX / 4
-    m = (vec * lam[:, None, :]) @ np.swapaxes(vec.conj(), 1, 2)
+    m = (vec * lam[:, None, :]) @ dagger(vec)
     rate = np.einsum("ki,bij,kj->b", kets.conj(), m, kets).real
     m *= (n_tot / rate)[:, None, None]
     # J A J reverses the rows and columns of A, and J L^dag J = (J L J)^dag
     chol = np.linalg.cholesky(m[:, ::-1, ::-1])
-    tri = np.swapaxes(chol.conj(), 1, 2)[:, ::-1, ::-1]
+    tri = dagger(chol)[:, ::-1, ::-1]
     off = tri[:, _ROWS, _COLS]
     t = np.empty((len(counts), 16))
     t[:, :4] = np.diagonal(tri, axis1=1, axis2=2).real
@@ -265,7 +276,9 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     is solved in the order in which the diagonal of its rows' mean
     linear-inversion estimate ascends (``_basis_order``), which puts the
     largest population last, and each rho is permuted back.  The stack
-    shares that one order; a one-row stack gets its own.
+    shares that one order; a one-row stack gets its own.  The estimates are
+    taken in the kets' own order and permuted, so an order needs no
+    pseudo-inverse of its own.
 
     Each row takes saddle-free Newton steps, -|H|^-1 g with |H| the Hessian
     with its eigenvalues replaced by their absolute values, so that steps
@@ -284,6 +297,8 @@ def _mle_stack(kets: np.ndarray, counts: np.ndarray) -> np.ndarray:
     others iterating.  A row still running after ``_MAX_ITER`` steps, or
     one whose line search finds no decrease, raises NoConvergence.  Each
     row starts from its projected linear-inversion estimate (``_start``).
+    The results satisfy the optimality (KKT) conditions of the likelihood
+    within 1e-5 per count (``TestOptimality``).
     """
     counts = np.asarray(counts, dtype=float)
     x = _linear_inversion(kets, counts)
@@ -361,8 +376,8 @@ def _newton(kets: np.ndarray, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
         ta, f, at, q = t_try, f_try, at_try, q_try
     t[active] = ta
     mats = np.einsum("bj,jrc->brc", t, _BASIS)
-    rhos = np.swapaxes(mats.conj(), 1, 2) @ mats
-    rhos = (rhos + np.swapaxes(rhos.conj(), 1, 2)) / 2
+    rhos = dagger(mats) @ mats
+    rhos = (rhos + dagger(rhos)) / 2
     rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
     return rhos
 
@@ -443,13 +458,20 @@ def _vector_spec(v: np.ndarray) -> str:
     return ";".join(f"{float(x.real):.17g}{float(x.imag):+.17g}j" for x in v)
 
 
-def _parse_vector_spec(spec: str, line: int) -> np.ndarray:
+def _parse_vector_spec(spec: str) -> np.ndarray:
     if spec in STATE_VECTORS:
         return STATE_VECTORS[spec]
     try:
         return np.array([complex(part) for part in spec.split(";")], dtype=complex)
     except ValueError:
-        raise InvalidState(f"line {line}: malformed vector spec {spec!r}") from None
+        raise InvalidState(f"malformed vector spec {spec!r}") from None
+
+
+def _parse_counts(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidState(f"counts must be an integer, got {text!r}") from None
 
 
 _CSV_COLUMNS = ("proj_a_spec", "proj_b_spec", "counts", "integration_time_s")
@@ -468,7 +490,9 @@ def records_to_csv(records, path) -> None:
 def records_from_csv(path) -> list:
     """Records of a ``records_to_csv`` file; InvalidState for a missing column or a
     malformed row, and for a count time other than 1.0: the likelihood needs equal times.
-    A projector that is not a unit 2-vector raises NotNormalized; each starts "line N:"."""
+    A row that ``MeasurementSetting`` or ``CountRecord`` rejects raises their error, such
+    as NotNormalized for a projector that is not a unit 2-vector and OutOfRange for a
+    count above MAX_COUNTS; each row error starts "line N:"."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells
@@ -480,14 +504,9 @@ def records_from_csv(path) -> list:
                 raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
                                    f"got {row['integration_time_s']!r}")
             try:
-                setting = MeasurementSetting(*(_parse_vector_spec(row[column], reader.line_num)
+                setting = MeasurementSetting(*(_parse_vector_spec(row[column])
                                                for column in _CSV_COLUMNS[:2]))
-            except NotNormalized as exc:
-                raise NotNormalized(f"line {reader.line_num}: {exc}") from None
-            try:
-                counts = int(row["counts"])
-            except ValueError:
-                raise InvalidState(f"line {reader.line_num}: counts must be an integer, "
-                                   f"got {row['counts']!r}") from None
-            records.append(CountRecord(setting=setting, counts=counts))
+                records.append(CountRecord(setting=setting, counts=_parse_counts(row["counts"])))
+            except QfcError as exc:  # keeps the error type
+                raise type(exc)(f"line {reader.line_num}: {exc}") from None
     return records

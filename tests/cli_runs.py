@@ -20,7 +20,7 @@ WERNER = {"kind": "werner", "concurrence": 0.919}
 PUMP = {"center_wavelength_nm": 780.0, "duration_fs": 220.0}
 PHI_SAMPLED = {"state": {"kind": "bell", "label": "phi+"},
                "phi_deg": {"start": 0.0, "stop": 180.0, "step": 1.5},
-               "mode": "sampled", "mean_pairs": 10000.0, "seed": 5}
+               "mean_pairs": 10000.0, "seed": 5}
 
 # output directory -> arguments after --out; a dict stands for a config file
 # that holds it as one line of JSON
@@ -45,13 +45,18 @@ RUNS = {
     # the sampled sweeps and a JSA dumped as CSV, which no bundled config runs
     "theta_sampled": ["sweep-theta", "--config", {
         "theta_deg": {"start": 0.0, "stop": 90.0, "step": 1.0}, "input_state": WERNER,
-        "kt": 1e-06, "mode": "sampled", "mean_pairs": 10000.0, "seed": 11}],
+        "kt": 1e-06, "mean_pairs": 10000.0, "seed": 11}],
     # the exact sweep at the benchmark's 0.1 degree steps: 901 closed-form drives
     "theta_fine": ["sweep-theta", "--config", {
         "theta_deg": {"start": 0.0, "stop": 90.0, "step": 0.1}, "input_state": WERNER,
-        "kt": 1e-06, "mode": "exact"}],
+        "kt": 1e-06}],
     "phi_sampled": ["bell", "--config", PHI_SAMPLED],
     "phi_sampled_seed": ["--seed", "13", "bell", "--config", PHI_SAMPLED],
+    # a sampled sweep whose config names no seed, on the 16-setting set: the seed
+    # comes from --seed alone
+    "theta_seed_flag": ["--seed", "17", "sweep-theta", "--config", {
+        "theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0}, "input_state": WERNER,
+        "kt": 1e-06, "mean_pairs": 10000.0, "settings": 16}],
     "tomo_seed": ["--seed", "9", "tomo", "--config", BUNDLED / "tomo_rho0.json"],
     # tomo_rho0.json at the schema's largest Monte-Carlo stack, on the 16-setting set
     "tomo_cap": ["tomo", "--config", {"state": WERNER, "settings": 16, "mean_pairs": 156000.0,

@@ -13,11 +13,6 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (z + z.conj().T) / 2
-
-
 def random_density_matrix(rng, dim, rank=None):
     rank = rank or dim
     z = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))

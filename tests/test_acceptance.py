@@ -55,7 +55,6 @@ def test_criterion_1_fig4_curve(tmp_path):
         "theta_deg": {"start": 0.0, "stop": 90.0, "step": 1.0},
         "input_state": {"kind": "werner", "concurrence": 0.919},
         "kt": 1e-06,
-        "mode": "exact",
     }))
     assert main(["--out", str(tmp_path), "sweep-theta", "--config", str(cfg)]) == 0
     rows = (tmp_path / "sweep_theta.csv").read_text().splitlines()[1:]

@@ -93,7 +93,6 @@ class TestSweepTheta:
             "theta_deg": {"start": 0.0, "stop": 45.0, "step": 22.5},
             "input_state": {"kind": "bell", "label": "phi+"},
             "kt": 0.5,
-            "mode": "sampled",
             "mean_pairs": 5e4,
             "seed": 3,
             "settings": 36,
@@ -120,7 +119,6 @@ class TestSweepTheta:
             "theta_deg": {"start": 0.0, "stop": 20.0, "step": 5.0},
             "input_state": {"kind": "bell", "label": "phi+"},
             "kt": 0.5,
-            "mode": "sampled",
             "mean_pairs": 1e3,
             "settings": 16,
         }))
@@ -322,13 +320,13 @@ def _small_configs() -> dict:
     bell_state = {"kind": "bell", "label": "phi+"}
     return {
         "sweep-theta": {"theta_deg": {"start": 0.0, "stop": 10.0, "step": 10.0},
-                        "input_state": bell_state, "kt": 0.5, "mode": "sampled",
-                        "mean_pairs": 1e3, "seed": 3, "settings": 16},
+                        "input_state": bell_state, "kt": 0.5, "mean_pairs": 1e3, "seed": 3,
+                        "settings": 16},
         "choi": CHOI,
         "jsa": jsa,
         "tomo": {"state": bell_state, "settings": 16, "mean_pairs": 1e3, "seed": 3},
         "bell": {"state": bell_state, "phi_deg": {"start": 0.0, "stop": 45.0, "step": 22.5},
-                 "mode": "sampled", "mean_pairs": 100.0, "seed": 3},
+                 "mean_pairs": 100.0, "seed": 3},
     }
 
 
@@ -352,6 +350,24 @@ class TestSchemaDerivedFlags:
         assert main(["--out", str(out), "--seed", "5", command, "--config", str(cfg)]) == 0
         expected = 5 if "seed" in SCHEMA_PROPERTIES[command] else None
         assert read_summary(out, command)["seed"] == expected
+
+    @pytest.mark.parametrize("command", ["bell", "sweep-theta"])
+    def test_mean_pairs_alone_asks_for_sampling(self, tmp_path, command):
+        # without mean_pairs, a seed and the settings are accepted and unused
+        sampled = SMALL_CONFIGS[command]
+        configs = [sampled, {k: v for k, v in sampled.items() if k != "mean_pairs"},
+                   {k: v for k, v in sampled.items() if k not in ("mean_pairs", "seed",
+                                                                  "settings")}]
+        modes, sweeps = [], []
+        for i, cfg in enumerate(configs):
+            path, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}"
+            path.write_text(json.dumps(cfg))
+            assert main(["--out", str(out), command, "--config", str(path)]) == 0
+            summary = read_summary(out, command)
+            modes.append(summary["results"]["mode"])
+            sweeps.append((out / summary["outputs"]["sweep_csv"]).read_bytes())
+        assert modes == ["sampled", "exact", "exact"]
+        assert sweeps[0] != sweeps[1] == sweeps[2]
 
     @pytest.mark.parametrize("argv", [["drive", "--theta", "10"],
                                       ["efficiency", "100", "60000", "0.8", "0.6"]])
@@ -410,7 +426,6 @@ class TestConfigValidation:
             "theta_deg": {"start": 0.0, "stop": 5.0, "step": 5.0},
             "input_state": {"kind": "bell", "label": "phi+"},
             "kt": 0.0,
-            "mode": "exact",
         }))
         assert main(["--out", str(tmp_path), "sweep-theta", "--config", str(cfg)]) == 1
 
@@ -426,7 +441,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("mean_pairs", [1e30, float("nan")])
     @pytest.mark.parametrize("command,cfg", [
         ("tomo", {"state": {"kind": "bell", "label": "phi+"}, "settings": 16, "seed": 1}),
-        ("bell", {"state": {"kind": "bell", "label": "phi+"}, "mode": "sampled", "seed": 1,
+        ("bell", {"state": {"kind": "bell", "label": "phi+"}, "seed": 1,
                   "phi_deg": {"start": 0.0, "stop": 45.0, "step": 22.5}}),
     ])
     def test_bad_mean_pairs_is_a_one_line_error(self, tmp_path, capsys, command, cfg,
@@ -489,19 +504,37 @@ class TestConfigValidation:
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["bell", "sweep-theta"])
+    def test_mean_pairs_without_seed_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = {k: v for k, v in SMALL_CONFIGS[command].items() if k != "seed"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--out", str(tmp_path), command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: missing key(s) ['seed'] in config\n"
+        assert not list(tmp_path.glob("*_summary.json"))
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize("command,config", [
         ("bell", "fig_s5_phi_sweep.json"),
         ("sweep-theta", "fig_4_theta_sweep.json"),
     ])
-    def test_sampled_without_mean_pairs_is_a_config_error(self, tmp_path, capsys,
-                                                          command, config):
+    def test_mode_key_is_rejected(self, tmp_path, capsys, command, config, mode):
+        # sampling is asked for by mean_pairs alone
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**json.loads((CONFIGS / config).read_text()),
-                                    "mode": "sampled"}))
-        assert main(["--out", str(tmp_path), "--seed", "1", command,
-                     "--config", str(path)]) == 2
+        path.write_text(json.dumps({**json.loads((CONFIGS / config).read_text()), "mode": mode}))
+        assert main(["--out", str(tmp_path), command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: unknown key(s) ['mode'] in config\n"
+
+    @pytest.mark.parametrize("parts", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(self, tmp_path, capsys, parts):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker.joinpath(*parts)
+        assert main(["--out", str(out), "drive", "--theta", "1"]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: missing key(s) ['mean_pairs'] in config\n"
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("state,message", [
         ({"kind": "werner", "p": 0.9}, "unknown key(s) ['p'] in state"),
@@ -607,8 +640,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command,cfg,key,values,flags", [
         ("sweep-theta", {"theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0},
-                         "input_state": {"kind": "werner", "concurrence": 0.85},
-                         "mode": "exact"},
+                         "input_state": {"kind": "werner", "concurrence": 0.85}},
          "kt", [1, 1.0], []),
         ("tomo", {"state": {"kind": "werner", "concurrence": 0.85}, "settings": 16,
                   "mean_pairs": 1e3, "mc_samples": 4},
@@ -766,7 +798,7 @@ def _property_names(node):
 CONFIG_KEYS = st.sampled_from(sorted(set(_property_names(_schema("config.schema.json")))))
 CONFIG_LIKE = st.recursive(
     st.none() | st.booleans() | NUMBERS | st.text(max_size=4)
-    | st.sampled_from(["bell", "werner", "exact", "sampled", "phi+"]),
+    | st.sampled_from(["bell", "werner", "phi+"]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(CONFIG_KEYS | st.text(max_size=4), inner, max_size=5)),
     max_leaves=12)

@@ -288,6 +288,19 @@ ESCAPES = {
     # a bool passes isinstance(x, int): True was a count of 1 and failed n_samples by value
     "CountRecord-counts-bool": (lambda: CountRecord(projector_set(16)[0], True), InvalidState),
     "monte_carlo_metric-n_samples-bool": (lambda: _metric_with_samples(True), InvalidState),
+    # counts past 2**53 made monte_carlo_metric raise numpy's "lam value too
+    # large" and mle_reconstruct an OverflowError
+    "CountRecord-above-2**53": (lambda: CountRecord(projector_set(16)[0], 2 ** 53 + 1),
+                                OutOfRange),
+    "CountRecord-float-1e23": (lambda: CountRecord(projector_set(16)[0], 1e23), OutOfRange),
+    "CountRecord-huge": (lambda: CountRecord(projector_set(16)[0], HUGE), OutOfRange),
+    "CountRecord-long": (lambda: CountRecord(projector_set(16)[0], LONG), OutOfRange),
+    "CountRecord-negative-long": (lambda: CountRecord(projector_set(16)[0], -LONG),
+                                  InvalidState),
+    "records_from_csv-negative-counts": (lambda: _records_from_line("H,V,-5,1.0"),
+                                         InvalidState),
+    "records_from_csv-huge-counts": (lambda: _records_from_line(f"H,V,{HUGE},1.0"),
+                                     OutOfRange),
 }
 
 

@@ -100,6 +100,19 @@ class TestCountRecord:
         stored = CountRecord(setting=projector_set(16)[0], counts=counts).counts
         assert stored == 3 and type(stored) is int
 
+    def test_cap_is_the_largest_integer_float64_holds(self):
+        setting = projector_set(16)[0]
+        assert CountRecord(setting, tomo_mod.MAX_COUNTS).counts == 2 ** 53
+        with pytest.raises(OutOfRange, match=r"^counts must be at most 2\*\*53, got 1e\+23$"):
+            CountRecord(setting, 1e23)
+
+    def test_counts_at_the_mean_pairs_cap_stay_below_it_and_resample(self):
+        records = simulate_counts(werner_state(0.9), projector_set(16),
+                                  qfcsim.states.MAX_MEAN_PAIRS, seed=1)
+        assert max(rec.counts for rec in records) < tomo_mod.MAX_COUNTS / 10
+        est = monte_carlo_metric(records, purity, n_samples=2, seed=2)
+        assert abs(est.value - purity(werner_state(0.9))) < 1e-6
+
 
 class TestSimulateCounts:
     def test_orthogonal_projector_gives_zero(self):
@@ -756,6 +769,19 @@ class TestSerialization:
         with pytest.raises(InvalidState, match="^line 3: integration_time_s") as err:
             records_from_csv(path)
         assert len(str(err.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("counts,error,message", [
+        ("abc", InvalidState, "counts must be an integer, got 'abc'"),
+        ("-5", InvalidState, "counts must be >= 0, got -5"),
+        (str(2 ** 53 + 1), OutOfRange, "counts must be at most 2**53, got 9007199254740993"),
+    ], ids=["text", "negative", "above-cap"])
+    def test_rejected_count_names_its_line(self, tmp_path, counts, error, message):
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
+                        f"H,H,5,1.0\nH,V,{counts},1.0\n")
+        with pytest.raises(error) as err:
+            records_from_csv(path)
+        assert str(err.value) == f"line 3: {message}"
 
     def test_nan_component_raises(self, tmp_path):
         path = tmp_path / "counts.csv"
