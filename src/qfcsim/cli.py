@@ -5,10 +5,13 @@ Config-driven commands are the entries of qfcsim/data/config.schema.json;
 each takes a strict JSON config validated once against its entry, and
 --seed reaches those whose entry declares a seed.  Every run writes a JSON
 summary validated against the schema shipped in
-qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts.  Both
-checks use qfcsim.schema, the in-repo validator for the draft-07 subset
-these schemas use, so that a command does not pay for importing
-jsonschema.  Angles are accepted in degrees and converted internally.
+qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts; its seed
+is null unless the run drew counts.  Both checks use qfcsim.schema, the
+in-repo validator for the draft-07 subset these schemas use, so that a
+command does not pay for importing jsonschema.  For the same reason each
+command imports the physics modules it runs inside its own function: a
+process imports only what its one command needs.  Angles are accepted in
+degrees and converted internally.
 """
 
 from __future__ import annotations
@@ -25,14 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import bell as bell_mod
-from . import channel as channel_mod
-from . import drive as drive_mod
 # named jsonschema: bench/tracing.py times summaries via cli.jsonschema.validate
 from . import schema as jsonschema
-from . import spectral as spectral_mod
-from . import states as states_mod
-from . import tomography as tomo_mod
 from .errors import ConfigError, QfcError
 
 
@@ -113,12 +110,16 @@ def _angle_grid(grid: dict, where: str) -> np.ndarray:
 
 
 def _state_from_config(cfg: dict) -> np.ndarray:
+    from . import states as states_mod
+
     if cfg["kind"] == "bell":
         return states_mod.bell_state(cfg["label"])
     return states_mod.werner_state((2 * cfg["concurrence"] + 1) / 3)
 
 
 def _drive_from_config(cfg: dict) -> np.ndarray:
+    from . import drive as drive_mod
+
     if "matrix" in cfg:
         return drive_mod.check_drive(
             np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]]))
@@ -159,6 +160,8 @@ def _write_csv(out_dir: Path, name: str, header: list, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import drive as drive_mod
+
     a = drive_mod.drive_from_theta(np.deg2rad(cfg["theta"]))
     rho_d = drive_mod.coherence_matrix(a)
     conc = drive_mod.drive_concurrence(a)
@@ -175,11 +178,17 @@ def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import channel as channel_mod
+    from . import drive as drive_mod
+    from . import states as states_mod
+
     thetas = _angle_grid(cfg["theta_deg"], "theta_deg")
     rho0 = _state_from_config(cfg["input_state"])
     kt = float(cfg["kt"])
     sampled = "mean_pairs" in cfg  # the schema then asks for a seed
     if sampled:
+        from . import tomography as tomo_mod
+
         mean_pairs = float(cfg["mean_pairs"])
         settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
     c_in = states_mod.concurrence(rho0)
@@ -207,6 +216,9 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_choi(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import channel as channel_mod
+    from . import drive as drive_mod
+
     a = _drive_from_config(cfg["drive"])
     rows = []
     for kt in cfg["kt_list"]:
@@ -223,6 +235,8 @@ def _cmd_choi(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_jsa(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import spectral as spectral_mod
+
     crystal = spectral_mod.CrystalSpec(**cfg["crystal"])
     pump = spectral_mod.PumpSpec(**cfg["pump"])
     grid = spectral_mod.GridSpec(points=int(cfg["grid"]["points"]),
@@ -259,6 +273,9 @@ def _cmd_jsa(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_tomo(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import states as states_mod
+    from . import tomography as tomo_mod
+
     rho_true = _state_from_config(cfg["state"])
     settings = tomo_mod.projector_set(int(cfg["settings"]))
     mean_pairs = float(cfg["mean_pairs"])
@@ -286,6 +303,9 @@ def _cmd_tomo(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import bell as bell_mod
+    from . import states as states_mod
+
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
     sampled = "mean_pairs" in cfg  # the schema then asks for a seed
@@ -307,6 +327,8 @@ def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_efficiency(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
+    from . import spectral as spectral_mod
+
     eta = spectral_mod.estimate_efficiency(cfg["r_up"], cfg["r_herald"],
                                            cfg["eta_snspd"], cfg["eta_apd"])
     print(f"upconversion efficiency = {eta:.6g} ({100 * eta:.3g}%)")
@@ -361,18 +383,18 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file, or a path through one
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-        cfg, sha, declared = vars(args), None, {}
+        cfg, sha = vars(args), None
         if args.command in configs:
-            # --seed reaches the configs whose schema has the key
-            declared = configs[args.command]["properties"]
             cfg, sha = _load_config(args.config)
-            if args.seed is not None and "seed" in declared:
+            # --seed reaches the configs whose schema has the key
+            if args.seed is not None and "seed" in configs[args.command]["properties"]:
                 cfg["seed"] = args.seed
             _validate_config(cfg, args.command)
         results, outputs = _COMMANDS[args.command](cfg, out_dir)
-        seed = cfg.get("seed") if "seed" in declared else None
-        path = _write_summary(out_dir, args.command, sha, None if seed is None else int(seed),
-                              results, outputs)
+        # only a run that draws counts, whose config then has mean_pairs and a
+        # seed, records the seed: an exact sweep ignores a seed it is given
+        seed = int(cfg["seed"]) if "mean_pairs" in cfg else None
+        path = _write_summary(out_dir, args.command, sha, seed, results, outputs)
         print(f"summary written to {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

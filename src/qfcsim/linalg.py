@@ -25,9 +25,16 @@ def _finite_real(x) -> bool:
         return False
 
 
+# Longest str that _describe quotes whole; a longer one is cut there
+_SHOWN_CHARS = 100
+
+
 def _describe(x) -> str:
-    """One-line description of a rejected argument: a string's or None's repr,
-    another scalar as str prints it (nan, not np.float64(nan)), else its type."""
+    """One-line description of a rejected argument: None's or a string's repr
+    (a string cut after _SHOWN_CHARS characters, with its full length), another
+    scalar as str prints it (nan, not np.float64(nan)), else its type."""
+    if isinstance(x, str) and len(x) > _SHOWN_CHARS:
+        return f"{x[:_SHOWN_CHARS]!r}... ({len(x)} characters)"
     if x is None or isinstance(x, str):
         return repr(x)
     if isinstance(x, numbers.Integral) and not -sys.float_info.max <= x <= sys.float_info.max:

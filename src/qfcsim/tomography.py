@@ -464,14 +464,21 @@ def _parse_vector_spec(spec: str) -> np.ndarray:
     try:
         return np.array([complex(part) for part in spec.split(";")], dtype=complex)
     except ValueError:
-        raise InvalidState(f"malformed vector spec {spec!r}") from None
+        raise InvalidState(f"malformed vector spec {_describe(spec)}") from None
 
 
 def _parse_counts(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise InvalidState(f"counts must be an integer, got {text!r}") from None
+        number = text.strip()
+        digits = number[1:] if number.startswith(("+", "-")) else number
+        if not digits.isdecimal():
+            raise InvalidState(f"counts must be an integer, got {_describe(text)}") from None
+        # a whole number past int()'s 4300 digits: far outside [0, MAX_COUNTS]
+        if number.startswith("-"):
+            raise InvalidState(f"counts must be >= 0, got {_describe(text)}") from None
+        raise OutOfRange(f"counts must be at most 2**53, got {_describe(text)}") from None
 
 
 _CSV_COLUMNS = ("proj_a_spec", "proj_b_spec", "counts", "integration_time_s")
@@ -502,7 +509,7 @@ def records_from_csv(path) -> list:
         for row in reader:
             if row["integration_time_s"] != "1.0":
                 raise InvalidState(f"line {reader.line_num}: integration_time_s must be 1.0, "
-                                   f"got {row['integration_time_s']!r}")
+                                   f"got {_describe(row['integration_time_s'])}")
             try:
                 setting = MeasurementSetting(*(_parse_vector_spec(row[column])
                                                for column in _CSV_COLUMNS[:2]))

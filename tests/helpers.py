@@ -1,9 +1,23 @@
 """Shared random-object generators and reference implementations for the test suite."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The last line ``code`` prints when run with ``args`` in a fresh
+    interpreter, with src/ and tests/ on the path."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()[-1]
 
 
 def random_unitary(rng, dim=2):

@@ -2,9 +2,6 @@ import contextlib
 import copy
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_runs
-from helpers import jsonschema_config_message
+from helpers import fresh_python, jsonschema_config_message
 from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
@@ -369,6 +366,16 @@ class TestSchemaDerivedFlags:
         assert modes == ["sampled", "exact", "exact"]
         assert sweeps[0] != sweeps[1] == sweeps[2]
 
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "5"]], ids=["config", "flag"])
+    @pytest.mark.parametrize("command", ["bell", "sweep-theta"])
+    def test_exact_run_records_no_seed(self, tmp_path, command, seed_flag):
+        # an exact sweep draws nothing, so the seed of its config or of --seed is unused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in SMALL_CONFIGS[command].items()
+                                   if k != "mean_pairs"}))
+        assert main(["--out", str(tmp_path), *seed_flag, command, "--config", str(cfg)]) == 0
+        assert read_summary(tmp_path, command)["seed"] is None
+
     @pytest.mark.parametrize("argv", [["drive", "--theta", "10"],
                                       ["efficiency", "100", "60000", "0.8", "0.6"]])
     def test_seed_flag_leaves_argument_commands_unseeded(self, tmp_path, argv):
@@ -663,14 +670,37 @@ class TestConfigValidation:
 
 
 def _imported(module: str) -> set:
-    """The top-level modules in sys.modules after importing ``module`` in a
-    fresh interpreter, with src/ and tests/ on the path."""
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
+    """The top-level modules in sys.modules after importing ``module``."""
     code = f"import sys, {module}; print(*{{m.split('.')[0] for m in sys.modules}})"
-    return set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True).stdout.split())
+    return set(fresh_python(code).split())
+
+
+# Run the command of argv (none: import qfcsim alone), then list the qfcsim
+# modules loaded besides the package and the CLI itself.
+_LOADED = """import sys, qfcsim
+if sys.argv[1:]:
+    from qfcsim.cli import main
+    assert main(sys.argv[1:]) == 0
+print(*sorted({m.split(".")[1] for m in sys.modules if m.startswith("qfcsim.")} - {"cli"}))
+"""
+# every command loads linalg and errors through its physics, and the summary validator
+_BASE = {"linalg", "errors", "schema"}
+# command -> (its arguments after --out, a config for --config or None, the
+# qfcsim modules it loads)
+_LOADS = {
+    "import qfcsim": ([], None, set()),
+    "drive": (["drive", "--theta", "22.5"], None, {"drive", "states", *_BASE}),
+    "efficiency": (["efficiency", "100", "60000", "0.8", "0.6"], None, {"spectral", *_BASE}),
+    "choi": (["choi"], CHOI, {"channel", "drive", "states", *_BASE}),
+    "sweep-theta": (["sweep-theta"], {k: v for k, v in SMALL_CONFIGS["sweep-theta"].items()
+                                      if k != "mean_pairs"},
+                    {"channel", "drive", "states", *_BASE}),
+    "jsa": (["jsa"], {**SMALL_CONFIGS["jsa"], "hg_modes": 2, "write_jsa_csv": True},
+            {"spectral", *_BASE}),
+    "tomo": (["tomo"], {**SMALL_CONFIGS["tomo"], "mc_samples": 2},
+             {"tomography", "states", *_BASE}),
+    "bell": (["bell"], SMALL_CONFIGS["bell"], {"bell", "states", *_BASE}),
+}
 
 
 class TestImports:
@@ -680,6 +710,17 @@ class TestImports:
     def test_the_run_table_imports_nothing_test_only(self):
         # the cli-reruns CI job installs the package without the test extras
         assert not _imported("cli_runs") & {"pytest", "hypothesis", "jsonschema", "scipy", "yaml"}
+
+    @pytest.mark.parametrize("case", list(_LOADS))
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, case):
+        # import qfcsim loads no submodule, and a command imports only its own
+        # physics: drive none of spectral, tomography, channel and bell
+        args, cfg, expected = _LOADS[case]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = [*args, "--config", str(tmp_path / "cfg.json")]
+        argv = ["--out", str(tmp_path / "out"), *args] if args else []
+        assert set(fresh_python(_LOADED, *argv).split()) == expected
 
 
 class TestCliRuns:

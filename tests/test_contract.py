@@ -445,6 +445,14 @@ def test_numpy_scalar_is_described_as_str_prints_it(call):
     assert str(err.value).endswith(("got nan", "got 1.5", "got 2.5", "got -1.0"))
 
 
+@pytest.mark.parametrize("call", [drive_from_theta, werner_state, bell_state, check_seed])
+def test_a_long_string_is_cut_in_the_message(call):
+    with pytest.raises(QfcError) as err:
+        call("1" * 5000)
+    assert f" {'1' * 100!r}... (5000 characters)" in str(err.value)
+    assert len(str(err.value)) < 250
+
+
 @pytest.mark.parametrize("call,shape,twice_unit", [
     (check_drive, (2, 2), [[2, 0], [0, 0]]),
     (vwp_transform, (2,), [2, 0]),

@@ -1,11 +1,64 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+import qfcsim
+from helpers import fresh_python
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qfcsim"
+# the 62 public names of qfcsim, by the submodule that defines them
+PUBLIC = {
+    "bell": "chsh_polynomial chsh_sweep rotation_r",
+    "channel": "ChannelSpec ModeTransfer apply_channel choi_concurrence_closed choi_state "
+               "converted_marginal_is_mixed drive_singular_values duality_distance "
+               "konrad_check kraus_from_drive mode_transfer one_sided_apply",
+    "drive": "coherence_matrix drive_concurrence drive_from_theta qwp_jones vwp_transform",
+    "linalg": "partial_trace svd",
+    "spectral": "LITHIUM_NIOBATE CrystalSpec DispersionModel GridSpec JSAGrid PumpSpec "
+                "SchmidtDecomposition SpectralDensity coincidence_delay_width compute_jsa "
+                "estimate_efficiency heralded_purity hg_mode_probabilities jsa_from_binary "
+                "jsa_to_binary jsa_to_csv phase_mismatch pump_overlap reduced_density "
+                "refractive_index schmidt spectral_purity temporal_intensity",
+    "states": "assert_density_matrix bell_state chsh_max concurrence fidelity "
+              "pauli_correlations purity werner_state",
+    "tomography": "CountRecord MeasurementSetting MetricWithError mle_reconstruct "
+                  "monte_carlo_metric projector_set records_from_csv records_to_csv "
+                  "simulate_counts",
+}
+DEFINED_IN = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+class TestPublicNamespace:
+    def test_all_lists_the_public_names(self):
+        assert len(DEFINED_IN) == 62
+        assert sorted(qfcsim.__all__) == sorted(DEFINED_IN)
+
+    def test_each_name_is_the_object_its_module_defines(self):
+        for name, module in DEFINED_IN.items():
+            assert getattr(qfcsim, name) is getattr(
+                importlib.import_module(f"qfcsim.{module}"), name), name
+
+    def test_dir_lists_every_name(self):
+        assert set(DEFINED_IN) <= set(dir(qfcsim))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from qfcsim import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(DEFINED_IN)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'nope'"):
+            qfcsim.nope
+        assert not hasattr(qfcsim, "nope")
+
+    def test_bare_import_reaches_the_submodules_on_first_use(self):
+        code = ("import qfcsim; print(qfcsim.tomography.__name__, qfcsim.errors.__name__, "
+                "qfcsim.werner_state.__module__)")
+        assert fresh_python(code) == "qfcsim.tomography qfcsim.errors qfcsim.states"
 
 
 def test_package_data_globs_match_the_data_files():

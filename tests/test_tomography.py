@@ -783,6 +783,24 @@ class TestSerialization:
             records_from_csv(path)
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("row,field,error,message", [
+        # a count past int()'s 4300 digits is read as a number out of range, not as text
+        ("H,V,{},1.0", "1" * 5000, OutOfRange, "counts must be at most 2**53, got"),
+        ("H,V,{},1.0", "+" + "1" * 4999, OutOfRange, "counts must be at most 2**53, got"),
+        ("H,V,{},1.0", "-" + "1" * 4999, InvalidState, "counts must be >= 0, got"),
+        ("H,V,5,{}", "1" * 5000, InvalidState, "integration_time_s must be 1.0, got"),
+        # an empty last component
+        ("{},V,5,1.0", "1" * 4999 + ";", InvalidState, "malformed vector spec"),
+    ], ids=["counts", "plus-counts", "minus-counts", "integration-time", "vector-spec"])
+    def test_a_5000_character_field_is_cut_in_the_message(self, tmp_path, row, field, error,
+                                                          message):
+        path = tmp_path / "counts.csv"
+        path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
+                        f"H,H,5,1.0\n{row.format(field)}\n")
+        with pytest.raises(error) as err:
+            records_from_csv(path)
+        assert str(err.value) == f"line 3: {message} {field[:100]!r}... (5000 characters)"
+
     def test_nan_component_raises(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("proj_a_spec,proj_b_spec,counts,integration_time_s\n"
