@@ -10,8 +10,11 @@ is null unless the run drew counts.  Both checks use qfcsim.schema, the
 in-repo validator for the draft-07 subset these schemas use, so that a
 command does not pay for importing jsonschema.  For the same reason each
 command imports the physics modules it runs inside its own function: a
-process imports only what its one command needs.  Angles are accepted in
-degrees and converted internally.
+process imports only what its one command needs.  A command process, started
+by the ``qfcsim`` console script or ``python -m qfcsim.cli``, enters through
+``run()``: it runs without the cyclic garbage collector and freezes its heap
+before it exits, while ``main()`` called in-process leaves ``gc`` alone.
+Angles are accepted in degrees and converted internally.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import hashlib
 import json
 import sys
@@ -390,11 +394,15 @@ def main(argv=None) -> int:
             if args.seed is not None and "seed" in configs[args.command]["properties"]:
                 cfg["seed"] = args.seed
             _validate_config(cfg, args.command)
-        results, outputs = _COMMANDS[args.command](cfg, out_dir)
-        # only a run that draws counts, whose config then has mean_pairs and a
-        # seed, records the seed: an exact sweep ignores a seed it is given
-        seed = int(cfg["seed"]) if "mean_pairs" in cfg else None
-        path = _write_summary(out_dir, args.command, sha, seed, results, outputs)
+        try:
+            results, outputs = _COMMANDS[args.command](cfg, out_dir)
+            # only a run that draws counts, whose config then has mean_pairs and
+            # a seed, records the seed: an exact sweep ignores a seed it is given
+            seed = int(cfg["seed"]) if "mean_pairs" in cfg else None
+            path = _write_summary(out_dir, args.command, sha, seed, results, outputs)
+        except OSError as exc:  # an artifact path that is a directory, say
+            where = out_dir if exc.filename is None else exc.filename
+            raise ConfigError(f"cannot write output {where}: {exc.strerror or exc}") from exc
         print(f"summary written to {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -410,5 +418,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run one command as the whole process and exit with its code.
+
+    The process exits once the command is done, so it never needs the cyclic
+    collector: it runs without it, and freezes what is alive at the end so
+    that the collections of interpreter shutdown do not walk numpy's objects
+    again.  Shutdown is otherwise normal: stdio is flushed, atexit runs.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

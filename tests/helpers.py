@@ -10,14 +10,25 @@ import jsonschema
 import numpy as np
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """The last line ``code`` prints when run with ``args`` in a fresh
-    interpreter, with src/ and tests/ on the path."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter, with src/ and tests/ on the path."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout.splitlines()[-1]
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The last line ``code`` prints when run with ``args`` in a fresh
+    interpreter, with src/ and tests/ on the path."""
+    proc = _fresh("-c", code, *args)
+    proc.check_returncode()
+    return proc.stdout.splitlines()[-1]
+
+
+def fresh_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m qfcsim.cli argv`` in a fresh interpreter."""
+    return _fresh("-m", "qfcsim.cli", *argv)
 
 
 def random_unitary(rng, dim=2):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import tempfile
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_runs
-from helpers import fresh_python, jsonschema_config_message
+from helpers import fresh_cli, fresh_python, jsonschema_config_message
+from qfcsim import cli as cli_mod
 from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
@@ -543,6 +545,28 @@ class TestConfigValidation:
         assert len(err.splitlines()) == 1
         assert blocker.read_text() == ""
 
+    # writer -> (arguments after --out, a config for --config or None, the file it writes)
+    WRITERS = {
+        "_write_summary": (["drive", "--theta", "10"], None, "drive_summary.json"),
+        "_write_csv": (["sweep-theta"], {k: v for k, v in SMALL_CONFIGS["sweep-theta"].items()
+                                         if k != "mean_pairs"}, "sweep_theta.csv"),
+        "jsa_to_binary": (["jsa"], SMALL_CONFIGS["jsa"], "jsa.bin"),
+        "records_to_csv": (["tomo"], SMALL_CONFIGS["tomo"], "counts.csv"),
+    }
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_output_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys, writer):
+        args, cfg, name = self.WRITERS[writer]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = [*args, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory where the file would go
+        assert main(["--out", str(out), *args]) == 2
+        # one line, no traceback
+        assert capsys.readouterr().err == \
+            f"config error: cannot write output {out / name}: Is a directory\n"
+
     @pytest.mark.parametrize("state,message", [
         ({"kind": "werner", "p": 0.9}, "unknown key(s) ['p'] in state"),
         ({"kind": "werner", "p": 0.9, "concurrence": 0.85}, "unknown key(s) ['p'] in state"),
@@ -721,6 +745,50 @@ class TestImports:
             args = [*args, "--config", str(tmp_path / "cfg.json")]
         argv = ["--out", str(tmp_path / "out"), *args] if args else []
         assert set(fresh_python(_LOADED, *argv).split()) == expected
+
+
+class TestEntry:
+    """``python -m qfcsim.cli`` and the console script enter through run(), which
+    runs main() without the cyclic collector; main() itself leaves gc alone."""
+
+    def test_in_process_main_leaves_gc_as_it_found_it(self, tmp_path):
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert main(["--out", str(tmp_path), "drive", "--theta", "22.5"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+    def test_run_disables_the_collector_and_exits_with_the_command_code(self, monkeypatch):
+        seen = []
+
+        def command():
+            seen.append(gc.isenabled())
+            return 3
+
+        monkeypatch.setattr(cli_mod, "main", command)
+        enabled = gc.isenabled()
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                cli_mod.run()
+            assert (seen, exit_info.value.code) == ([False], 3)
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("args,code", [
+        (["drive", "--theta", "22.5"], 0),
+        (["drive", "--theta", "nan"], 1),
+        (["choi", "--config", "missing.json"], 2),
+    ], ids=["success", "physics-error", "config-error"])
+    def test_module_run_prints_what_main_prints(self, tmp_path, capsys, monkeypatch, args,
+                                                code):
+        monkeypatch.chdir(tmp_path)  # the same relative paths in both runs
+        argv = ["--out", "out", *args]
+        proc = fresh_cli(*argv)
+        assert main(argv) == proc.returncode == code
+        captured = capsys.readouterr()
+        assert proc.stdout.splitlines() == captured.out.splitlines()
+        assert proc.stderr.splitlines() == captured.err.splitlines()
 
 
 class TestCliRuns:

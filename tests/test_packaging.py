@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_runs
 import qfcsim
 from helpers import fresh_python
 
@@ -91,6 +92,13 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
 
 
+def test_console_script_enters_through_run():
+    # run() is the process entry; main(argv) stays the in-process API
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"qfcsim": "qfcsim.cli:run"}
+
+
 def _workflow_jobs() -> dict:
     yaml = pytest.importorskip("yaml")
     return yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]
@@ -125,4 +133,9 @@ def test_cli_reruns_job_diffs_two_passes_over_the_run_table():
     outs = [line[len(table):] for line in lines if line.startswith(table)]
     assert len(set(outs)) == 2
     assert lines.index(f"diff -r {outs[0]} {outs[1]}") > lines.index(table + outs[1])
+    # the console script's drive run writes what the table's drive run wrote
+    console = 'qfcsim --out "$RUNNER_TEMP/console" drive --theta 22.5'
+    assert cli_runs.RUNS["drive"] == ["drive", "--theta", "22.5"]
+    assert lines.index('diff -r "$RUNNER_TEMP/a/drive" "$RUNNER_TEMP/console"') > \
+        lines.index(console) > lines.index(table + outs[0])
     assert not [line for line in lines if "echo" in line or "<<" in line]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import sys
 import threading
@@ -725,6 +727,62 @@ class TestMonteCarlo:
     def test_metric_of_the_wrong_shape_raises(self, metric):
         with pytest.raises(ShapeMismatch, match=r"must return 8 values .* got shape"):
             monte_carlo_metric(self.records(), metric, n_samples=8, seed=5)
+
+
+# The error bars over seeds, fixed before any result was seen: counts seed s for
+# s in 0-99, the Monte-Carlo resampling seed 10000 + s, 100 resamples, 1.56e5
+# pairs for each setting (criterion 10's rate).
+COVERAGE_SEEDS = range(100)
+MC_SEED_OFFSET = 10_000
+
+
+def _estimates_over_seeds(rho, n_settings) -> tuple:
+    """The concurrence estimates Ĉ and their MC stds σ_MC, one per seed."""
+    c_hat, sigma = [], []
+    for seed in COVERAGE_SEEDS:
+        records = simulate_counts(rho, projector_set(n_settings), 1.56e5, seed)
+        c_hat.append(concurrence(mle_reconstruct(records)))
+        sigma.append(monte_carlo_metric(records, concurrence, n_samples=100,
+                                        seed=MC_SEED_OFFSET + seed).std)
+    return np.array(c_hat), np.array(sigma)
+
+
+def _binomial_band(n: int, p: float, mass: float) -> tuple:
+    """The central interval [lo, hi] of Binomial(n, p) whose tails outside it
+    each hold at most (1 - mass) / 2."""
+    cdf = list(itertools.accumulate(math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+                                    for k in range(n + 1)))
+    tail = (1 - mass) / 2
+    lo = next(k for k in range(n + 1) if cdf[k] > tail)
+    hi = next(k for k in range(n + 1) if cdf[k] >= 1 - tail)
+    return lo, hi
+
+
+class TestErrorBarsOverSeeds:
+    """Criterion 10 checks one draw's MC std against the Poisson limit; these
+    check how often the error bars cover the truth, and what they do on the
+    boundary of the state space, where the MLE is biased (Schwemmer et al.,
+    PRL 114, 080403, 2015)."""
+
+    @pytest.mark.parametrize("n_settings", [36, 16])
+    def test_werner_error_bar_is_calibrated(self, n_settings):
+        c_true = 0.919
+        c_hat, sigma = _estimates_over_seeds(werner_state((2 * c_true + 1) / 3), n_settings)
+        # a 2-sigma bar covers P(|Z| <= 2) = 95.45% of seeds; the band holds 95%
+        # of Binomial(100, 0.9545): [91, 99] of the 100 seeds
+        lo, hi = _binomial_band(len(c_hat), math.erf(2 / math.sqrt(2)), 0.95)
+        assert (lo, hi) == (91, 99)
+        assert lo <= np.sum(np.abs(c_hat - c_true) <= 2 * sigma) <= hi
+        # the typical bar is the spread of the estimate, within criterion 10's factor
+        assert abs(np.log(np.median(sigma) / c_hat.std(ddof=1))) <= np.log(1.3)
+
+    def test_psi_minus_error_bar_is_conservative_not_calibrated(self):
+        # C = 1 is the largest concurrence, so every estimate lies at or below
+        # it and the estimate is biased low; the MC std exceeds the estimates'
+        # spread (by ~1.7x here), so this bar is conservative, not calibrated
+        c_hat, sigma = _estimates_over_seeds(bell_state("psi-"), 36)
+        assert np.mean(c_hat) - 1.0 < 0
+        assert np.median(sigma) >= c_hat.std(ddof=1)
 
 
 class TestSerialization:
