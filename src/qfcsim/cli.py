@@ -8,9 +8,12 @@ summary validated against the schema shipped in
 qfcsim/data/run_summary.schema.json, plus CSV/binary artifacts; its seed
 is null unless the run drew counts.  Both checks use qfcsim.schema, the
 in-repo validator for the draft-07 subset these schemas use, so that a
-command does not pay for importing jsonschema.  For the same reason each
-command imports the physics modules it runs inside its own function: a
-process imports only what its one command needs.  A command process, started
+command does not pay for importing jsonschema.  The commands call qfcsim's
+public names, which the package imports on first use, so a process imports
+only the modules its one command runs.  A command writes into a staging
+directory inside --out and prints nothing until its summary is written; only
+then are its files moved into --out and its lines printed, so a run that
+fails writes nothing.  A command process, started
 by the ``qfcsim`` console script or ``python -m qfcsim.cli``, enters through
 ``run()``: it runs without the cyclic garbage collector and freezes its heap
 before it exits, while ``main()`` called in-process leaves ``gc`` alone.
@@ -20,17 +23,22 @@ Angles are accepted in degrees and converted internally.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import gc
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+import qfcsim as q
 from . import __version__
 # named jsonschema: bench/tracing.py times summaries via cli.jsonschema.validate
 from . import schema as jsonschema
@@ -42,10 +50,6 @@ def _schema(name: str) -> dict:
     # data/ is a directory of the package, not a module to import; callers
     # only read the cached dict
     return json.loads((resources.files("qfcsim") / "data" / name).read_text())
-
-
-def _summary_schema() -> dict:
-    return _schema("run_summary.schema.json")
 
 
 def _complex_to_json(m: np.ndarray):
@@ -114,20 +118,16 @@ def _angle_grid(grid: dict, where: str) -> np.ndarray:
 
 
 def _state_from_config(cfg: dict) -> np.ndarray:
-    from . import states as states_mod
-
     if cfg["kind"] == "bell":
-        return states_mod.bell_state(cfg["label"])
-    return states_mod.werner_state((2 * cfg["concurrence"] + 1) / 3)
+        return q.bell_state(cfg["label"])
+    return q.werner_state((2 * cfg["concurrence"] + 1) / 3)
 
 
 def _drive_from_config(cfg: dict) -> np.ndarray:
-    from . import drive as drive_mod
-
+    # ChannelSpec and drive_concurrence reject a matrix not of unit norm
     if "matrix" in cfg:
-        return drive_mod.check_drive(
-            np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]]))
-    return drive_mod.drive_from_theta(np.deg2rad(float(cfg["theta_deg"])))
+        return np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]])
+    return q.drive_from_theta(np.deg2rad(float(cfg["theta_deg"])))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def _write_summary(out_dir: Path, command: str, config_sha: str | None,
         "results": results,
         "outputs": outputs,
     }
-    jsonschema.validate(summary, _summary_schema())
+    jsonschema.validate(summary, _schema("run_summary.schema.json"))
     path = out_dir / f"{command.replace('-', '_')}_summary.json"
     path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return path
@@ -164,11 +164,9 @@ def _write_csv(out_dir: Path, name: str, header: list, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import drive as drive_mod
-
-    a = drive_mod.drive_from_theta(np.deg2rad(cfg["theta"]))
-    rho_d = drive_mod.coherence_matrix(a)
-    conc = drive_mod.drive_concurrence(a)
+    a = q.drive_from_theta(np.deg2rad(cfg["theta"]))
+    rho_d = q.coherence_matrix(a)
+    conc = q.drive_concurrence(a)
     print(f"theta = {cfg['theta']} deg")
     print(f"drive matrix A:\n{np.array_str(a, precision=6, suppress_small=True)}")
     print(f"concurrence C(rho_D) = {conc:.6f}")
@@ -182,31 +180,24 @@ def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import channel as channel_mod
-    from . import drive as drive_mod
-    from . import states as states_mod
-
     thetas = _angle_grid(cfg["theta_deg"], "theta_deg")
     rho0 = _state_from_config(cfg["input_state"])
     kt = float(cfg["kt"])
     sampled = "mean_pairs" in cfg  # the schema then asks for a seed
     if sampled:
-        from . import tomography as tomo_mod
-
         mean_pairs = float(cfg["mean_pairs"])
-        settings = tomo_mod.projector_set(int(cfg.get("settings", 36)))
-    c_in = states_mod.concurrence(rho0)
+        settings = q.projector_set(int(cfg.get("settings", 36)))
+    c_in = q.concurrence(rho0)
     rows = []
     for i, theta_deg in enumerate(thetas):
-        spec = channel_mod.ChannelSpec(a=drive_mod.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
-        rho_out, _ = channel_mod.one_sided_apply(rho0, spec)
-        bound = channel_mod.choi_concurrence_closed(spec) * c_in
+        spec = q.ChannelSpec(a=q.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
+        rho_out, _ = q.one_sided_apply(rho0, spec)
+        bound = q.choi_concurrence_closed(spec) * c_in
         if sampled:
-            records = tomo_mod.simulate_counts(rho_out, settings, mean_pairs,
-                                               seed=[int(cfg["seed"]), i])
-            rho_out = tomo_mod.mle_reconstruct(records)
-        rows.append((theta_deg, states_mod.concurrence(rho_out),
-                     states_mod.chsh_max(rho_out), bound))
+            records = q.simulate_counts(rho_out, settings, mean_pairs,
+                                        seed=[int(cfg["seed"]), i])
+            rho_out = q.mle_reconstruct(records)
+        rows.append((theta_deg, q.concurrence(rho_out), q.chsh_max(rho_out), bound))
     csv_name = _write_csv(out_dir, "sweep_theta.csv",
                           ["theta_deg", "concurrence", "chsh_max", "bound"], rows)
     results = {
@@ -220,102 +211,88 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
 
 
 def _cmd_choi(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import channel as channel_mod
-    from . import drive as drive_mod
-
     a = _drive_from_config(cfg["drive"])
     rows = []
     for kt in cfg["kt_list"]:
-        spec = channel_mod.ChannelSpec(a=a, kt=float(kt))
-        rows.append((float(kt), channel_mod.choi_concurrence_closed(spec),
-                     channel_mod.duality_distance(spec)))
+        spec = q.ChannelSpec(a=a, kt=float(kt))
+        rows.append((float(kt), q.choi_concurrence_closed(spec), q.duality_distance(spec)))
     csv_name = _write_csv(out_dir, "choi.csv",
                           ["kt", "choi_concurrence", "duality_distance"], rows)
     results = {
-        "drive_concurrence": drive_mod.drive_concurrence(a),
+        "drive_concurrence": q.drive_concurrence(a),
         "n_points": len(rows),
     }
     return results, {"choi_csv": csv_name}
 
 
 def _cmd_jsa(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import spectral as spectral_mod
-
-    crystal = spectral_mod.CrystalSpec(**cfg["crystal"])
-    pump = spectral_mod.PumpSpec(**cfg["pump"])
-    grid = spectral_mod.GridSpec(points=int(cfg["grid"]["points"]),
-                                 span_nm=cfg["grid"]["span_nm"])
-    jsa = spectral_mod.compute_jsa(pump, crystal, cfg["filter_fwhm_nm"], grid)
-    decomp = spectral_mod.schmidt(jsa)
-    purity = spectral_mod.heralded_purity(decomp)
-    rho_i = spectral_mod.reduced_density(jsa, "idler")
+    crystal = q.CrystalSpec(**cfg["crystal"])
+    pump = q.PumpSpec(**cfg["pump"])
+    grid = q.GridSpec(points=int(cfg["grid"]["points"]), span_nm=cfg["grid"]["span_nm"])
+    jsa = q.compute_jsa(pump, crystal, cfg["filter_fwhm_nm"], grid)
+    decomp = q.schmidt(jsa)
+    purity = q.heralded_purity(decomp)
+    rho_i = q.reduced_density(jsa, "idler")
     results = {
         "heralded_purity": purity,
         "schmidt_probabilities": [float(p) for p in decomp.probabilities[:16]],
-        "pump_overlap": spectral_mod.pump_overlap(rho_i, pump),
+        "pump_overlap": q.pump_overlap(rho_i, pump),
     }
-    spectral_mod.jsa_to_binary(jsa, out_dir / "jsa.bin")
+    q.jsa_to_binary(jsa, out_dir / "jsa.bin")
     outputs = {
         "jsa_binary": "jsa.bin",
         "schmidt_csv": _write_csv(out_dir, "schmidt.csv", ["mode_index", "probability"],
                                   [(str(i), p) for i, p in enumerate(decomp.probabilities[:64])]),
     }
     if cfg.get("write_jsa_csv", False):
-        spectral_mod.jsa_to_csv(jsa, out_dir / "jsa.csv")
+        q.jsa_to_csv(jsa, out_dir / "jsa.csv")
         outputs["jsa_csv"] = "jsa.csv"
     n_modes = int(cfg.get("hg_modes", 0))
     if n_modes > 0:
-        probs = spectral_mod.hg_mode_probabilities(rho_i, pump.duration_fs, n_modes)
+        probs = q.hg_mode_probabilities(rho_i, pump.duration_fs, n_modes)
         outputs["hg_modes_csv"] = _write_csv(out_dir, "hg_modes.csv",
                                              ["mode_index", "probability"],
                                              [(str(i), p) for i, p in enumerate(probs)])
         results["hg_mode_probabilities"] = [float(p) for p in probs]
     if cfg.get("delay_profile", False):
-        results["delay_fwhm_fs"] = spectral_mod.coincidence_delay_width(rho_i, pump)
+        results["delay_fwhm_fs"] = q.coincidence_delay_width(rho_i, pump)
     print(f"heralded purity = {purity:.4f}")
     return results, outputs
 
 
 def _cmd_tomo(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import states as states_mod
-    from . import tomography as tomo_mod
-
     rho_true = _state_from_config(cfg["state"])
-    settings = tomo_mod.projector_set(int(cfg["settings"]))
+    settings = q.projector_set(int(cfg["settings"]))
     mean_pairs = float(cfg["mean_pairs"])
     seed = int(cfg["seed"])
-    records = tomo_mod.simulate_counts(rho_true, settings, mean_pairs, seed)
-    rho_mle = tomo_mod.mle_reconstruct(records)
+    records = q.simulate_counts(rho_true, settings, mean_pairs, seed)
+    rho_mle = q.mle_reconstruct(records)
     results = {
-        "fidelity_to_true": states_mod.fidelity(rho_mle, rho_true),
-        "concurrence": states_mod.concurrence(rho_mle),
-        "purity": states_mod.purity(rho_mle),
-        "chsh_max": states_mod.chsh_max(rho_mle),
+        "fidelity_to_true": q.fidelity(rho_mle, rho_true),
+        "concurrence": q.concurrence(rho_mle),
+        "purity": q.purity(rho_mle),
+        "chsh_max": q.chsh_max(rho_mle),
         "reconstruction": _complex_to_json(rho_mle),
     }
     n_mc = int(cfg.get("mc_samples", 0))
     if n_mc > 0:  # monte_carlo_metric rejects a single sample
-        for name, metric in (("concurrence", states_mod.concurrence),
-                             ("purity", states_mod.purity)):
-            est = tomo_mod.monte_carlo_metric(records, metric, n_mc, seed)
+        for name, metric in (("concurrence", q.concurrence), ("purity", q.purity)):
+            est = q.monte_carlo_metric(records, metric, n_mc, seed)
             results[f"{name}_mc"] = {"value": est.value, "std": est.std,
                                      "n_samples": est.n_samples}
-    tomo_mod.records_to_csv(records, out_dir / "counts.csv")
+    q.records_to_csv(records, out_dir / "counts.csv")
     print(f"fidelity to true state = {results['fidelity_to_true']:.6f}")
     print(f"concurrence = {results['concurrence']:.6f}")
     return results, {"counts_csv": "counts.csv"}
 
 
 def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import bell as bell_mod
-    from . import states as states_mod
-
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
     sampled = "mean_pairs" in cfg  # the schema then asks for a seed
-    sweep = bell_mod.chsh_sweep(rho, np.deg2rad(phis_deg),
-                                mean_pairs=float(cfg["mean_pairs"]) if sampled else None,
-                                seed=int(cfg["seed"]) if sampled else None)
+    sweep = q.chsh_sweep(rho, np.deg2rad(phis_deg),
+                         mean_pairs=float(cfg["mean_pairs"]) if sampled else None,
+                         seed=int(cfg["seed"]) if sampled else None)
     rows = [(deg, row[1], row[2] if sampled else "") for deg, row in zip(phis_deg, sweep)]
     csv_name = _write_csv(out_dir, "bell_sweep.csv", ["phi_deg", "B", "B_std_if_sampled"], rows)
     b_values = [r[1] for r in rows]
@@ -324,17 +301,14 @@ def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
         "mode": "sampled" if sampled else "exact",
         "max_B": b_values[i_max],
         "argmax_phi_deg": float(rows[i_max][0]),
-        "horodecki_max": states_mod.chsh_max(rho),
+        "horodecki_max": q.chsh_max(rho),
     }
     print(f"max |B| = {results['max_B']:.6f} at phi = {results['argmax_phi_deg']} deg")
     return results, {"sweep_csv": csv_name}
 
 
 def _cmd_efficiency(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    from . import spectral as spectral_mod
-
-    eta = spectral_mod.estimate_efficiency(cfg["r_up"], cfg["r_herald"],
-                                           cfg["eta_snspd"], cfg["eta_apd"])
+    eta = q.estimate_efficiency(cfg["r_up"], cfg["r_herald"], cfg["eta_snspd"], cfg["eta_apd"])
     print(f"upconversion efficiency = {eta:.6g} ({100 * eta:.3g}%)")
     results = {
         "r_up_hz": cfg["r_up"],
@@ -394,16 +368,29 @@ def main(argv=None) -> int:
             if args.seed is not None and "seed" in configs[args.command]["properties"]:
                 cfg["seed"] = args.seed
             _validate_config(cfg, args.command)
+        shown = io.StringIO()
         try:
-            results, outputs = _COMMANDS[args.command](cfg, out_dir)
-            # only a run that draws counts, whose config then has mean_pairs and
-            # a seed, records the seed: an exact sweep ignores a seed it is given
-            seed = int(cfg["seed"]) if "mean_pairs" in cfg else None
-            path = _write_summary(out_dir, args.command, sha, seed, results, outputs)
-        except OSError as exc:  # an artifact path that is a directory, say
-            where = out_dir if exc.filename is None else exc.filename
+            # the command writes into staging and prints into shown; a run
+            # that fails leaves neither a file in out_dir nor a line on stdout
+            with tempfile.TemporaryDirectory(dir=out_dir) as tmp, \
+                    contextlib.redirect_stdout(shown):
+                staging = Path(tmp)
+                results, outputs = _COMMANDS[args.command](cfg, staging)
+                # only a run that draws counts, whose config then has mean_pairs and
+                # a seed, records the seed: an exact sweep ignores a seed it is given
+                seed = int(cfg["seed"]) if "mean_pairs" in cfg else None
+                summary = _write_summary(staging, args.command, sha, seed, results, outputs)
+                names = sorted(os.listdir(staging))
+                clash = [name for name in names if (out_dir / name).is_dir()]
+                if clash:
+                    raise ConfigError(f"cannot write output {out_dir / clash[0]}: Is a directory")
+                for name in names:
+                    os.replace(staging / name, out_dir / name)
+        except OSError as exc:  # a full disk, say; name the file as out_dir holds it
+            where = out_dir if exc.filename is None else out_dir / Path(exc.filename).name
             raise ConfigError(f"cannot write output {where}: {exc.strerror or exc}") from exc
-        print(f"summary written to {path}")
+        print(shown.getvalue(), end="")
+        print(f"summary written to {out_dir / summary.name}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import copy
+import errno
 import gc
 import io
 import json
@@ -13,12 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cli_runs
+import qfcsim
 from helpers import fresh_cli, fresh_python, jsonschema_config_message
 from qfcsim import cli as cli_mod
 from qfcsim import schema as schema_mod
 from qfcsim import states as states_mod
 from qfcsim import tomography as tomo_mod
-from qfcsim.cli import main, _angle_grid, _schema, _summary_schema, _validate_config
+from qfcsim.cli import main, _angle_grid, _schema, _validate_config
 from qfcsim.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -39,7 +42,7 @@ SCHEMA_PROPERTIES = {name: entry["properties"]
 def read_summary(out_dir: Path, command: str) -> dict:
     path = out_dir / f"{command.replace('-', '_')}_summary.json"
     summary = json.loads(path.read_text())
-    jsonschema.validate(summary, _summary_schema())
+    jsonschema.validate(summary, _schema("run_summary.schema.json"))
     return summary
 
 
@@ -112,7 +115,7 @@ class TestSweepTheta:
             vectors.append(tuple(rec.counts for rec in fixed))
             return simulate(rho, settings, mean_pairs, seed)
 
-        monkeypatch.setattr(tomo_mod, "simulate_counts", spy)
+        monkeypatch.setattr(qfcsim, "simulate_counts", spy)  # the name the CLI calls
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
             "theta_deg": {"start": 0.0, "stop": 20.0, "step": 5.0},
@@ -163,6 +166,18 @@ class TestChoi:
         assert main(["--out", str(tmp_path), "choi", "--config", str(cfg)]) == 0
         summary = read_summary(tmp_path, "choi")
         assert abs(summary["results"]["drive_concurrence"] - 1.0) < 1e-12
+
+    def test_matrix_drive_not_of_unit_norm_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "choi.json"
+        cfg.write_text(json.dumps({
+            "drive": {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]},
+            "kt_list": [0.5],
+        }))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "choi", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: drive matrix has norm {float(np.sqrt(2))!r}, expected 1\n"
+        assert list(out.iterdir()) == []
 
 
 class TestJsa:
@@ -567,6 +582,35 @@ class TestConfigValidation:
         assert capsys.readouterr().err == \
             f"config error: cannot write output {out / name}: Is a directory\n"
 
+    @pytest.mark.parametrize("args,cfg,name", [
+        (["jsa"], SMALL_CONFIGS["jsa"], "schmidt.csv"),
+        (["drive", "--theta", "10"], None, "drive_summary.json"),
+        (["tomo"], SMALL_CONFIGS["tomo"], "tomo_summary.json"),
+    ], ids=["jsa-after-jsa.bin", "drive-after-printing", "tomo-after-counts.csv"])
+    def test_a_run_that_cannot_write_writes_nothing(self, tmp_path, capsys, args, cfg, name):
+        # files are moved into --out, and lines printed, only once all are written
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args = [*args, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["--out", str(out), *args]) == 2
+        assert capsys.readouterr().out == ""
+        assert [p.relative_to(out) for p in out.rglob("*")] == [Path(name)]
+
+    def test_a_failed_write_names_the_file_in_out(self, tmp_path, capsys, monkeypatch):
+        def full_disk(records, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(qfcsim, "records_to_csv", full_disk)
+        (tmp_path / "cfg.json").write_text(json.dumps(SMALL_CONFIGS["tomo"]))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "tomo", "--config", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write output {out / 'counts.csv'}: "
+                "No space left on device\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("state,message", [
         ({"kind": "werner", "p": 0.9}, "unknown key(s) ['p'] in state"),
         ({"kind": "werner", "p": 0.9, "concurrence": 0.85}, "unknown key(s) ['p'] in state"),
@@ -745,6 +789,36 @@ class TestImports:
             args = [*args, "--config", str(tmp_path / "cfg.json")]
         argv = ["--out", str(tmp_path / "out"), *args] if args else []
         assert set(fresh_python(_LOADED, *argv).split()) == expected
+
+
+def _cli_tree() -> ast.Module:
+    return ast.parse(Path(cli_mod.__file__).read_text())
+
+
+def _imports_from_qfcsim(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "qfcsim"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "qfcsim" for alias in node.names)
+
+
+class TestLazyImports:
+    """The CLI reaches the physics only through qfcsim's public names, which
+    the package imports on first use; no function of it imports a submodule."""
+
+    def test_no_function_imports_from_qfcsim(self):
+        found = [f"{fn.name}:{node.lineno}" for fn in ast.walk(_cli_tree())
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn) if _imports_from_qfcsim(node)]
+        assert found == []
+
+    def test_every_package_name_it_calls_is_public(self):
+        tree = _cli_tree()
+        (alias,) = [a.asname for node in tree.body if isinstance(node, ast.Import)
+                    for a in node.names if a.name == "qfcsim"]
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == alias}
+        assert used and used <= set(qfcsim.__all__), sorted(used - set(qfcsim.__all__))
 
 
 class TestEntry:
@@ -978,7 +1052,7 @@ class TestSchemaValidator:
             assert not jsonschema.Draft7Validator(schema).is_valid(x)
 
     def test_summaries_and_their_mutations_agree_with_jsonschema(self, cli_tree):
-        schema = _summary_schema()
+        schema = _schema("run_summary.schema.json")
         mutations = {"command": "nope", "package_version": 1, "config_sha256": "abc",
                      "seed": 1.5, "results": [], "outputs": {"csv": 1}}
         assert set(mutations) == set(schema["required"])

@@ -139,3 +139,19 @@ def test_cli_reruns_job_diffs_two_passes_over_the_run_table():
     assert lines.index('diff -r "$RUNNER_TEMP/a/drive" "$RUNNER_TEMP/console"') > \
         lines.index(console) > lines.index(table + outs[0])
     assert not [line for line in lines if "echo" in line or "<<" in line]
+
+
+def test_cli_reruns_job_runs_a_console_run_that_cannot_write():
+    # exit 2, nothing on stdout, and --out holds only the directory that blocked it
+    steps = [step["run"].splitlines() for step in _workflow_job("cli-reruns")["steps"]
+             if "blocked" in step.get("run", "")]
+    assert steps == [[
+        'mkdir -p "$RUNNER_TEMP/blocked/drive_summary.json"',
+        "code=0",
+        'qfcsim --out "$RUNNER_TEMP/blocked" drive --theta 22.5 > "$RUNNER_TEMP/blocked.out"'
+        " || code=$?",
+        'test "$code" = 2',
+        'test ! -s "$RUNNER_TEMP/blocked.out"',
+        'test "$(find "$RUNNER_TEMP/blocked" -mindepth 1)" = '
+        '"$RUNNER_TEMP/blocked/drive_summary.json"',
+    ]]
