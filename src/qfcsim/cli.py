@@ -76,7 +76,9 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer past
+        # Python's int-string digit limit; RecursionError: nesting too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

@@ -1,5 +1,5 @@
-"""The argument rules (finite reals, finite real arrays, complex arrays, unit
-norm, one rounding tolerance), SVD and the two-qubit partial trace."""
+"""The argument rules (integers, finite reals, finite real arrays, complex
+arrays, unit norm, one rounding tolerance), SVD and the two-qubit partial trace."""
 
 from __future__ import annotations
 
@@ -14,6 +14,12 @@ from .errors import InvalidState, NoConvergence, NotNormalized, OutOfRange, Shap
 # Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
 # density matrix may carry as rounding noise; also |x|^2 - 1 for unit_norm
 _TOL = 1e-10
+
+
+def _integer(x) -> bool:
+    """True for a Python or numpy integer; False for bools (numpy's too), for
+    floats of any kind, integral or not, and for every other type."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _finite_real(x) -> bool:
@@ -37,7 +43,7 @@ def _describe(x) -> str:
         return f"{x[:_SHOWN_CHARS]!r}... ({len(x)} characters)"
     if x is None or isinstance(x, str):
         return repr(x)
-    if isinstance(x, numbers.Integral) and not -sys.float_info.max <= x <= sys.float_info.max:
+    if _integer(x) and not -sys.float_info.max <= x <= sys.float_info.max:
         return type(x).__name__  # beyond the float range; str raises past 4300 digits
     return str(x) if np.isscalar(x) else type(x).__name__
 
@@ -120,9 +126,7 @@ def partial_trace(rho, keep: int) -> np.ndarray:
     rho = as_complex(rho)
     if rho.shape != (4, 4):
         raise ShapeMismatch(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
-    if isinstance(keep, numbers.Integral) and keep == 1:
-        return np.trace(r, axis1=1, axis2=3)
-    if isinstance(keep, numbers.Integral) and keep == 2:
-        return np.trace(r, axis1=0, axis2=2)
-    raise ShapeMismatch(f"keep must be 1 or 2, got {_describe(keep)}")
+    if not (_integer(keep) and keep in (1, 2)):  # an array would compare entry by entry
+        raise ShapeMismatch(f"keep must be 1 or 2, got {_describe(keep)}")
+    # keep 1 traces out the axes (1, 3) of qubit 2, keep 2 the axes (0, 2) of qubit 1
+    return np.trace(rho.reshape(2, 2, 2, 2), axis1=2 - keep, axis2=4 - keep)

@@ -21,7 +21,6 @@ Conventions:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +28,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
                      ShapeMismatch)
-from .linalg import _describe, _finite_real, _real_array
+from .linalg import _describe, _finite_real, _integer, _real_array
 
 C_M_S = 299792458.0  # speed of light, m/s
 
 
 def _positive(x) -> bool:
     return _finite_real(x) and x > 0
-
-
-def _integer(x, low: int) -> bool:
-    # by type, as monte_carlo_metric takes n_samples; within the float range
-    return isinstance(x, numbers.Integral) and _finite_real(x) and x >= low
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +165,7 @@ class GridSpec:
     span_nm: float = 80.0
 
     def __post_init__(self):
-        if not (_integer(self.points, 0) and self.points <= MAX_GRID_POINTS
+        if not (_integer(self.points) and 0 <= self.points <= MAX_GRID_POINTS
                 and _positive(self.span_nm)):
             raise OutOfRange(f"grid points must be an integer in [0, {MAX_GRID_POINTS}] and the "
                              f"span positive and finite, got {_describe(self.points)} and "
@@ -482,7 +476,7 @@ def hg_mode_probabilities(rho: SpectralDensity, mode_duration_fs: float,
     sqrt(2 n_modes - 1) tau dw <= pi: past that the sampled modes are not
     orthonormal and their populations can sum past 1.
     """
-    if not (_positive(mode_duration_fs) and _integer(n_modes, 1)):
+    if not (_positive(mode_duration_fs) and _integer(n_modes) and _positive(n_modes)):
         raise OutOfRange(f"mode duration must be positive and finite and n_modes an integer >= 1, "
                          f"got {_describe(mode_duration_fs)} and {_describe(n_modes)}")
     tau_s = mode_duration_fs * 1e-15 / np.sqrt(2)

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
 from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from .linalg import _TOL, _describe, _finite_real, as_complex, dagger
+from .linalg import _TOL, _describe, _finite_real, _integer, as_complex, dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -145,17 +144,10 @@ def check_mean_pairs(mean_pairs) -> float:
 
 
 def _seed_word(x) -> int:
-    message = f"seed must be a non-negative integer or a sequence of them, got {_describe(x)}"
-    if isinstance(x, (bool, np.bool_)):
-        raise InvalidSeed(message)
-    try:
-        # takes Python and numpy integers and refuses floats
-        n = operator.index(x)
-    except TypeError:
-        raise InvalidSeed(message) from None
-    if n < 0:
-        raise OutOfRange(message)
-    return n
+    if _integer(x) and x >= 0:
+        return int(x)
+    raise (OutOfRange if _integer(x) else InvalidSeed)(
+        f"seed must be a non-negative integer or a sequence of them, got {_describe(x)}")
 
 
 def check_seed(seed):

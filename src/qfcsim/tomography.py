@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, OutOfRange,
                      QfcError, ShapeMismatch, UnknownLabel)
-from .linalg import _describe, dagger, unit_norm
+from .linalg import _describe, _integer, dagger, unit_norm
 from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
                      check_seed)
 
@@ -70,8 +69,7 @@ class CountRecord:
 
     def __post_init__(self):
         value = self.counts
-        if isinstance(value, bool) or not (  # a bool is an int to isinstance
-                isinstance(value, (int, np.integer))
+        if not (_integer(value)
                 or isinstance(value, (float, np.floating)) and float(value).is_integer()):
             raise InvalidState(f"counts must be a whole number, got {_describe(value)}")
         object.__setattr__(self, "counts", int(value))  # so that a CSV writes "5", not "5.0"
@@ -90,13 +88,9 @@ class MetricWithError:
 
 def projector_set(kind: int) -> list:
     """16 settings (pairs from H,V,D,R) or the overcomplete 36 (H,V,D,A,R,L)."""
-    real = isinstance(kind, numbers.Real)  # an array would compare entry by entry
-    if real and kind == 16:
-        names = ("H", "V", "D", "R")
-    elif real and kind == 36:
-        names = ("H", "V", "D", "A", "R", "L")
-    else:
+    if not (_integer(kind) and kind in (16, 36)):  # an array would compare entry by entry
         raise ShapeMismatch(f"kind must be 16 or 36, got {_describe(kind)}")
+    names = ("H", "V", "D", "R") if kind == 16 else ("H", "V", "D", "A", "R", "L")
     return [MeasurementSetting.from_names(a, b)
             for a, b in itertools.product(names, names)]
 
@@ -410,7 +404,7 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
     ``n_samples`` is an integer, not a bool, from 2 (InvalidState otherwise) to
     ``MAX_MC_SAMPLES`` (OutOfRange above it, before any draw).
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+    if not _integer(n_samples):
         raise InvalidState(f"n_samples must be an integer, got {_describe(n_samples)}")
     if n_samples < 2:
         raise InvalidState(f"n_samples must be >= 2, got {n_samples}")
@@ -418,7 +412,7 @@ def monte_carlo_metric(records, metric, n_samples: int, seed: int) -> MetricWith
         raise OutOfRange(f"n_samples must be at most {MAX_MC_SAMPLES}, got {_describe(n_samples)}")
     seed = check_seed(seed)
     kets, observed = _arrays(records)
-    rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), operator.index(n_samples), seed)
+    rhos = _resampled_mle(kets.tobytes(), observed.tobytes(), int(n_samples), seed)
     values = np.asarray(metric(rhos), dtype=float)
     if values.shape != (len(rhos),):
         raise ShapeMismatch(f"metric must return {len(rhos)} values for the "
@@ -497,12 +491,21 @@ def records_to_csv(records, path) -> None:
 def records_from_csv(path) -> list:
     """Records of a ``records_to_csv`` file; InvalidState for a missing column or a
     malformed row, and for a count time other than 1.0: the likelihood needs equal times.
-    A row that ``MeasurementSetting`` or ``CountRecord`` rejects raises their error, such
-    as NotNormalized for a projector that is not a unit 2-vector and OutOfRange for a
-    count above MAX_COUNTS; each row error starts "line N:"."""
+    The file is read as UTF-8: a byte that is not, or a line the csv reader rejects (a
+    field past its size limit, say), raises InvalidState; a missing file raises the OS
+    error. A row that ``MeasurementSetting`` or ``CountRecord`` rejects raises their
+    error, such as NotNormalized for a projector that is not a unit 2-vector and
+    OutOfRange for a count above MAX_COUNTS; each row error starts "line N:"."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InvalidState(f"line {line}: {exc}") from None
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as empty cells
+    reader = csv.DictReader(io.StringIO(text, newline=""), restval="")  # a short row: empty cells
+    try:
         for column in _CSV_COLUMNS:
             if column not in (reader.fieldnames or ()):
                 raise InvalidState(f"counts CSV has no {column!r} column")
@@ -516,4 +519,7 @@ def records_from_csv(path) -> list:
                 records.append(CountRecord(setting=setting, counts=_parse_counts(row["counts"])))
             except QfcError as exc:  # keeps the error type
                 raise type(exc)(f"line {reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        # the csv reader's own count: DictReader's line_num stops at the last good row
+        raise InvalidState(f"line {reader.reader.line_num}: {exc}") from None
     return records

@@ -5,6 +5,7 @@ import errno
 import gc
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -438,6 +439,20 @@ class TestConfigValidation:
         cfg.write_text("[]")
         assert main(["--out", str(tmp_path), "choi", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+    @pytest.mark.parametrize("raw", [
+        b'{"kt": 1\xff\xfe}', b"[" * 100000 + b"]" * 100000, b'{"kt": ' + b"1" * 5000 + b"}",
+    ], ids=["not-utf8", "nested-1e5-deep", "int-of-5000-digits"])
+    def test_undecodable_config_is_a_one_line_config_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sweep-theta", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config {path} is not valid JSON: ")
+        assert len(captured.err.splitlines()) == 1
+        assert list(out.iterdir()) == []
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["--out", str(tmp_path), "choi",
@@ -932,6 +947,34 @@ def mutated_bundled_configs(draw):
     return BUNDLED[name], cfg
 
 
+# a JSON number of a bundled config
+_NUMBER = re.compile(rb"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+@st.composite
+def raw_bundled_configs(draw):
+    """The bytes of a bundled config with one byte replaced, cut short, nested
+    up to 10**5 lists deep, or with one number replaced by one of up to 5000
+    digits: inputs that json.dumps never writes."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    raw = (CONFIGS / name).read_bytes()
+    action = draw(st.sampled_from(["byte", "cut", "nest", "digits"]))
+    if action == "byte":
+        i = draw(st.integers(0, len(raw) - 1))
+        raw = raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1:]
+    elif action == "cut":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif action == "nest":
+        depth = draw(st.integers(1, 10 ** 5))
+        raw = b"[" * depth + raw + b"]" * depth
+    else:
+        number = draw(st.sampled_from(list(_NUMBER.finditer(raw))))
+        digits = draw(st.sampled_from([b"", b"-"])) + b"7" * draw(st.integers(1, 5000))
+        raw = raw[:number.start()] + digits + draw(st.sampled_from([b"", b".5"])) \
+            + raw[number.end():]
+    return BUNDLED[name], raw
+
+
 def _reject_constant(name):
     raise ValueError(f"summary holds the non-JSON constant {name}")
 
@@ -954,6 +997,21 @@ class TestFuzz:
             else:
                 summary = Path(tmp) / f"{command.replace('-', '_')}_summary.json"
                 json.loads(summary.read_text(), parse_constant=_reject_constant)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=raw_bundled_configs())
+    def test_any_config_bytes_end_in_a_clean_exit(self, case):
+        command, raw = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_bytes(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["--out", str(Path(tmp) / "out"), command, "--config", str(path)])
+            assert code in (0, 1, 2)
+            if code:
+                assert len(err.getvalue().splitlines()) == 1
 
 
 def _config_message(cfg, command):

@@ -64,6 +64,13 @@ def _counts_csv(text):
         return records_from_csv(path)
 
 
+def _counts_csv_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_bytes(data)
+        return records_from_csv(path)
+
+
 def _jsa_binary(keep):
     """Read back the first ``keep`` fraction of the bytes of a 3x4 ``jsa.bin``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -301,6 +308,13 @@ ESCAPES = {
                                          InvalidState),
     "records_from_csv-huge-counts": (lambda: _records_from_line(f"H,V,{HUGE},1.0"),
                                      OutOfRange),
+    # a byte that is not UTF-8 raised UnicodeDecodeError, a field past the csv
+    # reader's 131072-character limit _csv.Error
+    "records_from_csv-not-utf8": (
+        lambda: _counts_csv_bytes(b"proj_a_spec,proj_b_spec,counts,integration_time_s\n"
+                                  b"H,H,3,1.0\nH,V,\xff5,1.0\n"), InvalidState),
+    "records_from_csv-field-past-csv-limit": (
+        lambda: _records_from_line("H,V," + "1" * 200000 + ",1.0"), InvalidState),
 }
 
 

@@ -83,6 +83,28 @@ def test_no_function_rebinds_module_state():
     assert not found
 
 
+# the number tests that linalg's _integer and _finite_real stand for
+NUMBER_TESTS = {("numbers", "Integral"), ("numbers", "Real"), ("operator", "index")}
+
+
+def test_only_linalg_and_schema_test_numbers_by_their_abc():
+    # linalg holds the integer and real rules once; schema's JSON "integer"
+    # counts 7.0 as an integer, so it keeps its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("linalg.py", "schema.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [(node.value.id, node.attr)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name in NUMBER_TESTS]
+    assert not found
+
+
 def test_numpy_is_the_only_runtime_dependency():
     # every other import of the package would be paid by each command
     tomllib = pytest.importorskip("tomllib")

@@ -841,6 +841,31 @@ class TestSerialization:
             records_from_csv(path)
         assert str(err.value) == f"line 3: {message}"
 
+    @pytest.mark.parametrize("data,message", [
+        (b"H,H,5,1.0\nH,V,\xff5,1.0\n",
+         "line 3: 'utf-8' codec can't decode byte 0xff in position 64: invalid start byte"),
+        (b"H,H,5,1.0\nH,V," + b"1" * 200000 + b",1.0\n",
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["not-utf8", "field-past-csv-limit"])
+    def test_unreadable_row_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"proj_a_spec,proj_b_spec,counts,integration_time_s\n" + data)
+        with pytest.raises(InvalidState) as err:
+            records_from_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("header", [b"proj_a_spec,\xfe", b"proj_a_spec," + b"x" * 200000],
+                             ids=["not-utf8", "field-past-csv-limit"])
+    def test_unreadable_header_is_line_1(self, tmp_path, header):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(header + b"\nH,H,5,1.0\n")
+        with pytest.raises(InvalidState, match="^line 1: "):
+            records_from_csv(path)
+
+    def test_missing_file_raises_the_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            records_from_csv(tmp_path / "nope.csv")
+
     @pytest.mark.parametrize("row,field,error,message", [
         # a count past int()'s 4300 digits is read as a number out of range, not as text
         ("H,V,{},1.0", "1" * 5000, OutOfRange, "counts must be at most 2**53, got"),
