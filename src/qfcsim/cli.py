@@ -13,11 +13,10 @@ public names, which the package imports on first use, so a process imports
 only the modules its one command runs.  A command writes into a staging
 directory inside --out and prints nothing until its summary is written; only
 then are its files moved into --out and its lines printed, so a run that
-fails writes nothing.  A command process, started
-by the ``qfcsim`` console script or ``python -m qfcsim.cli``, enters through
-``run()``: it runs without the cyclic garbage collector and freezes its heap
-before it exits, while ``main()`` called in-process leaves ``gc`` alone.
-Angles are accepted in degrees and converted internally.
+fails writes nothing.  Every error, a usage error too, is one stderr line.
+The ``qfcsim`` console script and ``python -m qfcsim.cli`` enter through
+``run()``, which runs without the cyclic garbage collector; ``main()``
+called in-process leaves ``gc`` alone.  Angles are in degrees.
 """
 
 from __future__ import annotations
@@ -331,8 +330,13 @@ _COMMANDS = {"drive": _cmd_drive, "sweep-theta": _cmd_sweep_theta, "choi": _cmd_
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as every error; subparsers share the class
+        self.exit(2, f"config error: {message}\n")
+
+
 def _build_parser(configs: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfcsim",
         description="Simulate quantum frequency conversion driven by structured light.")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")

@@ -226,21 +226,17 @@ def _wavevector(crystal: CrystalSpec, omega, pol: str):
     return n * np.asarray(omega, dtype=float) / C_M_S  # rad/m
 
 
-def _subtract_grating_order(dk, crystal: CrystalSpec):
-    """dk - copysign(2 pi / poling period, dk), in place for an array: the
-    first-order grating component whose sign best compensates the material
-    mismatch (a poled crystal provides both +-1 orders)."""
-    dk -= np.copysign(2 * np.pi / (crystal.poling_period_um * 1e-6), dk)
+def _subtract_grating_order(dk, crystal: CrystalSpec, scratch=None):
+    """dk - copysign(2 pi / poling period, dk), in place for an array, the
+    grating term in ``scratch`` if given: the first-order component whose
+    sign best compensates the mismatch (a poled crystal has both +-1 orders)."""
+    dk -= np.copysign(2 * np.pi / (crystal.poling_period_um * 1e-6), dk, out=scratch)
     return dk
 
 
 def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
-    """Quasi-phase-matched wavevector mismatch in rad/m.
-
-    dk = k_p - k_s - k_i -/+ 2 pi / poling period, taking the first-order
-    grating component whose sign best compensates the material mismatch
-    (a poled crystal provides both +-1 orders).
-    """
+    """Quasi-phase-matched wavevector mismatch in rad/m, k_p - k_s - k_i
+    -/+ 2 pi / poling period as ``_subtract_grating_order`` picks the sign."""
     omega_s = _real_array(omega_s, "frequencies")
     omega_i = _real_array(omega_i, "frequencies")
     if np.any(omega_s <= 0) or np.any(omega_i <= 0):
@@ -290,11 +286,13 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
     k_pair = _wavevector(crystal, w_ax, pair_pol)
     x = sliding_window_view(_wavevector(crystal, w_sum, "e"), n) - k_pair[:, None]
     x -= k_pair
-    _subtract_grating_order(x, crystal)
+    amp = np.empty_like(x)  # x and amp are the only n x n arrays
+    _subtract_grating_order(x, crystal, amp)
     x *= crystal.length_mm * 1e-3 / 2.0
-    # sinc(x) = sin(x) / x, 1 at x == 0; x and amp are the only n x n arrays
-    amp = np.sin(x)
-    np.divide(amp, x, out=amp, where=x != 0)
+    # sinc(x) = sin(x) / x, and 1 where x == 0 gave 0 / 0 = nan
+    np.sin(x, out=amp)
+    with np.errstate(invalid="ignore"):
+        amp /= x
     amp[x == 0] = 1.0
     del x
 
@@ -318,13 +316,11 @@ def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, filter_fwhm_nm: float,
 # Schmidt analysis
 # ---------------------------------------------------------------------------
 
-# randomized subspace iteration behind the Schmidt weights (Halko, Martinsson
-# & Tropp, SIAM Rev. 53, 217 (2011), algorithm 4.4)
+# randomized range finder behind the Schmidt weights (Halko, Martinsson &
+# Tropp, SIAM Rev. 53, 217 (2011), alg. 4.4 from amp^H Omega, then alg. 5.1)
 _SKETCH_WIDTH = 64
-_SKETCH_POWER_ITERATIONS = 1
 _SKETCH_SEED = 20111
-# largest share of |A|_F^2 the sketch may miss before the weights come from
-# the full reduced density instead
+# largest share of |A|_F^2 the sketch may miss before the reduced density gives the weights
 _SKETCH_MISSED_MASS = 1e-13
 
 
@@ -337,41 +333,39 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 def _sketched_weights(amp: np.ndarray) -> tuple:
     """Squared singular values of ``amp`` on a k-dimensional subspace of its
-    row space, descending, and the share of |amp|_F^2 they miss.
+    column space, descending, and the share of |amp|_F^2 they miss.
 
-    Q (ni x k, orthonormal) is the range of amp^H Omega for a fixed Gaussian
-    Omega, refined by power iterations; the weights are the eigenvalues of
-    B^H B with B = amp Q. With P = Q Q^H, amp amp^H = amp P amp^H
-    + amp (1 - P) amp^H, so by Weyl's inequality each weight lies below its
-    exact value by at most the missed mass |amp (1 - P)|_F^2 = |amp|_F^2
-    - sum of weights. When k = min(ns, ni), Q spans the whole row space.
+    With a fixed Gaussian Omega (ns x k), Q = qr(amp^H Omega), Z = qr(amp Q)
+    and B = Z^H amp, the weights are the eigenvalues of B B^H: those of
+    P amp, P = Z Z^H. As amp^H amp = amp^H P amp + amp^H (1 - P) amp, each
+    lies at or below its exact value (interlacing) by at most the missed
+    mass |(1 - P) amp|_F^2 = |amp|_F^2 - sum of weights (Weyl's inequality).
+    When k = min(ns, ni), Z spans the whole column space.
     """
     ns, ni = amp.shape
     k = min(_SKETCH_WIDTH, ns, ni)
     omega = np.random.default_rng(_SKETCH_SEED).standard_normal((ns, k))
-    # amp^H Z as (Z^H amp)^H, so that no n x n conjugate is formed
+    # amp^H Omega as (Omega^T amp)^H, so that no n x n conjugate is formed
     q = np.linalg.qr((omega.T @ amp).conj().T)[0]
-    for _ in range(_SKETCH_POWER_ITERATIONS):
-        z = np.linalg.qr(amp @ q)[0]
-        q = np.linalg.qr((z.conj().T @ amp).conj().T)[0]
-    b = amp @ q
-    w = _eigvalsh(b.conj().T @ b)[::-1]
+    z = np.linalg.qr(amp @ q)[0]
+    b = z.conj().T @ amp
+    w = _eigvalsh(b @ b.conj().T)[::-1]
     total = np.vdot(amp, amp).real
     return w, (total - w.sum()) / total
 
 
 def schmidt(grid: JSAGrid) -> SchmidtDecomposition:
-    """Schmidt weights of the JSA.
+    """Schmidt weights of the JSA: its squared singular values, normalised
+    to sum to 1.
 
-    The weights are the squared singular values of the JSA, normalised to
-    sum to 1. They come from a randomized subspace iteration of width
-    ``_SKETCH_WIDTH`` (see ``_sketched_weights``), whose missed share of
-    |amp|_F^2 bounds the error of every weight; weights beyond the sketch
-    are 0. When that share exceeds ``_SKETCH_MISSED_MASS``, all min(ns, ni)
-    weights come from one Hermitian eigenvalue pass on the reduced density
-    of the JSA's smaller side instead. Either way, weights below ~1e-13
-    carry an absolute error of ~1e-16 and lose relative accuracy. The sketch
-    runs no SVD and forms no n x n array.
+    They come from a randomized range finder of width ``_SKETCH_WIDTH``
+    (``_sketched_weights``: three products with the JSA and two thin QRs),
+    whose missed share of |amp|_F^2 bounds every weight's error; weights
+    past the sketch are 0. When that share exceeds ``_SKETCH_MISSED_MASS``,
+    all min(ns, ni) weights come from one Hermitian eigenvalue pass on the
+    reduced density of the JSA's smaller side instead. Either way, weights
+    below ~1e-13 carry an absolute error of ~1e-16 and lose relative
+    accuracy. The sketch runs no SVD and forms no n x n array.
     """
     ns, ni = grid.amp.shape
     w, missed = _sketched_weights(grid.amp)
@@ -659,12 +653,14 @@ def jsa_to_csv(grid: JSAGrid, path) -> None:
 
 def jsa_to_binary(grid: JSAGrid, path) -> None:
     """Compact dump: two little-endian int32 axis lengths, then the signal
-    axis, idler axis, and row-major (re, im) pairs, all little-endian f64."""
+    axis, idler axis, and row-major (re, im) pairs, all little-endian f64;
+    the pairs are converted in blocks of rows of ~256 kB."""
     with open(path, "wb") as fh:
         np.array(grid.amp.shape, dtype="<i4").tofile(fh)
         grid.signal_axis.astype("<f8").tofile(fh)
         grid.idler_axis.astype("<f8").tofile(fh)
-        grid.amp.astype("<c16").tofile(fh)
+        for rows in np.array_split(grid.amp, max(1, grid.amp.size >> 14)):
+            rows.astype("<c16").tofile(fh)
 
 
 def jsa_from_binary(path) -> JSAGrid:

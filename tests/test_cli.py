@@ -880,6 +880,47 @@ class TestEntry:
         assert proc.stderr.splitlines() == captured.err.splitlines()
 
 
+# argv rejected by argparse, with the one stderr line each gives
+USAGE_ERRORS = {
+    "non-integer-seed": (["--seed", "x", "tomo", "--config", str(CONFIGS / "tomo_rho0.json")],
+                         "argument --seed: invalid int value: 'x'"),
+    "non-float-rate": (["efficiency", "abc", "1", "1", "1"],
+                       "argument r_up: invalid float value: 'abc'"),
+    "missing-command": ([], "the following arguments are required: command"),
+    "unknown-flag": (["--bogus", "drive", "--theta", "1"], "unrecognized arguments: --bogus"),
+    "drive-without-theta": (["drive"], "the following arguments are required: --theta"),
+}
+
+
+class TestUsageErrors:
+    """A usage error is one ``config error:`` line on stderr and exit 2, before
+    --out is created; ``-h`` still prints argparse's help."""
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_in_process(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(out), *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_fresh_process(self, tmp_path, argv, message):
+        out = tmp_path / "out"
+        proc = fresh_cli("--out", str(out), *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"config error: {message}\n")
+        assert not out.exists()
+
+    def test_help_is_argparse_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["drive", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: qfcsim drive [-h] --theta THETA\n")
+        assert "--theta THETA" in out.splitlines()[-1]
+
+
 class TestCliRuns:
     def test_two_in_process_passes_write_byte_identical_trees(self, cli_tree, tmp_path):
         cli_runs.run(tmp_path, main)

@@ -177,3 +177,17 @@ def test_cli_reruns_job_runs_a_console_run_that_cannot_write():
         'test "$(find "$RUNNER_TEMP/blocked" -mindepth 1)" = '
         '"$RUNNER_TEMP/blocked/drive_summary.json"',
     ]]
+
+
+def test_cli_reruns_job_runs_a_console_usage_error():
+    # exit 2, one line on stderr and nothing on stdout
+    steps = [step["run"].splitlines() for step in _workflow_job("cli-reruns")["steps"]
+             if "usage" in step.get("run", "")]
+    assert steps == [[
+        "code=0",
+        'qfcsim --seed x drive --theta 1 > "$RUNNER_TEMP/usage.out" 2> "$RUNNER_TEMP/usage.err"'
+        " || code=$?",
+        'test "$code" = 2',
+        'test ! -s "$RUNNER_TEMP/usage.out"',
+        'test "$(wc -l < "$RUNNER_TEMP/usage.err")" = 1',
+    ]]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_hermite, gammaln
 
 from qfcsim import spectral as spectral_mod
@@ -217,6 +218,67 @@ class TestComputeJsa:
         assert np.max(np.abs(grid.amp - direct)) <= 1e-11
 
 
+def reference_jsa(pump, crystal, filter_fwhm_nm, grid):
+    """The phase x, the sinc factor and the amplitude of ``compute_jsa`` by its
+    earlier formula: the grating term in its own array, then the sinc by
+    np.divide(where=x != 0) and amp[x == 0] = 1.0."""
+    center_nm = 2 * pump.center_wavelength_nm
+    w_ax = grid.axis(center_nm)
+    n = len(w_ax)
+    w_sum = np.linspace(2 * w_ax[0], 2 * w_ax[-1], 2 * n - 1)
+    pair_pol = "o" if crystal.interaction == "type1_ooe" else "e"
+    k_pair = spectral_mod._wavevector(crystal, w_ax, pair_pol)
+    x = sliding_window_view(spectral_mod._wavevector(crystal, w_sum, "e"), n) - k_pair[:, None]
+    x -= k_pair
+    x -= np.copysign(2 * np.pi / (crystal.poling_period_um * 1e-6), x)
+    x *= crystal.length_mm * 1e-3 / 2.0
+    sinc = np.sin(x)
+    np.divide(sinc, x, out=sinc, where=x != 0)
+    sinc[x == 0] = 1.0
+    t_pump2 = (pump.duration_fs * 1e-15) ** 2
+    amp = sinc * sliding_window_view(np.exp(-t_pump2 * (w_sum - pump.omega_rad_s) ** 2 / 4.0), n)
+    filt = np.exp(-2 * np.log(2) * ((2 * np.pi * C_M_S / w_ax * 1e9 - center_nm)
+                                    / filter_fwhm_nm) ** 2)
+    amp *= filt[:, None]
+    amp *= filt
+    amp /= np.linalg.norm(amp)
+    return x, sinc, amp
+
+
+class TestJsaBytes:
+    """compute_jsa builds the grating term and the sinc in the amplitude's
+    buffer; its bytes are those of the formula with separate arrays."""
+
+    @pytest.mark.parametrize("points", [64, 512, 1024])
+    @pytest.mark.parametrize("name", ["fig_s2_type0.json", "fig_s2_type1.json",
+                                      "fig_s3_hg_modes.json"])
+    def test_bundled_configs(self, name, points):
+        cfg = json.loads((CONFIGS / name).read_text())
+        args = (PumpSpec(**cfg["pump"]), CrystalSpec(**cfg["crystal"]), cfg["filter_fwhm_nm"],
+                GridSpec(points, cfg["grid"]["span_nm"]))
+        assert compute_jsa(*args).amp.tobytes() == reference_jsa(*args)[2].tobytes()
+
+    def test_signed_zero_phase_gives_a_sinc_of_one(self, monkeypatch):
+        # with a grating term g of 6.3e-14 rad/m and L / 2 = 5e-304 m, a sum
+        # wavevector of g leaves x = +0.0, and one an ulp below g leaves
+        # -ulp(g), which the length scales to -0.0
+        crystal = replace(TYPE1, poling_period_um=1e20, length_mm=1e-300)
+        g = 2 * np.pi / (crystal.poling_period_um * 1e-6)
+
+        def wavevector(crystal, omega, pol):
+            if len(omega) == 64:  # the pair axis
+                return np.zeros(64)
+            return np.resize([g, np.nextafter(g, 0.0), -g, 1.0], len(omega))
+
+        monkeypatch.setattr(spectral_mod, "_wavevector", wavevector)
+        args = (PUMP, crystal, 12.0, GridSpec(64, 80.0))
+        x, sinc, amp = reference_jsa(*args)
+        zero = x == 0
+        assert np.any(zero & np.signbit(x)) and np.any(zero & ~np.signbit(x))
+        assert np.all(sinc[zero] == 1.0)
+        assert compute_jsa(*args).amp.tobytes() == amp.tobytes()
+
+
 class TestGridSpec:
     def test_points_cap_is_the_config_schema_maximum(self):
         grid = _schema("config.schema.json")["properties"]["jsa"]["properties"]["grid"]
@@ -396,6 +458,38 @@ class TestSchmidtSketch:
         p = schmidt(grid).probabilities
         assert density_calls == []
         assert np.max(np.abs(p - squared_singular_values(amp))) < 1e-12
+
+    def test_config_grid_matches_svd_whether_certified_or_not(self, density_calls):
+        crystals = {"type0": CrystalSpec(**json.loads((CONFIGS / "fig_s2_type0.json")
+                                                       .read_text())["crystal"]),
+                    "type1": TYPE1}
+        fallbacks = 0
+        for crystal in crystals.values():
+            for length_mm in (1.0, 10.0, 50.0):
+                for fwhm_nm in (2.0, 12.0, 30.0):
+                    for duration_fs in (100.0, 1000.0):
+                        grid = compute_jsa(replace(PUMP, duration_fs=duration_fs),
+                                           replace(crystal, length_mm=length_mm), fwhm_nm,
+                                           GridSpec(256, 120.0))
+                        calls = len(density_calls)
+                        p = schmidt(grid).probabilities
+                        fallbacks += len(density_calls) - calls
+                        assert np.max(np.abs(p - squared_singular_values(grid.amp))) < 1e-12
+        # both paths run: the sketch certifies most of the 36 and falls back on some
+        assert 0 < fallbacks < 18
+
+    def test_config_at_the_certificate_edge_falls_back(self, density_calls):
+        # type-0, 30 mm, 12 nm, 100 fs at 512 points misses 1.16e-13 of the
+        # mass, just above the 1e-13 the sketch may miss
+        cfg = json.loads((CONFIGS / "fig_s2_type0.json").read_text())
+        grid = compute_jsa(replace(PUMP, duration_fs=100.0),
+                           CrystalSpec(**dict(cfg["crystal"], length_mm=30.0)), 12.0,
+                           GridSpec(512, 80.0))
+        missed = spectral_mod._sketched_weights(grid.amp)[1]
+        assert spectral_mod._SKETCH_MISSED_MASS < missed < 2e-13
+        p = schmidt(grid).probabilities
+        assert len(density_calls) == 1
+        assert np.max(np.abs(p - squared_singular_values(grid.amp))) < 1e-12
 
     def test_deterministic_and_leaves_global_random_state(self, jsa_type0):
         before = np.random.get_state()
@@ -687,6 +781,18 @@ class TestExport:
         jsa_to_binary(jsa_type0, tmp_path / "real.bin")
         jsa_to_binary(complex_copy(jsa_type0), tmp_path / "complex.bin")
         assert (tmp_path / "real.bin").read_bytes() == (tmp_path / "complex.bin").read_bytes()
+
+    def test_binary_is_written_in_row_blocks(self, tmp_path, jsa_type0):
+        # the bytes of one whole-array conversion, with at most a quarter grid
+        # of extra memory at 512 points
+        for grid in (jsa_type0, complex_copy(jsa_type0)):
+            reference = (np.array(grid.amp.shape, dtype="<i4").tobytes()
+                         + grid.signal_axis.astype("<f8").tobytes()
+                         + grid.idler_axis.astype("<f8").tobytes()
+                         + grid.amp.astype("<c16").tobytes())
+            path = tmp_path / "jsa.bin"
+            assert peak_in_grids(lambda: jsa_to_binary(grid, path), 512) <= 0.25
+            assert path.read_bytes() == reference
 
     def test_csv_header_and_shape(self, tmp_path):
         grid = gaussian_mode_grid(points=64)
