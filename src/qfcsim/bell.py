@@ -65,8 +65,10 @@ def chsh_sweep(rho, phi_list, mean_pairs: float | None = None, seed: int | None 
     directly from rho.  Sampled mode draws Poisson coincidence counts with
     the given expected total per basis pair, all in one draw over the
     (n_phi, 4, 2, 2) means from the child stream ``child_rng(seed,
-    STREAM_CHSH)``, which differs from the root and ``[seed, i]`` streams
-    (see ``states.child_rng``).  Sampled mode needs a seed, as every
+    STREAM_CHSH)``.  It differs from the root and ``[seed, i]`` streams only
+    for a seed of fewer than four 32-bit words: ``child_rng(2**96 + 5, 1)``
+    draws ``default_rng([2**96 + 5, 1])`` (see ``states.check_seed``).
+    Sampled mode needs a seed, as every
     sampler does; exact mode ignores it.  Returns a list of (phi, B)
     tuples, or (phi, B, B_std) in sampled mode with a Poisson-propagated
     standard deviation.

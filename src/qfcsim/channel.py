@@ -186,8 +186,10 @@ def konrad_check(rho0, spec: ChannelSpec):
     Returns (c_out, bound, holds) with bound = C(choi) * C(rho0); ``holds``
     allows c_out to exceed the bound by 1e-9 of rounding noise.  For
     input states whose converted-qubit marginal is I/2 the bound is an
-    equality; heralding on conversion of states biased toward the weakly
-    converted mode can concentrate entanglement past it (see tests).
+    equality.  The exact law weights each concurrence by its heralding
+    probability, C_out p_out = C(choi) p_choi C(rho0) for a pure input and
+    <= for a mixed one (Konrad et al., Nat. Phys. 4, 99, 2008), so c_out
+    exceeds the bound only where p_out < p_choi.
     """
     rho0 = assert_density_matrix(_one_matrix(rho0), dim=4)
     rho_out, _ = one_sided_apply(rho0, spec)

@@ -101,8 +101,11 @@ def svd(m):
     """Singular value decomposition M = U diag(s) V^dag.
 
     Returns (U, s, V) with singular values descending and V (not V^dag).
+    An argument of fewer than 2 dimensions raises ShapeMismatch.
     """
     m = as_complex(m)
+    if m.ndim < 2:
+        raise ShapeMismatch(f"svd expects a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix contains non-finite entries")
     return _finite_svd(m)

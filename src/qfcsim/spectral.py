@@ -641,14 +641,16 @@ def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
 # ---------------------------------------------------------------------------
 
 def jsa_to_csv(grid: JSAGrid, path) -> None:
-    """CSV dump with header row (omega_s, omega_i, re, im)."""
-    ns, ni = grid.amp.shape
-    ws = np.repeat(grid.signal_axis, ni)
-    wi = np.tile(grid.idler_axis, ns)
-    flat = grid.amp.reshape(-1)
-    data = np.column_stack([ws, wi, flat.real, flat.imag])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g",
-               header="omega_s,omega_i,re,im", comments="")
+    """CSV dump with header row (omega_s, omega_i, re, im), one line per grid
+    point in row-major order; one signal row of the table is built and
+    written at a time."""
+    row = np.empty((grid.amp.shape[1], 4))
+    row[:, 1] = grid.idler_axis
+    with open(path, "w") as fh:
+        fh.write("omega_s,omega_i,re,im\n")
+        for omega_s, amp in zip(grid.signal_axis, grid.amp):
+            row[:, 0], row[:, 2], row[:, 3] = omega_s, amp.real, amp.imag
+            np.savetxt(fh, row, delimiter=",", fmt="%.17g")
 
 
 def jsa_to_binary(grid: JSAGrid, path) -> None:

@@ -161,7 +161,11 @@ def check_seed(seed):
     independent stream: ``SeedSequence`` pads its entropy with zero words,
     so ``[7]`` and ``[7, 0]``, or ``[7, 3]`` and ``[7, 3, 0]``, draw the
     same numbers. ``simulate_counts`` draws from the root
-    ``default_rng(seed)`` and sampled ``chsh_sweep`` from ``child_rng``.
+    ``default_rng(seed)`` and sampled ``chsh_sweep`` from ``child_rng``,
+    which is apart from the root and ``[seed, i]`` streams only for a seed
+    of fewer than four 32-bit words: ``child_rng((7, 1, 2, 3), 1)`` draws
+    ``default_rng([7, 1, 2, 3, 1])``, and ``child_rng(2**96 + 5, 1)`` draws
+    ``default_rng([2**96 + 5, 1])``, MC resample 1 of that seed.
     ``monte_carlo_metric`` (resample i) and the sampled ``sweep-theta``
     command (point i) still draw from ``[seed, i]``, so MC resample 0
     repeats the counts of ``simulate_counts`` with the same seed; they move

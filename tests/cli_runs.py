@@ -2,10 +2,17 @@
 a read-back of what they write. ``PYTHONPATH=src python tests/cli_runs.py OUT``
 runs each entry in its own ``python -m qfcsim.cli`` process into ``OUT/<name>``
 and reads the artifacts back; two calls write byte-identical trees (``diff -r``).
-It imports only the standard library, numpy and qfcsim: no test extras."""
+``--console OUT`` loads every public name, then checks the CONSOLE rows through
+the installed ``qfcsim`` script; tier-1 checks them through ``python -m
+qfcsim.cli``. Every CLI process treats a RuntimeWarning as an error, so runpy's
+warning that qfcsim.cli is already imported exits 1. It imports only the
+standard library, numpy and qfcsim: no test extras."""
 
+import contextlib
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -14,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import qfcsim
+from qfcsim.cli import main
 
 BUNDLED = Path(__file__).resolve().parent.parent / "configs"
 WERNER = {"kind": "werner", "concurrence": 0.919}
@@ -83,19 +91,60 @@ RUNS = {
 }
 
 
+# console runs: name -> (arguments after --out, a directory made inside --out
+# first or None, exit code, whether stdout is empty, lines on stderr, whether
+# --out then holds byte for byte what RUNS["drive"] writes, else that directory
+# alone or nothing)
+CONSOLE = {
+    "drive": (RUNS["drive"], None, 0, False, 0, True),
+    # a run that cannot write one of its files writes none of them
+    "drive_blocked": (RUNS["drive"], "drive_summary.json", 2, True, 1, False),
+    "jsa_blocked": (RUNS["jsa_csv"], "jsa.csv", 2, True, 1, False),
+    # a usage error stops before --out is made
+    "usage": (["--seed", "x", "drive", "--theta", "1"], None, 2, True, 1, False),
+}
+
+
+def _argv(out: Path, name: str, args: list, tmp: str) -> list:
+    argv = ["--out", str(out / name)]
+    for arg in args:
+        if isinstance(arg, dict):
+            cfg, arg = arg, Path(tmp) / f"{name}.json"
+            arg.write_text(json.dumps(cfg) + "\n")
+        argv.append(str(arg))
+    return argv
+
+
+def tree(root: Path) -> dict:
+    """Every path below ``root``: a file by its bytes, a directory by None."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
 def run(out: Path, cli) -> None:
     """Run each entry of RUNS into ``out/<name>`` through ``cli(argv)``, which must
     return 0, and read the artifacts back."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, args in RUNS.items():
-            argv = ["--out", str(out / name)]
-            for arg in args:
-                if isinstance(arg, dict):
-                    cfg, arg = arg, Path(tmp) / f"{name}.json"
-                    arg.write_text(json.dumps(cfg) + "\n")
-                argv.append(str(arg))
+            argv = _argv(out, name, args, tmp)
             assert cli(argv) == 0, argv
     read_back(out)
+
+
+def console(out: Path, cli) -> None:
+    """Run each CONSOLE row into ``out/<name>`` through ``cli(*argv)``, which
+    returns the finished process with its output as text, and check it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(_argv(Path(tmp), "drive", RUNS["drive"], tmp)) == 0
+        for name, (args, block, code, quiet, errors, drive) in CONSOLE.items():
+            if block:
+                (out / name / block).mkdir(parents=True)
+            proc = cli(*_argv(out, name, args, tmp))
+            assert (proc.returncode, not proc.stdout, len(proc.stderr.splitlines())) == \
+                (code, quiet, errors), (name, proc.stdout, proc.stderr)
+            held = tree(Path(tmp) / "drive") if drive else {Path(block): None} if block else {}
+            assert tree(out / name) == held, name
 
 
 def read_back(out: Path) -> None:
@@ -122,6 +171,15 @@ def read_back(out: Path) -> None:
 
 
 if __name__ == "__main__":
-    run(Path(sys.argv[1]), lambda argv: subprocess.run(
-        [sys.executable, "-m", "qfcsim.cli", *argv], stdout=subprocess.DEVNULL).returncode)
-    print(f"{len(RUNS)} runs written to {sys.argv[1]} and read back")
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    if sys.argv[1] == "--console":
+        for name in qfcsim.__all__:  # every public name loads on numpy alone
+            getattr(qfcsim, name)
+        console(Path(sys.argv[2]), lambda *argv: subprocess.run(
+            ["qfcsim", *argv], env=env, capture_output=True, text=True))
+        print(f"{len(CONSOLE)} console runs checked in {sys.argv[2]}")
+    else:
+        run(Path(sys.argv[1]), lambda argv: subprocess.run(
+            [sys.executable, "-m", "qfcsim.cli", *argv], env=env,
+            stdout=subprocess.DEVNULL).returncode)
+        print(f"{len(RUNS)} runs written to {sys.argv[1]} and read back")

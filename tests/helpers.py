@@ -10,10 +10,11 @@ import jsonschema
 import numpy as np
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python args`` in a fresh interpreter, with src/ and tests/ on the path."""
+def _fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter, with src/ and tests/ on the path
+    and ``env`` in its environment."""
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
@@ -27,8 +28,9 @@ def fresh_python(code: str, *args: str) -> str:
 
 
 def fresh_cli(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m qfcsim.cli argv`` in a fresh interpreter."""
-    return _fresh("-m", "qfcsim.cli", *argv)
+    """``python -m qfcsim.cli argv`` in a fresh interpreter where, as in every
+    process of tests/cli_runs.py, a RuntimeWarning is an error."""
+    return _fresh("-m", "qfcsim.cli", *argv, PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def random_unitary(rng, dim=2):

@@ -305,3 +305,18 @@ class TestKonrad:
         c_out, bound, holds = konrad_check(rho0, spec)
         assert not holds
         assert c_out > bound
+
+    def test_trace_weighted_law(self):
+        # Konrad et al., Nat. Phys. 4, 99 (2008): C_out p_out = C(Choi) p_Choi C(rho0)
+        # for a pure input and <= for a mixed one, p the heralding probabilities;
+        # about half of the pure inputs exceed the unweighted bound of konrad_check
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            spec = ChannelSpec(a=random_drive(rng), kt=rng.uniform(0.05, 2.0))
+            _, p_choi = one_sided_apply(bell_state("phi+"), spec)
+            for rank in (1, 2, 3, 4):
+                rho0 = random_density_matrix(rng, 4, rank)
+                rho_out, p_out = one_sided_apply(rho0, spec)
+                gap = (concurrence(rho_out) * p_out
+                       - choi_concurrence_closed(spec) * p_choi * concurrence(rho0))
+                assert (abs(gap) if rank == 1 else gap) <= 1e-12, (rank, gap)

@@ -62,10 +62,6 @@ def cli_tree(tmp_path_factory):
     return out
 
 
-def _tree(root: Path) -> dict:
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 class TestDrive:
     @pytest.mark.parametrize("theta,expected", [(0.0, 1.0), (45.0, 0.0),
                                                 (22.5, 0.70711)])
@@ -924,10 +920,13 @@ class TestUsageErrors:
 class TestCliRuns:
     def test_two_in_process_passes_write_byte_identical_trees(self, cli_tree, tmp_path):
         cli_runs.run(tmp_path, main)
-        first, second = _tree(cli_tree), _tree(tmp_path)
+        first, second = cli_runs.tree(cli_tree), cli_runs.tree(tmp_path)
         assert {p.parts[0] for p in first} == set(cli_runs.RUNS)
         assert sorted(first) == sorted(second)
         assert [p for p in first if first[p] != second[p]] == []
+
+    def test_console_rows_through_the_module(self, tmp_path):
+        cli_runs.console(tmp_path, fresh_cli)
 
 
 class TestBundles:

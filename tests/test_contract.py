@@ -278,6 +278,7 @@ ESCAPES = {
     "temporal_intensity-nan": (lambda: temporal_intensity(SPECTRUM, [0.0, float("nan"), 2e-15]),
                                OutOfRange),
     "svd-nan": (lambda: svd([[float("nan"), 0.0], [0.0, 1.0]]), InvalidState),
+    "svd-vector": (lambda: svd(np.zeros(3)), ShapeMismatch),
     "JSAGrid-amp-shape": (lambda: JSAGrid(np.arange(3.0), np.arange(4.0), np.ones((4, 3))),
                           ShapeMismatch),
     "JSAGrid-decreasing-axis": (

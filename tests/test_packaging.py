@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-import cli_runs
 import qfcsim
 from helpers import fresh_python
 
@@ -146,48 +145,12 @@ def test_tier1_workflow_runs_the_roadmap_command():
                         "python -m pytest -q --continue-on-collection-errors")
 
 
-def test_cli_reruns_job_diffs_two_passes_over_the_run_table():
-    # the runs and their configs live in tests/cli_runs.py alone, not in the job
-    lines = [line.strip() for step in _workflow_job("cli-reruns")["steps"] if "run" in step
+def test_cli_reruns_job_runs_the_tables_of_cli_runs():
+    # every check lives in tests/cli_runs.py, whose CONSOLE rows tier-1 runs too
+    lines = [line for step in _workflow_job("cli-reruns")["steps"] if "run" in step
              for line in step["run"].splitlines()]
-    assert lines[0] == "python -m pip install -e ."
-    table = "python tests/cli_runs.py "
-    outs = [line[len(table):] for line in lines if line.startswith(table)]
-    assert len(set(outs)) == 2
-    assert lines.index(f"diff -r {outs[0]} {outs[1]}") > lines.index(table + outs[1])
-    # the console script's drive run writes what the table's drive run wrote
-    console = 'qfcsim --out "$RUNNER_TEMP/console" drive --theta 22.5'
-    assert cli_runs.RUNS["drive"] == ["drive", "--theta", "22.5"]
-    assert lines.index('diff -r "$RUNNER_TEMP/a/drive" "$RUNNER_TEMP/console"') > \
-        lines.index(console) > lines.index(table + outs[0])
-    assert not [line for line in lines if "echo" in line or "<<" in line]
-
-
-def test_cli_reruns_job_runs_a_console_run_that_cannot_write():
-    # exit 2, nothing on stdout, and --out holds only the directory that blocked it
-    steps = [step["run"].splitlines() for step in _workflow_job("cli-reruns")["steps"]
-             if "blocked" in step.get("run", "")]
-    assert steps == [[
-        'mkdir -p "$RUNNER_TEMP/blocked/drive_summary.json"',
-        "code=0",
-        'qfcsim --out "$RUNNER_TEMP/blocked" drive --theta 22.5 > "$RUNNER_TEMP/blocked.out"'
-        " || code=$?",
-        'test "$code" = 2',
-        'test ! -s "$RUNNER_TEMP/blocked.out"',
-        'test "$(find "$RUNNER_TEMP/blocked" -mindepth 1)" = '
-        '"$RUNNER_TEMP/blocked/drive_summary.json"',
-    ]]
-
-
-def test_cli_reruns_job_runs_a_console_usage_error():
-    # exit 2, one line on stderr and nothing on stdout
-    steps = [step["run"].splitlines() for step in _workflow_job("cli-reruns")["steps"]
-             if "usage" in step.get("run", "")]
-    assert steps == [[
-        "code=0",
-        'qfcsim --seed x drive --theta 1 > "$RUNNER_TEMP/usage.out" 2> "$RUNNER_TEMP/usage.err"'
-        " || code=$?",
-        'test "$code" = 2',
-        'test ! -s "$RUNNER_TEMP/usage.out"',
-        'test "$(wc -l < "$RUNNER_TEMP/usage.err")" = 1',
-    ]]
+    assert lines == ["python -m pip install -e .",
+                     'python tests/cli_runs.py "$RUNNER_TEMP/a"',
+                     'python tests/cli_runs.py "$RUNNER_TEMP/b"',
+                     'diff -r "$RUNNER_TEMP/a" "$RUNNER_TEMP/b"',
+                     'python tests/cli_runs.py --console "$RUNNER_TEMP/console"']

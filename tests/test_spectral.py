@@ -722,8 +722,8 @@ def peak_in_grids(call, n):
 
 class TestPeakMemory:
     """Peaks in n x n float64 grids at 512 points: 2.13 for compute_jsa, whose
-    sinc holds the phase and the amplitude, 1.00 for reduced_density, and
-    0.7 for the delay width, which holds no n x n array."""
+    sinc holds the phase and the amplitude, 1.00 for reduced_density, 0.7
+    for the delay width, which holds no n x n array, and 0.16 for jsa_to_csv."""
 
     def test_compute_jsa(self):
         call = lambda: compute_jsa(PUMP, TYPE1, 12.0, GridSpec(512, 80.0))  # noqa: E731
@@ -735,6 +735,11 @@ class TestPeakMemory:
     def test_coincidence_delay_width(self, jsa_type1):
         rho = reduced_density(jsa_type1, "idler")
         assert peak_in_grids(lambda: coincidence_delay_width(rho, PUMP), 512) <= 1.0
+
+    def test_jsa_to_csv(self, tmp_path, jsa_type1):
+        # one signal row of the table at a time, where the whole table took 7.0
+        path = tmp_path / "jsa.csv"
+        assert peak_in_grids(lambda: jsa_to_csv(jsa_type1, path), 512) <= 0.25
 
 
 class TestEfficiency:
@@ -793,6 +798,19 @@ class TestExport:
             path = tmp_path / "jsa.bin"
             assert peak_in_grids(lambda: jsa_to_binary(grid, path), 512) <= 0.25
             assert path.read_bytes() == reference
+
+    def test_csv_bytes_are_those_of_the_whole_table(self, tmp_path):
+        # the reference: the whole (omega_s, omega_i, re, im) table in one savetxt
+        real = compute_jsa(PUMP, TYPE1, 12.0, GridSpec(128, 80.0))
+        for grid in (real, JSAGrid(real.signal_axis, real.idler_axis, real.amp * np.exp(0.5j))):
+            ns, ni = grid.amp.shape
+            table = np.column_stack([np.repeat(grid.signal_axis, ni),
+                                     np.tile(grid.idler_axis, ns),
+                                     grid.amp.real.ravel(), grid.amp.imag.ravel()])
+            np.savetxt(tmp_path / "reference.csv", table, delimiter=",", fmt="%.17g",
+                       header="omega_s,omega_i,re,im", comments="")
+            jsa_to_csv(grid, tmp_path / "jsa.csv")
+            assert (tmp_path / "jsa.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_csv_header_and_shape(self, tmp_path):
         grid = gaussian_mode_grid(points=64)
