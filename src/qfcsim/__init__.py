@@ -22,14 +22,14 @@ _MODULES = {
                 "one_sided_apply"),
     "drive": ("coherence_matrix", "drive_concurrence", "drive_from_theta", "qwp_jones",
               "vwp_transform"),
+    "efficiency": ("estimate_efficiency",),
     "linalg": ("partial_trace", "svd"),
     "spectral": ("LITHIUM_NIOBATE", "CrystalSpec", "DispersionModel", "GridSpec", "JSAGrid",
                  "PumpSpec", "SchmidtDecomposition", "SpectralDensity",
-                 "coincidence_delay_width", "compute_jsa", "estimate_efficiency",
-                 "heralded_purity", "hg_mode_probabilities", "jsa_from_binary",
-                 "jsa_to_binary", "jsa_to_csv", "phase_mismatch", "pump_overlap",
-                 "reduced_density", "refractive_index", "schmidt", "spectral_purity",
-                 "temporal_intensity"),
+                 "coincidence_delay_width", "compute_jsa", "heralded_purity",
+                 "hg_mode_probabilities", "jsa_from_binary", "jsa_to_binary", "jsa_to_csv",
+                 "phase_mismatch", "pump_overlap", "reduced_density", "refractive_index",
+                 "schmidt", "spectral_purity", "temporal_intensity"),
     "states": ("assert_density_matrix", "bell_state", "chsh_max", "concurrence", "fidelity",
                "pauli_correlations", "purity", "werner_state"),
     "tomography": ("CountRecord", "MeasurementSetting", "MetricWithError", "mle_reconstruct",

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive import check_drive, coherence_matrix
-from .errors import OutOfRange, ZeroConversionProbability
-from .linalg import _describe, _finite_real, _finite_svd, dagger, partial_trace
+from .errors import OutOfRange, ZeroConversionProbability, _describe, _finite_real
+from .linalg import _finite_svd, dagger, partial_trace
 from .states import I2, _one_matrix, assert_density_matrix, bell_state, concurrence
 
 # success probabilities at or below this are treated as zero conversion

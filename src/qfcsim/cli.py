@@ -10,13 +10,18 @@ is null unless the run drew counts.  Both checks use qfcsim.schema, the
 in-repo validator for the draft-07 subset these schemas use, so that a
 command does not pay for importing jsonschema.  The commands call qfcsim's
 public names, which the package imports on first use, so a process imports
-only the modules its one command runs.  A command writes into a staging
+only the modules its one command runs.  This module does not import numpy
+at load time; the physics modules a command calls do.  So ``efficiency``,
+whose module is numpy-free, and every run that stops before the physics
+(--help, a usage error, an --out that cannot be made, a config that cannot
+be read or that its schema rejects) never load numpy.  A command writes into a staging
 directory inside --out and prints nothing until its summary is written; only
 then are its files moved into --out and its lines printed, so a run that
 fails writes nothing.  Every error, a usage error too, is one stderr line.
 The ``qfcsim`` console script and ``python -m qfcsim.cli`` enter through
 ``run()``, which runs without the cyclic garbage collector; ``main()``
-called in-process leaves ``gc`` alone.  Angles are in degrees.
+called in-process leaves ``gc`` alone.  Angles are in degrees, converted
+with ``math.radians``.
 """
 
 from __future__ import annotations
@@ -26,16 +31,14 @@ import contextlib
 import csv
 import functools
 import gc
-import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 import qfcsim as q
 from . import __version__
@@ -51,9 +54,9 @@ def _schema(name: str) -> dict:
     return json.loads((resources.files("qfcsim") / "data" / name).read_text())
 
 
-def _complex_to_json(m: np.ndarray):
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def _complex_to_json(m):
+    """A complex matrix (a numpy array) as rows of [re, im] pairs."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m.tolist()]
 
 
 def _fmt(x: float) -> str:
@@ -69,6 +72,8 @@ _MAX_ANGLE_POINTS = 3601
 
 
 def _load_config(path: str) -> tuple[dict, str]:
+    import hashlib  # OpenSSL's _hashlib: paid only by a run that reads a config
+
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -106,29 +111,31 @@ def _validate_config(cfg: dict, command: str) -> None:
     raise ConfigError(f"{where}: {error.validator} {json.dumps(error.validator_value)}")
 
 
-def _angle_grid(grid: dict, where: str) -> np.ndarray:
+def _angle_grid(grid: dict, where: str) -> list:
     start, stop, step = (float(grid[key]) for key in ("start", "stop", "step"))
-    if not (np.all(np.isfinite([start, stop, step])) and step > 0 and stop >= start):
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start):
         raise ConfigError(f"{where}: need finite start, stop and step, step > 0 "
                           "and stop >= start")
     n = (stop - start) / step  # inf when the span overflows
     if not n <= _MAX_ANGLE_POINTS - 1:
         raise ConfigError(f"{where}: more than {_MAX_ANGLE_POINTS} points")
-    # round down, but keep a last point that the division left just short
-    return start + step * np.arange(int(n + 1e-9) + 1)
+    # round down, but keep a last point that the division left just short; each
+    # point rounds as start + step * np.arange(k) does, bit for bit
+    return [start + step * i for i in range(int(n + 1e-9) + 1)]
 
 
-def _state_from_config(cfg: dict) -> np.ndarray:
+def _state_from_config(cfg: dict):
     if cfg["kind"] == "bell":
         return q.bell_state(cfg["label"])
     return q.werner_state((2 * cfg["concurrence"] + 1) / 3)
 
 
-def _drive_from_config(cfg: dict) -> np.ndarray:
-    # ChannelSpec and drive_concurrence reject a matrix not of unit norm
+def _drive_from_config(cfg: dict):
+    # ChannelSpec and drive_concurrence convert the nested lists and reject a
+    # matrix not of unit norm
     if "matrix" in cfg:
-        return np.array([[complex(re, im) for re, im in row] for row in cfg["matrix"]])
-    return q.drive_from_theta(np.deg2rad(float(cfg["theta_deg"])))
+        return [[complex(re, im) for re, im in row] for row in cfg["matrix"]]
+    return q.drive_from_theta(math.radians(float(cfg["theta_deg"])))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +172,9 @@ def _write_csv(out_dir: Path, name: str, header: list, rows) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_drive(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
-    a = q.drive_from_theta(np.deg2rad(cfg["theta"]))
+    import numpy as np  # loaded by drive_from_theta already; only printing needs it here
+
+    a = q.drive_from_theta(math.radians(cfg["theta"]))
     rho_d = q.coherence_matrix(a)
     conc = q.drive_concurrence(a)
     print(f"theta = {cfg['theta']} deg")
@@ -191,7 +200,7 @@ def _cmd_sweep_theta(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     c_in = q.concurrence(rho0)
     rows = []
     for i, theta_deg in enumerate(thetas):
-        spec = q.ChannelSpec(a=q.drive_from_theta(np.deg2rad(theta_deg)), kt=kt)
+        spec = q.ChannelSpec(a=q.drive_from_theta(math.radians(theta_deg)), kt=kt)
         rho_out, _ = q.one_sided_apply(rho0, spec)
         bound = q.choi_concurrence_closed(spec) * c_in
         if sampled:
@@ -291,13 +300,13 @@ def _cmd_bell(cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     rho = _state_from_config(cfg["state"])
     phis_deg = _angle_grid(cfg["phi_deg"], "phi_deg")
     sampled = "mean_pairs" in cfg  # the schema then asks for a seed
-    sweep = q.chsh_sweep(rho, np.deg2rad(phis_deg),
+    sweep = q.chsh_sweep(rho, [math.radians(deg) for deg in phis_deg],
                          mean_pairs=float(cfg["mean_pairs"]) if sampled else None,
                          seed=int(cfg["seed"]) if sampled else None)
     rows = [(deg, row[1], row[2] if sampled else "") for deg, row in zip(phis_deg, sweep)]
     csv_name = _write_csv(out_dir, "bell_sweep.csv", ["phi_deg", "B", "B_std_if_sampled"], rows)
     b_values = [r[1] for r in rows]
-    i_max = int(np.argmax(b_values))
+    i_max = max(range(len(b_values)), key=b_values.__getitem__)  # the first maximum
     results = {
         "mode": "sampled" if sampled else "exact",
         "max_B": b_values[i_max],

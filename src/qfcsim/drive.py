@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OutOfRange
-from .linalg import _describe, _finite_real, unit_norm
+from .errors import OutOfRange, _describe, _finite_real
+from .linalg import unit_norm
 from .states import assert_density_matrix
 
 

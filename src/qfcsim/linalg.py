@@ -1,51 +1,17 @@
-"""The argument rules (integers, finite reals, finite real arrays, complex
-arrays, unit norm, one rounding tolerance), SVD and the two-qubit partial trace."""
+"""The array argument rules (finite real arrays, complex arrays, unit norm,
+one rounding tolerance), SVD and the two-qubit partial trace; the scalar
+rules live in ``errors``."""
 
 from __future__ import annotations
 
-import math
-import numbers
-import sys
-
 import numpy as np
 
-from .errors import InvalidState, NoConvergence, NotNormalized, OutOfRange, ShapeMismatch
+from .errors import (InvalidState, NoConvergence, NotNormalized, OutOfRange, ShapeMismatch,
+                     _describe, _integer)
 
 # Largest |rho - rho^dag| entry, |Tr rho - 1| and negative eigenvalue that a
 # density matrix may carry as rounding noise; also |x|^2 - 1 for unit_norm
 _TOL = 1e-10
-
-
-def _integer(x) -> bool:
-    """True for a Python or numpy integer; False for bools (numpy's too), for
-    floats of any kind, integral or not, and for every other type."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _finite_real(x) -> bool:
-    """True for a finite real number; False for bools, NaN, +-inf, arrays and
-    other types (numpy would compute with True in float16)."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-# Longest str that _describe quotes whole; a longer one is cut there
-_SHOWN_CHARS = 100
-
-
-def _describe(x) -> str:
-    """One-line description of a rejected argument: None's or a string's repr
-    (a string cut after _SHOWN_CHARS characters, with its full length), another
-    scalar as str prints it (nan, not np.float64(nan)), else its type."""
-    if isinstance(x, str) and len(x) > _SHOWN_CHARS:
-        return f"{x[:_SHOWN_CHARS]!r}... ({len(x)} characters)"
-    if x is None or isinstance(x, str):
-        return repr(x)
-    if _integer(x) and not -sys.float_info.max <= x <= sys.float_info.max:
-        return type(x).__name__  # beyond the float range; str raises past 4300 digits
-    return str(x) if np.isscalar(x) else type(x).__name__
 
 
 def _real_array(x, what: str) -> np.ndarray:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (DivisionByZero, GridTooCoarse, NoConvergence, OutOfRange,
-                     ShapeMismatch)
-from .linalg import _describe, _finite_real, _integer, _real_array
+from .errors import (GridTooCoarse, NoConvergence, OutOfRange, ShapeMismatch, _describe,
+                     _finite_real, _integer)
+from .linalg import _real_array
 
 C_M_S = 299792458.0  # speed of light, m/s
 
@@ -606,34 +606,6 @@ def coincidence_delay_width(rho: SpectralDensity, drive: PumpSpec) -> float:
                 f"every {period / 1e-12:.3g} ps, less than the {(t[-1] - t[0]) / 1e-12:.3g} "
                 f"ps delay window; use a finer frequency grid") from None
         raise
-
-
-# ---------------------------------------------------------------------------
-# efficiency arithmetic
-# ---------------------------------------------------------------------------
-
-def estimate_efficiency(r_up_hz: float, r_herald_hz: float,
-                        eta_snspd: float, eta_apd: float) -> float:
-    """Upconversion efficiency from single/coincidence rates.
-
-    eta = 2 r_up eta_snspd / (r_herald eta_apd); the factor 2 undoes the
-    50% loss of projecting the upconverted polarization.  OutOfRange when
-    finite rates give an eta beyond the float range.
-    """
-    for name, val, top in (("r_up_hz", r_up_hz, np.inf), ("r_herald_hz", r_herald_hz, np.inf),
-                           ("eta_snspd", eta_snspd, 1.0), ("eta_apd", eta_apd, 1.0)):
-        zero_ok = name in ("r_herald_hz", "eta_apd")  # the DivisionByZero below
-        if not (_finite_real(val) and (0 < val or zero_ok and val == 0) and val <= top):
-            rule = "positive and finite" if top == np.inf else "in (0, 1]"
-            raise OutOfRange(f"{name} must be {rule}, got {_describe(val)}")
-    denom = r_herald_hz * eta_apd
-    if denom == 0:
-        raise DivisionByZero("herald rate times APD efficiency is zero")
-    eta = 2.0 * r_up_hz * eta_snspd / denom
-    if not np.isfinite(eta):
-        raise OutOfRange(f"an input is too large to compute with: efficiency {eta} "
-                         f"from r_up_hz {r_up_hz} and r_herald_hz {r_herald_hz}")
-    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel
-from .linalg import _TOL, _describe, _finite_real, _integer, as_complex, dagger
+from .errors import (InvalidSeed, InvalidState, OutOfRange, ShapeMismatch, UnknownLabel,
+                     _describe, _finite_real, _integer)
+from .linalg import _TOL, as_complex, dagger
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

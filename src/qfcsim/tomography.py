@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InvalidState, NoConvergence, NotInformationallyComplete, OutOfRange,
-                     QfcError, ShapeMismatch, UnknownLabel)
-from .linalg import _describe, _integer, dagger, unit_norm
+                     QfcError, ShapeMismatch, UnknownLabel, _describe, _integer)
+from .linalg import dagger, unit_norm
 from .states import (_one_matrix, assert_density_matrix, born_probabilities, check_mean_pairs,
                      check_seed)
 

@@ -92,16 +92,20 @@ RUNS = {
 
 
 # console runs: name -> (arguments after --out, a directory made inside --out
-# first or None, exit code, whether stdout is empty, lines on stderr, whether
-# --out then holds byte for byte what RUNS["drive"] writes, else that directory
-# alone or nothing)
+# first or None, exit code, whether stdout is empty, lines on stderr, and the
+# RUNS entry whose tree --out then holds byte for byte, or None: --out then
+# holds that directory alone or nothing)
 CONSOLE = {
-    "drive": (RUNS["drive"], None, 0, False, 0, True),
+    "drive": (RUNS["drive"], None, 0, False, 0, "drive"),
+    # a success and a failure that never load numpy
+    "efficiency": (RUNS["efficiency"], None, 0, False, 0, "efficiency"),
+    "rejected": (["tomo", "--config", {"state": WERNER, "settings": 16}], None, 2, True, 1,
+                 None),
     # a run that cannot write one of its files writes none of them
-    "drive_blocked": (RUNS["drive"], "drive_summary.json", 2, True, 1, False),
-    "jsa_blocked": (RUNS["jsa_csv"], "jsa.csv", 2, True, 1, False),
+    "drive_blocked": (RUNS["drive"], "drive_summary.json", 2, True, 1, None),
+    "jsa_blocked": (RUNS["jsa_csv"], "jsa.csv", 2, True, 1, None),
     # a usage error stops before --out is made
-    "usage": (["--seed", "x", "drive", "--theta", "1"], None, 2, True, 1, False),
+    "usage": (["--seed", "x", "drive", "--theta", "1"], None, 2, True, 1, None),
 }
 
 
@@ -135,15 +139,17 @@ def console(out: Path, cli) -> None:
     """Run each CONSOLE row into ``out/<name>`` through ``cli(*argv)``, which
     returns the finished process with its output as text, and check it."""
     with tempfile.TemporaryDirectory() as tmp:
+        runs = Path(tmp) / "runs"  # the RUNS entries the rows compare against, in process
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(_argv(Path(tmp), "drive", RUNS["drive"], tmp)) == 0
-        for name, (args, block, code, quiet, errors, drive) in CONSOLE.items():
+            for name in {row[-1] for row in CONSOLE.values()} - {None}:
+                assert main(_argv(runs, name, RUNS[name], tmp)) == 0, name
+        for name, (args, block, code, quiet, errors, same_as) in CONSOLE.items():
             if block:
                 (out / name / block).mkdir(parents=True)
             proc = cli(*_argv(out, name, args, tmp))
             assert (proc.returncode, not proc.stdout, len(proc.stderr.splitlines())) == \
                 (code, quiet, errors), (name, proc.stdout, proc.stderr)
-            held = tree(Path(tmp) / "drive") if drive else {Path(block): None} if block else {}
+            held = tree(runs / same_as) if same_as else {Path(block): None} if block else {}
             assert tree(out / name) == held, name
 
 

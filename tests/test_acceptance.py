@@ -130,9 +130,10 @@ def test_criterion_4_heisenberg_ode_oracle():
 def test_criterion_5_konrad_property_suite():
     """1000 random inputs from the maximally-mixed-marginal family (Bell
     mixtures under local unitaries), random drives, kt in (0, 2]; the
-    bound is an equality for this family.  Heralded conversion of inputs
-    biased toward the weakly converted mode can exceed the bound
-    (entanglement concentration); see test_channel.py and the notes."""
+    bound is an equality for this family.  Outside it the trace-weighted law
+    C_out p_out <= C(Choi) p_Choi C(rho0) holds, so c_out exceeds C(Choi)
+    C(rho0) only where the heralding probability p_out < p_Choi, as for inputs
+    biased toward the weakly converted mode; see test_channel.py."""
     crit = Criterion(5, "entanglement bound holds with equality at mixed marginals", 30.0)
     rng = np.random.default_rng(5)
     all_hold = True

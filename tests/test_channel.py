@@ -292,9 +292,10 @@ class TestKonrad:
             assert abs(c_out - bound) < 1e-9
 
     def test_equality_needs_mixed_marginal(self):
-        # heralded filtering toward the weakly converted mode concentrates
-        # entanglement past the bound: the bound applies to inputs with a
-        # maximally mixed converted-qubit marginal
+        # the trace-weighted law C_out p_out <= C(Choi) p_Choi C(rho0) lets c_out
+        # exceed C(Choi) C(rho0) only where p_out < p_Choi; a maximally mixed
+        # converted-qubit marginal gives p_out = p_Choi, and this input, biased
+        # toward the weakly converted mode, gives p_out < p_Choi
         psi = np.array([0.2, 0.0, 0.0, 1.0], dtype=complex)
         psi /= np.linalg.norm(psi)
         rho0 = np.outer(psi, psi.conj())

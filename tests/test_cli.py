@@ -5,6 +5,7 @@ import errno
 import gc
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cli_runs
@@ -724,6 +725,20 @@ class TestConfigValidation:
         assert len(thetas) == len(points)
         assert np.allclose(thetas, points, rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(start=st.floats(-1e300, 1e300), step=st.floats(0.0, 1e300, exclude_min=True),
+           span=st.floats(0.0, cli_mod._MAX_ANGLE_POINTS - 1))
+    def test_angle_grid_and_its_radians_equal_numpy_bit_for_bit(self, start, step, span):
+        # the grid and math.radians give the bits of start + step * np.arange(k)
+        # and np.deg2rad, on every grid _angle_grid accepts, up to 3601 points
+        stop = start + step * span
+        assume((stop - start) / step <= cli_mod._MAX_ANGLE_POINTS - 1)  # else rejected
+        grid = _angle_grid({"start": start, "stop": stop, "step": step}, "phi_deg")
+        expected = start + step * np.arange(len(grid))
+        assert np.array(grid).tobytes() == expected.tobytes()
+        assert np.array([math.radians(x) for x in grid]).tobytes() == \
+            np.deg2rad(expected).tobytes()
+
     @pytest.mark.parametrize("command,cfg,key,values,flags", [
         ("sweep-theta", {"theta_deg": {"start": 0.0, "stop": 90.0, "step": 15.0},
                          "input_state": {"kind": "werner", "concurrence": 0.85}},
@@ -754,31 +769,52 @@ def _imported(module: str) -> set:
     return set(fresh_python(code).split())
 
 
-# Run the command of argv (none: import qfcsim alone), then list the qfcsim
-# modules loaded besides the package and the CLI itself.
+# Import qfcsim and, given any argument, qfcsim.cli; run the arguments after
+# the first as a command line.  Print the exit code (None: nothing run),
+# whether numpy is loaded, and the qfcsim modules loaded besides the package
+# and the CLI itself.
 _LOADED = """import sys, qfcsim
+code = None
 if sys.argv[1:]:
     from qfcsim.cli import main
-    assert main(sys.argv[1:]) == 0
-print(*sorted({m.split(".")[1] for m in sys.modules if m.startswith("qfcsim.")} - {"cli"}))
+if sys.argv[2:]:
+    try:
+        code = main(sys.argv[2:])
+    except SystemExit as exc:  # argparse exits on --help and on a usage error
+        code = exc.code
+print(code, "numpy" in sys.modules,
+      *sorted({m.split(".")[1] for m in sys.modules if m.startswith("qfcsim.")} - {"cli"}))
 """
-# every command loads linalg and errors through its physics, and the summary validator
+# every physics command loads linalg and errors, and the summary validator
 _BASE = {"linalg", "errors", "schema"}
-# command -> (its arguments after --out, a config for --config or None, the
-# qfcsim modules it loads)
+# what the CLI loads before it reaches the physics
+_CLI = {"errors", "schema"}
+# case -> (its arguments after --out, None to import qfcsim alone or () to import
+# qfcsim.cli alone; a config for --config or None; the exit code; the qfcsim
+# modules it loads; whether it loads numpy)
 _LOADS = {
-    "import qfcsim": ([], None, set()),
-    "drive": (["drive", "--theta", "22.5"], None, {"drive", "states", *_BASE}),
-    "efficiency": (["efficiency", "100", "60000", "0.8", "0.6"], None, {"spectral", *_BASE}),
-    "choi": (["choi"], CHOI, {"channel", "drive", "states", *_BASE}),
+    "import qfcsim": (None, None, None, set(), False),
+    "import qfcsim.cli": ((), None, None, _CLI, False),
+    "drive": (["drive", "--theta", "22.5"], None, 0, {"drive", "states", *_BASE}, True),
+    "efficiency": (["efficiency", "100", "60000", "0.8", "0.6"], None, 0,
+                   {"efficiency", *_CLI}, False),
+    "choi": (["choi"], CHOI, 0, {"channel", "drive", "states", *_BASE}, True),
     "sweep-theta": (["sweep-theta"], {k: v for k, v in SMALL_CONFIGS["sweep-theta"].items()
                                       if k != "mean_pairs"},
-                    {"channel", "drive", "states", *_BASE}),
-    "jsa": (["jsa"], {**SMALL_CONFIGS["jsa"], "hg_modes": 2, "write_jsa_csv": True},
-            {"spectral", *_BASE}),
-    "tomo": (["tomo"], {**SMALL_CONFIGS["tomo"], "mc_samples": 2},
-             {"tomography", "states", *_BASE}),
-    "bell": (["bell"], SMALL_CONFIGS["bell"], {"bell", "states", *_BASE}),
+                    0, {"channel", "drive", "states", *_BASE}, True),
+    "jsa": (["jsa"], {**SMALL_CONFIGS["jsa"], "hg_modes": 2, "write_jsa_csv": True}, 0,
+            {"spectral", *_BASE}, True),
+    "tomo": (["tomo"], {**SMALL_CONFIGS["tomo"], "mc_samples": 2}, 0,
+             {"tomography", "states", *_BASE}, True),
+    "bell": (["bell"], SMALL_CONFIGS["bell"], 0, {"bell", "states", *_BASE}, True),
+    # runs that end before the physics starts
+    "help": (["--help"], None, 0, _CLI, False),
+    "usage error": (["--seed", "x", "drive", "--theta", "1"], None, 2, _CLI, False),
+    "out through a file": (["--out", str(Path(__file__) / "out"), "efficiency", "1", "1", "1",
+                            "1"], None, 2, _CLI, False),
+    "unreadable config": (["tomo", "--config", "."], None, 2, _CLI, False),
+    "config the schema rejects": (["bell"], {"state": SMALL_CONFIGS["bell"]["state"]}, 2, _CLI,
+                                  False),
 }
 
 
@@ -793,13 +829,16 @@ class TestImports:
     @pytest.mark.parametrize("case", list(_LOADS))
     def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, case):
         # import qfcsim loads no submodule, and a command imports only its own
-        # physics: drive none of spectral, tomography, channel and bell
-        args, cfg, expected = _LOADS[case]
+        # physics: drive none of spectral, tomography, channel and bell; numpy
+        # comes only with the physics, so efficiency and early exits skip it
+        args, cfg, code, modules, numpy = _LOADS[case]
         if cfg is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(cfg))
             args = [*args, "--config", str(tmp_path / "cfg.json")]
-        argv = ["--out", str(tmp_path / "out"), *args] if args else []
-        assert set(fresh_python(_LOADED, *argv).split()) == expected
+        argv = [] if args is None else ["cli"] if not args else \
+            ["cli", "--out", str(tmp_path / "out"), *args]
+        shown, loaded, *names = fresh_python(_LOADED, *argv).split()
+        assert (shown, loaded, set(names)) == (str(code), str(numpy), modules)
 
 
 def _cli_tree() -> ast.Module:

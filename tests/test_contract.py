@@ -16,14 +16,15 @@ from qfcsim.channel import (ChannelSpec, converted_marginal_is_mixed, drive_sing
                             mode_transfer)
 from qfcsim.drive import (check_drive, coherence_matrix, drive_concurrence, drive_from_theta,
                           qwp_jones, vwp_transform)
+from qfcsim.efficiency import estimate_efficiency
 from qfcsim.errors import (InvalidState, NoConvergence, NotInformationallyComplete,
                            NotNormalized, OutOfRange, QfcError, ShapeMismatch, UnknownLabel)
 from qfcsim.linalg import partial_trace, svd
 from qfcsim.spectral import (INTERACTIONS, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SchmidtDecomposition, SpectralDensity, compute_jsa,
-                             estimate_efficiency, hg_mode_probabilities, jsa_from_binary,
-                             jsa_to_binary, phase_mismatch, pump_overlap, reduced_density,
-                             refractive_index, schmidt, temporal_intensity)
+                             hg_mode_probabilities, jsa_from_binary, jsa_to_binary,
+                             phase_mismatch, pump_overlap, reduced_density, refractive_index,
+                             schmidt, temporal_intensity)
 from qfcsim.states import (MAX_MEAN_PAIRS, bell_state, check_mean_pairs, check_seed, purity,
                            werner_state)
 from qfcsim.tomography import (MAX_MC_SAMPLES, CountRecord, MeasurementSetting,

@@ -12,14 +12,14 @@ from scipy.special import eval_hermite, gammaln
 
 from qfcsim import spectral as spectral_mod
 from qfcsim.cli import _schema
+from qfcsim.efficiency import estimate_efficiency
 from qfcsim.errors import DivisionByZero, GridTooCoarse, OutOfRange
 from qfcsim.spectral import (C_M_S, LITHIUM_NIOBATE, CrystalSpec, GridSpec, JSAGrid,
                              PumpSpec, SpectralDensity, _fwhm, _hg_modes,
-                             coincidence_delay_width, compute_jsa, estimate_efficiency,
-                             heralded_purity, hg_mode_probabilities, jsa_from_binary,
-                             jsa_to_binary, jsa_to_csv, phase_mismatch, pump_overlap,
-                             reduced_density, refractive_index, schmidt, spectral_purity,
-                             temporal_intensity)
+                             coincidence_delay_width, compute_jsa, heralded_purity,
+                             hg_mode_probabilities, jsa_from_binary, jsa_to_binary,
+                             jsa_to_csv, phase_mismatch, pump_overlap, reduced_density,
+                             refractive_index, schmidt, spectral_purity, temporal_intensity)
 
 PUMP = PumpSpec(center_wavelength_nm=780.0, duration_fs=220.0)
 TYPE1 = CrystalSpec(length_mm=10.0, poling_period_um=20.3, temperature_c=25.5,
